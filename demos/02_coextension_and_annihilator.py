@@ -27,7 +27,7 @@ basis = dv.ann_generators(pair)
 print("annihilator box:", basis.box,
       " kernel generators on the box:", len(basis.box_generators))
 
-bundle = dv.constrained_coextension(pair, psi, basis.generators)
+bundle = dv.constrained_coextension(pair, psi, basis)
 print("\nmodel-space dimension of K:", bundle.kpsi_dim)
 print("S1 =\n", np.round(bundle.s1, 6))
 print("residual table:")
@@ -39,17 +39,18 @@ def show(points):
             for p in points]
 
 
+# each set is computed once and handed to every check that compares it
 zset = dv.z_ann(basis, pair)
-omega, witnesses = dv.omega_psi(bundle)
+omega = dv.omega_psi(bundle)            # (points, eigenvector witnesses)
 print("\nZ(Ann)  =", show(zset))
-print("Omega   =", show(omega))
-entry = dv.check_zann_equals_omega(pair, bundle, basis)
+print("Omega   =", show(omega[0]))
+entry = dv.check_zann_equals_omega(zset, omega)
 print("set equality:", entry.status,
       " matching distance:", entry.data["matching_distance"])
 
-proj = dv.check_projection(pair, bundle)
+proj = dv.check_projection(omega, bundle.m1)
 print("projection onto first coordinate equals zeros of m1:", proj.status)
 
 variety = dv.variety_polynomial(psi)
-supp = dv.check_support(pair, bundle, variety, basis)
+supp = dv.check_support(zset, bundle, variety)
 print("support collapse inside the bidisc:", supp.status)

@@ -18,8 +18,8 @@ from distvar.instances import make_instance, random_recipe
 
 def survey(pair, psi, label):
     basis = dv.ann_generators(pair)
-    bundle = dv.constrained_coextension(pair, psi, basis.generators)
-    entries = dv.synthesis_report(pair, bundle, basis)
+    bundle = dv.constrained_coextension(pair, psi, basis)
+    entries = dv.synthesis_report(dv.settle(dv.omega_psi, bundle), bundle, basis)
     verdict = [e for e in entries if e.name == "synthesis-equivalence"][0]
     conds = verdict.data["conditions"]
     print(f"{label:<42} {verdict.status:<13} conditions: {conds}")

@@ -9,6 +9,7 @@ from .annvar import (
     check_support,
     check_zann_equals_omega,
     omega_psi,
+    settle,
     support_bounds,
     synthesis_report,
     z_ann,
@@ -45,7 +46,6 @@ from .inner import (
     fiber,
     from_bp_factors,
     from_colligation,
-    from_poly1_matrix,
     from_polynomial,
     from_scalar_blaschke_identity,
     interior_pureness,

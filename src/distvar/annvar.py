@@ -24,7 +24,7 @@ from .opcore import (
     validate_pair,
 )
 from .poly import Poly2
-from .report import FAIL, INCONCLUSIVE, PASS, CertEntry
+from .report import FAIL, INCONCLUSIVE, PASS, CertEntry, inconclusive
 from .tolerances import DEFAULT
 
 
@@ -147,85 +147,91 @@ def omega_psi(bundle, tol=DEFAULT):
     return tuple(deduped), spec.witnesses
 
 
-def check_zann_equals_omega(pair, bundle, basis, tol=DEFAULT):
-    """Set equality Z(Ann) == Omega via optimal matching."""
+def settle(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or the DegenerateCluster it raised.
+
+    The checks below take the sets they compare (the results of z_ann and
+    omega_psi) in this form, so that each set is computed once per instance
+    and every check that needs a degenerate set reports it as inconclusive.
+    """
     try:
-        zset = z_ann(basis, pair, tol=tol)
-        omega, _ = omega_psi(bundle, tol=tol)
-        dist = matching_distance(list(zset), list(omega))
+        return fn(*args, **kwargs)
     except DegenerateCluster as exc:
-        return CertEntry(
-            name="zero-set-equals-omega",
-            anchor="zero-set-of-annihilator-equals-joint-adjoint-eigenvalues",
-            status=INCONCLUSIVE,
-            margin=0.0,
-            data={"reason": str(exc)},
-        )
-    ok = dist <= tol.match_cap
+        return exc
+
+
+def _settled(value):
+    if isinstance(value, DegenerateCluster):
+        raise value
+    return value
+
+
+def _matching_entry(name, anchor, dist, tol, data):
     return CertEntry(
-        name="zero-set-equals-omega",
-        anchor="zero-set-of-annihilator-equals-joint-adjoint-eigenvalues",
-        status=PASS if ok else FAIL,
+        name=name,
+        anchor=anchor,
+        status=PASS if dist <= tol.match_cap else FAIL,
         margin=float(tol.match_cap - dist) if np.isfinite(dist) else -1.0,
-        data={"matching_distance": dist, "z_ann": list(zset), "omega": list(omega)},
+        data=data,
     )
 
 
-def check_projection(pair, bundle, tol=DEFAULT):
+def check_zann_equals_omega(zset, omega, tol=DEFAULT):
+    """Set equality Z(Ann) == Omega via optimal matching."""
+    name = "zero-set-equals-omega"
+    anchor = "zero-set-of-annihilator-equals-joint-adjoint-eigenvalues"
+    try:
+        zset = _settled(zset)
+        omega, _ = _settled(omega)
+        dist = matching_distance(list(zset), list(omega))
+    except DegenerateCluster as exc:
+        return inconclusive(name, anchor, exc)
+    return _matching_entry(
+        name, anchor, dist, tol,
+        {"matching_distance": dist, "z_ann": list(zset), "omega": list(omega)},
+    )
+
+
+def check_projection(omega, m1, tol=DEFAULT):
     """First-coordinate projection of Omega equals the zero set of m1."""
-    m1 = bundle.m1
     if m1.degree == 0:
         raise AnnTrivial("projection check requires a nonconstant m1")
+    name, anchor = "omega-projection", "omega-first-coordinates-equal-zeros-of-m1"
     try:
-        omega, _ = omega_psi(bundle, tol=tol)
+        omega, _ = _settled(omega)
         proj = dedupe_points([lam for lam, _ in omega], warn_gap=tol.cluster_warn)
         zeros = dedupe_points([a for a, _ in m1.zeros], warn_gap=tol.cluster_warn)
         dist = matching_distance(list(proj), list(zeros))
     except DegenerateCluster as exc:
-        return CertEntry(
-            name="omega-projection",
-            anchor="omega-first-coordinates-equal-zeros-of-m1",
-            status=INCONCLUSIVE,
-            margin=0.0,
-            data={"reason": str(exc)},
-        )
-    ok = dist <= tol.match_cap
-    return CertEntry(
-        name="omega-projection",
-        anchor="omega-first-coordinates-equal-zeros-of-m1",
-        status=PASS if ok else FAIL,
-        margin=float(tol.match_cap - dist) if np.isfinite(dist) else -1.0,
-        data={"projection": list(proj), "m1_zeros": list(zeros)},
+        return inconclusive(name, anchor, exc)
+    return _matching_entry(
+        name, anchor, dist, tol, {"projection": list(proj), "m1_zeros": list(zeros)}
     )
 
 
-def support_bounds(pair, bundle, variety, basis, tol=DEFAULT):
+def support_bounds(zset, bundle, variety, tol=DEFAULT):
     """Support sandwich data: Z(Ann), the joint spectrum of (S1,S2), and the variety.
 
     For matrices the constrained pair has spectral radii < 1, so its joint
     spectrum lies inside the open bidisc and must equal Z(Ann) as a set; every
     point must also lie on the variety.
     """
-    zset = z_ann(basis, pair, tol=tol)
+    zset = _settled(zset)
     spair = validate_pair(bundle.s1, bundle.s2, require_pure=True, strict=True, tol=tol)
     staylor = joint_spectrum_taylor(spair, tol=tol)
     lower = tuple(dedupe_points(list(staylor.points), warn_gap=tol.cluster_warn))
     return SupportBounds(inner_set=zset, lower_boundary=lower, variety=variety)
 
 
-def check_support(pair, bundle, variety, basis, tol=DEFAULT):
+def check_support(zset, bundle, variety, tol=DEFAULT):
     """Certificate for the support collapse and variety membership."""
+    name = "support-collapse"
+    anchor = "constrained-spectrum-equals-zero-set-inside-bidisc"
     try:
-        sb = support_bounds(pair, bundle, variety, basis, tol=tol)
+        sb = support_bounds(zset, bundle, variety, tol=tol)
         dist = matching_distance(list(sb.inner_set), list(sb.lower_boundary))
     except DegenerateCluster as exc:
-        return CertEntry(
-            name="support-collapse",
-            anchor="constrained-spectrum-equals-zero-set-inside-bidisc",
-            status=INCONCLUSIVE,
-            margin=0.0,
-            data={"reason": str(exc)},
-        )
+        return inconclusive(name, anchor, exc)
     p = variety.p
     worst = 0.0
     for lam, mu in sb.inner_set + sb.lower_boundary:
@@ -233,8 +239,8 @@ def check_support(pair, bundle, variety, basis, tol=DEFAULT):
     on_variety = worst <= tol.tol_zset * max(1.0, p.scale)
     ok = dist <= tol.match_cap and on_variety
     return CertEntry(
-        name="support-collapse",
-        anchor="constrained-spectrum-equals-zero-set-inside-bidisc",
+        name=name,
+        anchor=anchor,
         status=PASS if ok else FAIL,
         margin=float(min(tol.match_cap - dist, tol.tol_zset - worst))
         if np.isfinite(dist)
@@ -325,7 +331,7 @@ def _require_conclusive_fibers(psi, m1, tol):
                 )
 
 
-def synthesis_report(pair, bundle, basis, tol=DEFAULT, simple_sep=None):
+def synthesis_report(omega, bundle, basis, tol=DEFAULT):
     """Four independently evaluated synthesis conditions plus a consistency verdict.
 
     (i)   joint adjoint eigenvector witnesses span the constrained model space,
@@ -333,23 +339,23 @@ def synthesis_report(pair, bundle, basis, tol=DEFAULT, simple_sep=None):
     (iii) radical univariate annihilator (reduces to simple roots),
     (iv)  m1 is a Blaschke product with simple roots.
 
-    Fiber clusters below the warning gap make the instance inconclusive.
+    ``omega`` is the result of omega_psi (see settle).  Fiber clusters below
+    the warning gap make the instance inconclusive.
     """
     from .poly import has_simple_roots
 
-    simple_sep = tol.cluster_warn if simple_sep is None else simple_sep
     m1 = bundle.m1
     if m1.degree == 0:
         raise AnnTrivial("synthesis conditions require a nonconstant m1")
     entries = []
-    inconclusive_reason = None
+    reason = None
 
-    simple = has_simple_roots(m1, simple_sep)
+    simple = has_simple_roots(m1, tol.cluster_warn)
 
     try:
         if simple:
             _require_conclusive_fibers(bundle.psi, m1, tol)
-        omega, witnesses = omega_psi(bundle, tol=tol)
+        omega, witnesses = _settled(omega)
         wmat = (
             np.array(witnesses).T
             if witnesses
@@ -362,10 +368,10 @@ def synthesis_report(pair, bundle, basis, tol=DEFAULT, simple_sep=None):
             span_dim = 0
         cond_i = span_dim == bundle.kpsi_dim
     except DegenerateCluster as exc:
-        inconclusive_reason = str(exc)
+        reason = exc
         omega, span_dim, cond_i = (), -1, None
 
-    if inconclusive_reason is None:
+    if reason is None:
         d1, d2 = basis.box
         dim_plain, basis_plain = _vanishing_space_dim_and_basis(list(omega), d1, d2)
         qa = _span_matrix(basis.box_generators, d1, d2)
@@ -391,8 +397,7 @@ def synthesis_report(pair, bundle, basis, tol=DEFAULT, simple_sep=None):
     for key, val in conds.items():
         name, anchor = labels[key]
         if val is None:
-            entries.append(CertEntry(name=name, anchor=anchor, status=INCONCLUSIVE,
-                                     margin=0.0, data={"reason": inconclusive_reason}))
+            entries.append(inconclusive(name, anchor, reason))
         else:
             data = {"holds": bool(val)}
             if key == "ii":
@@ -406,9 +411,8 @@ def synthesis_report(pair, bundle, basis, tol=DEFAULT, simple_sep=None):
                 data=data,
             ))
 
-    if inconclusive_reason is not None:
+    if reason is not None:
         verdict, margin = INCONCLUSIVE, 0.0
-        agree = None
     else:
         agree = len({bool(v) for v in conds.values()}) == 1
         verdict = PASS if agree else FAIL

@@ -105,6 +105,13 @@ def slack(q, samples):
     return gradient_bound(q) * samples.mesh() + 1e-12 * max(1.0, q.scale)
 
 
+def _bound_verdict(nrm, sup, sl):
+    """Status and margin of nrm <= sup: inconclusive inside the slack band."""
+    if nrm <= sup:
+        return PASS, sup - nrm
+    return (INCONCLUSIVE if nrm <= sup + sl else FAIL), sup + sl - nrm
+
+
 def vn_report(pair, variety, polys, boundary_n=512, disc_grid=(16, 64),
               rationals=None, tol=DEFAULT):
     """Inequality certificates ||q(T1,T2)|| <= sup_variety |q| + slack.
@@ -129,12 +136,7 @@ def vn_report(pair, variety, polys, boundary_n=512, disc_grid=(16, 64),
         nrm = opnorm(poly_apply(q, pair))
         sup = sup_on_variety(variety, q, samples=samples)
         sl = slack(q, samples)
-        if nrm <= sup:
-            status, margin = PASS, sup - nrm
-        elif nrm <= sup + sl:
-            status, margin = INCONCLUSIVE, sup + sl - nrm
-        else:
-            status, margin = FAIL, sup + sl - nrm
+        status, margin = _bound_verdict(nrm, sup, sl)
         entries.append(CertEntry(
             name=f"variety-dominates-q{idx}",
             anchor="polynomial-norm-bounded-by-variety-sup",
@@ -179,12 +181,7 @@ def vn_report(pair, variety, polys, boundary_n=512, disc_grid=(16, 64),
         sup = max(vals)
         sl = (gradient_bound(p1) / den_min
               + sup * gradient_bound(p2) / den_min) * samples.mesh()
-        if nrm <= sup:
-            status, margin = PASS, sup - nrm
-        elif nrm <= sup + sl:
-            status, margin = INCONCLUSIVE, sup + sl - nrm
-        else:
-            status, margin = FAIL, sup + sl - nrm
+        status, margin = _bound_verdict(nrm, sup, sl)
         entries.append(CertEntry(
             name=f"variety-dominates-rational{idx}",
             anchor="rational-norm-bounded-by-variety-sup",

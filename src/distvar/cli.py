@@ -8,6 +8,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .instances import (
 )
 from .report import FAIL, INCONCLUSIVE
 from .serialize import (
-    blaschke_from_json,
+    bundle_to_json,
     dump_json,
     load_json,
     pair_from_json,
@@ -45,11 +46,15 @@ def _parse_grid(text):
     return (max(8, int(np.sqrt(n / 4))), max(32, 4 * int(np.sqrt(n / 4))))
 
 
-def _tolerances(args):
+def _tolerances(items):
     overrides = {}
-    for item in args.tol or []:
+    for item in items or []:
         key, _, val = item.partition("=")
+        if key not in DEFAULT.as_dict():
+            raise ValueError(f"unknown tolerance {key!r}")
         overrides[key] = float(val)
+        if not 0.0 <= overrides[key] < np.inf:
+            raise ValueError(f"tolerance {key} must be finite and nonnegative")
     return DEFAULT.override(**overrides)
 
 
@@ -72,8 +77,7 @@ def _write_report(report, out_dir, fmt):
     return path
 
 
-def cmd_variety(args):
-    tol = _tolerances(args)
+def cmd_variety(args, tol):
     try:
         psi = psi_from_json(load_json(args.psi), boundary_n=min(args.boundary_samples, 1024))
     except (OSError, ValueError, KeyError, DistvarError) as exc:
@@ -101,7 +105,7 @@ def cmd_variety(args):
     return 0 if cert.status == "pass" else 1
 
 
-def _recipe_from_json(obj, seed):
+def _recipe_spec(obj, args):
     zeros = tuple(
         (complex(z["point"][0], z["point"][1]), int(z.get("multiplicity", 1)))
         for z in obj["theta_zeros"]
@@ -109,64 +113,53 @@ def _recipe_from_json(obj, seed):
     return InstanceSpec(
         theta_zeros=zeros,
         psi_spec=obj["psi"],
-        seed=int(obj.get("seed", seed)),
-        boundary_n=obj.get("boundary_n", 512),
+        seed=int(obj.get("seed", args.seed)),
+        boundary_n=args.boundary_samples,
+        disc_grid=args.disc_grid,
     )
 
 
-def cmd_certify(args):
-    tol = _tolerances(args)
+def _instances(args, tol):
+    """The instances of one certify run, built one at a time in run order."""
+    if args.batch:
+        for k in range(args.batch):
+            spec = replace(
+                random_recipe(args.seed + k),
+                boundary_n=args.boundary_samples, disc_grid=args.disc_grid,
+            )
+            yield make_instance(spec, tol)
+    elif args.recipe:
+        yield make_instance(_recipe_spec(load_json(args.recipe), args), tol)
+    elif args.pair:
+        pair = pair_from_json(load_json(args.pair), tol=tol)
+        if args.psi:
+            psi = psi_from_json(load_json(args.psi))
+        else:
+            psi = construct_psi(pair, tol=tol, seed=args.seed)
+        name = os.path.splitext(os.path.basename(args.pair))[0]
+        spec = InstanceSpec(
+            theta_zeros=(), psi_spec={"kind": "supplied"}, seed=args.seed,
+            boundary_n=args.boundary_samples, disc_grid=args.disc_grid,
+            label=f"pair[{name}]",
+        )
+        yield Instance(spec=spec, theta=None, psi=psi, pair=pair)
+    else:
+        raise ValueError("one of --pair, --recipe, --batch is required")
+
+
+def cmd_certify(args, tol):
     reports = []
     try:
-        if args.batch:
-            for k in range(args.batch):
-                spec = random_recipe(args.seed + k)
-                spec = InstanceSpec(
-                    theta_zeros=spec.theta_zeros, psi_spec=spec.psi_spec,
-                    seed=spec.seed, boundary_n=args.boundary_samples,
-                    disc_grid=args.disc_grid,
-                )
-                reports.append(run_certification(make_instance(spec, tol), tol=tol))
-        elif args.recipe:
-            spec = _recipe_from_json(load_json(args.recipe), args.seed)
-            artifacts = {}
-            reports.append(run_certification(
-                make_instance(spec, tol), tol=tol, artifacts=artifacts
-            ))
-            if "bundle" in artifacts:
-                from .serialize import bundle_to_json
-
-                os.makedirs(args.out, exist_ok=True)
-                dump_json(
-                    bundle_to_json(artifacts["bundle"]),
-                    os.path.join(args.out, f"{spec.instance_id}-bundle.json"),
-                )
-        elif args.pair:
-            obj = load_json(args.pair)
-            pair = pair_from_json(obj, tol=tol)
-            if args.psi:
-                psi = psi_from_json(load_json(args.psi))
-            else:
-                psi = construct_psi(pair, tol=tol, seed=args.seed)
-            name = os.path.splitext(os.path.basename(args.pair))[0]
-            spec = InstanceSpec(
-                theta_zeros=(), psi_spec={"kind": "supplied"}, seed=args.seed,
-                boundary_n=args.boundary_samples, disc_grid=args.disc_grid,
-                label=f"pair[{name}]",
-            )
-            inst = Instance(spec=spec, theta=None, psi=psi, pair=pair)
+        for inst in _instances(args, tol):
             artifacts = {}
             reports.append(run_certification(inst, tol=tol, artifacts=artifacts))
-            if "bundle" in artifacts:
-                from .serialize import bundle_to_json
-
+            # a batch writes reports only; a single instance also its bundle
+            if "bundle" in artifacts and not args.batch:
                 os.makedirs(args.out, exist_ok=True)
                 dump_json(
                     bundle_to_json(artifacts["bundle"]),
-                    os.path.join(args.out, f"{spec.instance_id}-bundle.json"),
+                    os.path.join(args.out, f"{inst.spec.instance_id}-bundle.json"),
                 )
-        else:
-            return _fail_invalid("one of --pair, --recipe, --batch is required")
     except (OSError, ValueError, KeyError) as exc:
         return _fail_invalid(str(exc))
     except DistvarError as exc:
@@ -189,9 +182,8 @@ def cmd_certify(args):
     return 0
 
 
-def cmd_demo(args):
+def cmd_demo(args, tol):
     """End-to-end walkthrough on the curve w^2 = z."""
-    tol = _tolerances(args)
     spec = InstanceSpec(
         theta_zeros=((0j, 2),),
         psi_spec={"kind": "companion", "d": 2},
@@ -252,7 +244,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        tol = _tolerances(args.tol)
+    except ValueError as exc:
+        return _fail_invalid(f"invalid --tol: {exc}")
+    return args.func(args, tol)
 
 
 if __name__ == "__main__":

@@ -35,14 +35,14 @@ from .opcore import (
     validate_pair,
 )
 from .poly import BlaschkeProduct
-from .report import FAIL, PASS, CertEntry
+from .report import FAIL, PASS, CertEntry, inconclusive
 from .tolerances import DEFAULT
 
 # ---------------------------------------------------------------------------
 # minimal isometric co-extension
 
 
-def embed_J(pair, tol_trunc=None, cap=5000, basis=None):
+def embed_J(pair, tol_trunc=None, cap=5000):
     """Truncated minimal isometric co-extension of T1.
 
     Returns ``(J, n_trunc, w)`` where J has row blocks  w* D T1*^m  for
@@ -54,8 +54,6 @@ def embed_J(pair, tol_trunc=None, cap=5000, basis=None):
         raise NotPure("co-extension requires a pure pair")
     t1 = pair.t1
     droot, rank, w = defect(t1)
-    if basis is not None:
-        w = basis
     n = t1.shape[0]
     wd = w.conj().T @ droot  # d x n
     t1s = t1.conj().T
@@ -568,19 +566,20 @@ class CoextensionBundle:
         return self.kpsi_basis.shape[1]
 
 
-def constrained_coextension(pair, psi, ann_gens, tol=DEFAULT, embedding=None, seed=0):
+def constrained_coextension(pair, psi, basis, tol=DEFAULT, seed=0):
     """Constrained isometric co-extension of the pair for the given symbol.
 
-    The intersection of the adjoint kernels of the annihilator generators is
-    computed inside the jet space K_(m1) tensor C^d (legitimate because m1
-    annihilates T1); the compressions of the shift and the symbol multiplier
-    to that intersection form the constrained pair (S1, S2).
+    ``basis`` is the AnnihilatorBasis of the pair.  The intersection of the
+    adjoint kernels of its generators is computed inside the jet space
+    K_(m1) tensor C^d (legitimate because m1 annihilates T1); the compressions
+    of the shift and the symbol multiplier to that intersection form the
+    constrained pair (S1, S2).
     """
-    m1 = minimal_blaschke(pair.t1, tol=tol)
+    m1, ann_gens = basis.m1, basis.generators
     if m1.degree == 0:
         raise AnnTrivial("the univariate annihilator of T1 is trivial")
     d = psi.d
-    basis = jet_kernel_basis(m1, d)
+    jets = jet_kernel_basis(m1, d)
     max_mult = max(m for _, m in m1.zeros)
     psi_taylor = {}
     for lam, mult in m1.zeros:
@@ -595,8 +594,8 @@ def constrained_coextension(pair, psi, ann_gens, tol=DEFAULT, embedding=None, se
         if mult > 1:
             arr[1] = np.eye(d)
         zvals[lam] = arr
-    a_z = _to_onb(basis, _adjoint_action(basis, zvals))
-    a_psi = _to_onb(basis, _adjoint_action(basis, {
+    a_z = _to_onb(jets, _adjoint_action(jets, zvals))
+    a_psi = _to_onb(jets, _adjoint_action(jets, {
         lam: psi_taylor[lam][: dict(m1.zeros)[lam]] for lam, _ in m1.zeros
     }))
 
@@ -605,25 +604,21 @@ def constrained_coextension(pair, psi, ann_gens, tol=DEFAULT, embedding=None, se
         vals = {}
         for lam, mult in m1.zeros:
             vals[lam] = _poly2_compose_jet(f, lam, psi_taylor[lam], mult - 1)
-        stack.append(_to_onb(basis, _adjoint_action(basis, vals)))
-    dim = basis.dimension
-    if stack:
-        big = np.vstack(stack)
-        _, svals, vh = np.linalg.svd(big)
-        smax = svals[0] if svals.size else 0.0
-        if smax <= 1e-12:
-            q = np.eye(dim, dtype=complex)
-        else:
-            thresh = tol.kernel_rel * smax
-            guard = (svals > thresh / tol.rank_guard) & (svals < thresh * tol.rank_guard)
-            if np.any(guard):
-                raise DegenerateCluster(
-                    "kernel-cut singular value inside the guard band"
-                )
-            nullity = dim - int(np.count_nonzero(svals > thresh))
-            q = vh.conj().T[:, dim - nullity :] if nullity else np.zeros((dim, 0))
-    else:
+        stack.append(_to_onb(jets, _adjoint_action(jets, vals)))
+    # the generators always include the minimal polynomials, so the stack is
+    # never empty
+    dim = jets.dimension
+    _, svals, vh = np.linalg.svd(np.vstack(stack))
+    smax = svals[0] if svals.size else 0.0
+    if smax <= 1e-12:
         q = np.eye(dim, dtype=complex)
+    else:
+        thresh = tol.kernel_rel * smax
+        guard = (svals > thresh / tol.rank_guard) & (svals < thresh * tol.rank_guard)
+        if np.any(guard):
+            raise DegenerateCluster("kernel-cut singular value inside the guard band")
+        nullity = dim - int(np.count_nonzero(svals > thresh))
+        q = vh.conj().T[:, dim - nullity :] if nullity else np.zeros((dim, 0))
     s1_adj = q.conj().T @ a_z @ q
     s2_adj = q.conj().T @ a_psi @ q
     s1 = s1_adj.conj().T
@@ -635,10 +630,7 @@ def constrained_coextension(pair, psi, ann_gens, tol=DEFAULT, embedding=None, se
         "kpsi_dim": q.shape[1],
         "deg_m1": m1.degree,
     }
-    if embedding is None:
-        j, n_trunc, w_align, emb_res = coextension_embedding(pair, psi, tol=tol, seed=seed)
-    else:
-        j, n_trunc, w_align, emb_res = embedding
+    j, n_trunc, w_align, emb_res = coextension_embedding(pair, psi, tol=tol, seed=seed)
     residuals.update(emb_res)
     return CoextensionBundle(
         pair=pair,
@@ -647,7 +639,7 @@ def constrained_coextension(pair, psi, ann_gens, tol=DEFAULT, embedding=None, se
         n_trunc=n_trunc,
         align_unitary=w_align,
         m1=m1,
-        jet_basis=basis,
+        jet_basis=jets,
         kpsi_basis=q,
         s1=s1,
         s2=s2,
@@ -709,12 +701,8 @@ def verify_coextension(bundle, variety, tol=DEFAULT):
             data={"zeros_s1": list(mb.zeros), "zeros_m1": list(bundle.m1.zeros)},
         ))
     except DegenerateCluster as exc:
-        entries.append(CertEntry(
-            name="constrained-annihilator-generator",
-            anchor="minimal-blaschke-of-s1-equals-m1",
-            status="inconclusive",
-            margin=0.0,
-            data={"reason": str(exc)},
+        entries.append(inconclusive(
+            "constrained-annihilator-generator", "minimal-blaschke-of-s1-equals-m1", exc
         ))
     return entries
 

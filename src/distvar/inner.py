@@ -212,22 +212,6 @@ def from_polynomial(coeff_matrices, tol_unitary=None, boundary_n=512, check_inne
     return MatrixInnerFunction(POLYNOMIAL, d, psi.data, bdef, 0.0)
 
 
-def from_poly1_matrix(entries, **kwargs):
-    """Build the polynomial representation from a 2-d grid of Poly1 entries."""
-    d = len(entries)
-    deg = 0
-    for row in entries:
-        if len(row) != d:
-            raise ValueError("entry grid must be square")
-        for p in row:
-            deg = max(deg, p.degree)
-    coeffs = np.zeros((deg + 1, d, d), dtype=complex)
-    for i, row in enumerate(entries):
-        for j, p in enumerate(row):
-            coeffs[: p.coeffs.size, i, j] = p.coeffs
-    return from_polynomial(coeffs, **kwargs)
-
-
 def eval_psi(psi, lam, tol=1e-9):
     """Evaluate Psi at a point of the closed disc (slightly beyond is tolerated)."""
     lam = complex(lam)

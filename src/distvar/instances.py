@@ -17,7 +17,10 @@ from .annvar import (
     check_projection,
     check_support,
     check_zann_equals_omega,
+    omega_psi,
+    settle,
     synthesis_report,
+    z_ann,
 )
 from .dilation import compress_pair, constrained_coextension, verify_coextension
 from .errors import DegenerateCluster, DistvarError
@@ -31,7 +34,7 @@ from .inner import (
 )
 from .certify import vn_report
 from .poly import BlaschkeProduct, Poly2
-from .report import INCONCLUSIVE, PASS, CertEntry, CertificateReport
+from .report import INCONCLUSIVE, PASS, CertEntry, CertificateReport, inconclusive
 from .tolerances import DEFAULT
 
 
@@ -267,19 +270,13 @@ def run_certification(instance, tol=DEFAULT, vn_polys=None, artifacts=None):
 
     try:
         basis = ann_generators(pair, tol=tol)
-        bundle = constrained_coextension(
-            pair, psi, basis.generators, tol=tol, seed=spec.seed
-        )
+        bundle = constrained_coextension(pair, psi, basis, tol=tol, seed=spec.seed)
         if artifacts is not None:
             artifacts["basis"] = basis
             artifacts["bundle"] = bundle
     except DegenerateCluster as exc:
-        report.add(CertEntry(
-            name="degenerate-instance",
-            anchor="tolerance-semantics-inconclusive",
-            status=INCONCLUSIVE,
-            margin=0.0,
-            data={"reason": str(exc)},
+        report.add(inconclusive(
+            "degenerate-instance", "tolerance-semantics-inconclusive", exc
         ))
         return report
 
@@ -302,19 +299,13 @@ def run_certification(instance, tol=DEFAULT, vn_polys=None, artifacts=None):
     ))
 
     report.extend(verify_coextension(bundle, variety, tol=tol))
-    report.add(check_zann_equals_omega(pair, bundle, basis, tol=tol))
-    report.add(check_projection(pair, bundle, tol=tol))
-    report.add(check_support(pair, bundle, variety, basis, tol=tol))
-    try:
-        report.extend(synthesis_report(pair, bundle, basis, tol=tol))
-    except DegenerateCluster as exc:
-        report.add(CertEntry(
-            name="synthesis-equivalence",
-            anchor="four-way-synthesis-agreement",
-            status=INCONCLUSIVE,
-            margin=0.0,
-            data={"reason": str(exc)},
-        ))
+    # each set is computed once; a check given a degenerate set is inconclusive
+    zset = settle(z_ann, basis, pair, tol=tol)
+    omega = settle(omega_psi, bundle, tol=tol)
+    report.add(check_zann_equals_omega(zset, omega, tol=tol))
+    report.add(check_projection(omega, basis.m1, tol=tol))
+    report.add(check_support(zset, bundle, variety, tol=tol))
+    report.extend(synthesis_report(omega, bundle, basis, tol=tol))
 
     if vn_polys is None:
         rng = np.random.default_rng(spec.seed + 10 ** 6)

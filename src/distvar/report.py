@@ -42,6 +42,12 @@ class CertEntry:
         return out
 
 
+def inconclusive(name, anchor, exc):
+    """Entry for a check that a DegenerateCluster ``exc`` left undecided."""
+    return CertEntry(name=name, anchor=anchor, status=INCONCLUSIVE, margin=0.0,
+                     data={"reason": str(exc)})
+
+
 def _jsonable(obj):
     import numpy as np
 

@@ -23,9 +23,7 @@ def _verdict(num, ok, text):
 
 def _bundle_for(inst, seed):
     basis = dv.ann_generators(inst.pair)
-    bundle = dv.constrained_coextension(
-        inst.pair, inst.psi, basis.generators, seed=seed
-    )
+    bundle = dv.constrained_coextension(inst.pair, inst.psi, basis, seed=seed)
     return basis, bundle
 
 
@@ -42,10 +40,12 @@ def sweep200():
             row["residuals"] = bundle.residuals
             row["deg_m1"] = bundle.m1.degree
             row["kpsi_dim"] = bundle.kpsi_dim
-            row["zann"] = dv.check_zann_equals_omega(inst.pair, bundle, basis)
-            row["proj"] = dv.check_projection(inst.pair, bundle)
+            zset = dv.settle(dv.z_ann, basis, inst.pair)
+            omega = dv.settle(dv.omega_psi, bundle)
+            row["zann"] = dv.check_zann_equals_omega(zset, omega)
+            row["proj"] = dv.check_projection(omega, bundle.m1)
             variety = dv.variety_polynomial(inst.psi, check_fibers=0)
-            row["supp"] = dv.check_support(inst.pair, bundle, variety, basis)
+            row["supp"] = dv.check_support(zset, bundle, variety)
             mb = dv.minimal_blaschke(bundle.s1)
             row["mb_dist"] = dv.matching_distance(
                 [(a, float(m)) for a, m in mb.zeros],
@@ -145,7 +145,7 @@ def test_criterion_6_synthesis_agreement(scalar_shift_psi):
         inst = make_instance(spec)
         try:
             basis, bundle = _bundle_for(inst, spec.seed)
-            entries = dv.synthesis_report(inst.pair, bundle, basis)
+            entries = dv.synthesis_report(dv.settle(dv.omega_psi, bundle), bundle, basis)
         except DegenerateCluster:
             inconclusive += 1
             continue
@@ -160,10 +160,8 @@ def test_criterion_6_synthesis_agreement(scalar_shift_psi):
     def named_conditions(theta_zeros):
         pair = dv.compress_pair(scalar_shift_psi, dv.BlaschkeProduct(theta_zeros))
         basis = dv.ann_generators(pair)
-        bundle = dv.constrained_coextension(
-            pair, scalar_shift_psi, basis.generators, seed=0
-        )
-        entries = dv.synthesis_report(pair, bundle, basis)
+        bundle = dv.constrained_coextension(pair, scalar_shift_psi, basis, seed=0)
+        entries = dv.synthesis_report(dv.settle(dv.omega_psi, bundle), bundle, basis)
         verdict = [e for e in entries if e.name == "synthesis-equivalence"][0]
         return verdict.data["conditions"]
 

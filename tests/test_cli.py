@@ -172,6 +172,35 @@ def test_cmd_certify_recipe_all_true_instance(tmp_path, capsys):
     assert all(verdict["witnesses"]["conditions"].values())
 
 
+def test_cmd_certify_recipe_uses_sample_flags(tmp_path, monkeypatch, capsys):
+    specs = []
+
+    def capture(inst, tol, artifacts):
+        specs.append(inst.spec)
+        return dv.CertificateReport(instance_id=inst.spec.instance_id,
+                                    seed=inst.spec.seed, tolerances={})
+
+    monkeypatch.setattr("distvar.cli.run_certification", capture)
+    rp = tmp_path / "recipe.json"
+    dump_json({"theta_zeros": [{"point": [0.0, 0.0], "multiplicity": 2}],
+               "psi": {"kind": "companion", "d": 2}, "seed": 3}, rp)
+    code = main(["--out", str(tmp_path / "out"), "--boundary-samples", "96",
+                 "--disc-samples", "8x40", "certify", "--recipe", str(rp)])
+    assert code == 0
+    assert [(s.boundary_n, s.disc_grid, s.seed) for s in specs] == [(96, (8, 40), 3)]
+
+
+@pytest.mark.parametrize("command", [["demo"], ["certify", "--batch", "1"],
+                                     ["variety", "psi.json"]])
+@pytest.mark.parametrize("override", ["bogus=1", "tol_ann=abc", "tol_ann",
+                                      "tol_ann=nan", "match_cap=-1"])
+def test_invalid_tolerance_override_exits_2(tmp_path, capsys, command, override):
+    code = main(["--out", str(tmp_path / "o"), "--tol", override] + command)
+    assert code == 2
+    assert "error" in json.loads(capsys.readouterr().out)
+    assert not (tmp_path / "o").exists()
+
+
 def test_cmd_certify_batch(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["--out", str(out), "--boundary-samples", "128",

@@ -153,7 +153,7 @@ def test_jet_basis_gram_positive_definite():
 def test_constrained_j2_instance(scalar_shift_psi):
     pair = dv.compress_pair(scalar_shift_psi, dv.BlaschkeProduct([(0.0, 2)]))
     basis = dv.ann_generators(pair)
-    bundle = dv.constrained_coextension(pair, scalar_shift_psi, basis.generators)
+    bundle = dv.constrained_coextension(pair, scalar_shift_psi, basis)
     assert bundle.kpsi_dim == 2
     assert np.allclose(bundle.s1, J2, atol=1e-10)
     assert np.allclose(bundle.s2, J2, atol=1e-10)
@@ -163,7 +163,7 @@ def test_constrained_diagonal_instance(scalar_shift_psi):
     theta = dv.BlaschkeProduct([(0.0, 1), (0.5, 1)])
     pair = dv.compress_pair(scalar_shift_psi, theta)
     basis = dv.ann_generators(pair)
-    bundle = dv.constrained_coextension(pair, scalar_shift_psi, basis.generators)
+    bundle = dv.constrained_coextension(pair, scalar_shift_psi, basis)
     assert bundle.kpsi_dim == 2
 
 
@@ -173,7 +173,7 @@ def test_kpsi_dimension_law(seed):
     spec = random_recipe(seed)
     inst = make_instance(spec)
     basis = dv.ann_generators(inst.pair)
-    bundle = dv.constrained_coextension(inst.pair, inst.psi, basis.generators)
+    bundle = dv.constrained_coextension(inst.pair, inst.psi, basis)
     d = inst.psi.d
     assert bundle.kpsi_dim == d * bundle.m1.degree
     if d == 1:
@@ -184,7 +184,7 @@ def test_bundle_contracts_on_random_instances():
     for seed in (0, 1, 2, 3, 4):
         inst = make_instance(random_recipe(seed))
         basis = dv.ann_generators(inst.pair)
-        bundle = dv.constrained_coextension(inst.pair, inst.psi, basis.generators)
+        bundle = dv.constrained_coextension(inst.pair, inst.psi, basis)
         r = bundle.residuals
         assert r["isometry"] <= 1e-10
         assert r["intertwine_shift"] <= 1e-9
@@ -196,7 +196,7 @@ def test_bundle_contracts_on_random_instances():
 def test_verify_coextension_positive(companion_psi_2):
     pair = dv.compress_pair(companion_psi_2, dv.BlaschkeProduct([(0.0, 2)]))
     basis = dv.ann_generators(pair)
-    bundle = dv.constrained_coextension(pair, companion_psi_2, basis.generators)
+    bundle = dv.constrained_coextension(pair, companion_psi_2, basis)
     variety = dv.variety_polynomial(companion_psi_2)
     entries = dv.verify_coextension(bundle, variety)
     assert all(e.status == "pass" for e in entries)
@@ -205,7 +205,7 @@ def test_verify_coextension_positive(companion_psi_2):
 def test_verify_coextension_detects_corruption(companion_psi_2):
     pair = dv.compress_pair(companion_psi_2, dv.BlaschkeProduct([(0.0, 2)]))
     basis = dv.ann_generators(pair)
-    bundle = dv.constrained_coextension(pair, companion_psi_2, basis.generators)
+    bundle = dv.constrained_coextension(pair, companion_psi_2, basis)
     variety = dv.variety_polynomial(companion_psi_2)
     bad_t2 = np.asarray(pair.t2).copy()
     bad_t2[0, 1] += 1e-3
@@ -230,7 +230,7 @@ def test_ann_invariance_between_pair_and_constrained():
     for seed in (0, 1, 3):
         inst = make_instance(random_recipe(seed))
         basis = dv.ann_generators(inst.pair)
-        bundle = dv.constrained_coextension(inst.pair, inst.psi, basis.generators)
+        bundle = dv.constrained_coextension(inst.pair, inst.psi, basis)
         spair = dv.s_pair(bundle)
         sbasis = dv.ann_generators(spair)
         assert sbasis.box == basis.box

@@ -40,10 +40,13 @@ from .inner import (
     MatrixInnerFunction,
     VarietyDescription,
     boundary_unitarity_defect,
+    circle_grid,
     distinguished_certificate,
     eval_psi,
+    eval_psi_grid,
     eval_psi_jet,
     fiber,
+    fibers_grid,
     from_bp_factors,
     from_colligation,
     from_polynomial,

@@ -8,9 +8,10 @@ rather than failed.
 """
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .errors import ConstantSymbol, DenominatorVanishes
-from .inner import distinguished_certificate, fiber
+from .inner import circle_grid, distinguished_certificate, fibers_grid
 from .opcore import blaschke_apply, opnorm, poly_apply, spectral_radius
 from .poly import BlaschkeProduct, Poly1
 from .report import FAIL, INCONCLUSIVE, PASS, CertEntry
@@ -31,24 +32,12 @@ class VarietySamples:
         self.boundary_n = int(boundary_n)
         self.disc_grid = (int(disc_grid[0]), int(disc_grid[1]))
         psi = variety.psi
-        zs, ws = [], []
-        for t in np.arange(boundary_n) * (2.0 * np.pi / boundary_n):
-            z = np.exp(1j * t)
-            for w in fiber(psi, z):
-                zs.append(z)
-                ws.append(w)
-        self.boundary_z = np.array(zs)
-        self.boundary_w = np.array(ws)
-        zs, ws = [], []
+        self.boundary_z, self.boundary_w = _fiber_samples(psi, circle_grid(boundary_n))
         nr, na = self.disc_grid
-        for r in (np.arange(1, nr + 1) / (nr + 1)):
-            for t in np.arange(na) * (2.0 * np.pi / na):
-                z = r * np.exp(1j * t)
-                for w in fiber(psi, z):
-                    zs.append(z)
-                    ws.append(w)
-        self.interior_z = np.array(zs)
-        self.interior_w = np.array(ws)
+        radii = np.arange(1, nr + 1) / (nr + 1)
+        self.interior_z, self.interior_w = _fiber_samples(
+            psi, (radii[:, None] * circle_grid(na)[None, :]).ravel()
+        )
         self._mesh = None
 
     def mesh(self):
@@ -57,20 +46,22 @@ class VarietySamples:
         Fibers of consecutive base points are compared by optimal matching,
         so branch reorderings do not inflate the estimate.
         """
-        if self._mesh is not None:
-            return self._mesh
-        from .opcore import matching_distance
-
-        d = self.variety.degw
-        z = self.boundary_z.reshape(-1, d)
-        w = self.boundary_w.reshape(-1, d)
-        dz = float(np.abs(np.roll(z[:, 0], -1) - z[:, 0]).max())
-        dw = 0.0
-        rows = w.shape[0]
-        for k in range(rows):
-            dw = max(dw, matching_distance(list(w[k]), list(w[(k + 1) % rows])))
-        self._mesh = dz + dw
+        if self._mesh is None:
+            d = self.variety.degw
+            z = self.boundary_z.reshape(-1, d)
+            w = self.boundary_w.reshape(-1, d)
+            dz = float(np.abs(np.roll(z[:, 0], -1) - z[:, 0]).max())
+            # cost[k, i, j] = |w_k[i] - w_{k+1}[j]|, the last row wrapping round
+            cost = np.abs(w[:, :, None] - np.roll(w, -1, axis=0)[:, None, :])
+            dw = max(float(c[linear_sum_assignment(c)].max()) for c in cost)
+            self._mesh = dz + dw
         return self._mesh
+
+
+def _fiber_samples(psi, zs):
+    """Flat (z, w) sample arrays: each base point once per fiber value."""
+    ws = fibers_grid(psi, zs)
+    return np.repeat(zs, ws.shape[1]), ws.ravel()
 
 
 def sup_on_variety(variety, q, boundary_n=512, disc_grid=(16, 64), samples=None):
@@ -271,8 +262,7 @@ def min_conditions(pair, variety, phi1, phi2, tol=DEFAULT,
         data={"sup_phi1": sup1, "sup_phi2": sup2, "attained_norm": attain},
     ))
 
-    dist = distinguished_certificate(variety.psi, boundary_n, disc_n,
-                                     tol_unitary=tol.tol_unitary)
+    dist = distinguished_certificate(variety.psi, boundary_n, disc_n, tol=tol)
     entries.append(dist)
 
     hyp = [entries[0].status, entries[1].status, dist.status]

@@ -80,14 +80,14 @@ def _write_report(report, out_dir, fmt):
 def cmd_variety(args, tol):
     try:
         psi = psi_from_json(load_json(args.psi), boundary_n=min(args.boundary_samples, 1024))
-    except (OSError, ValueError, KeyError, DistvarError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, DistvarError) as exc:
         return _fail_invalid(f"invalid symbol file: {exc}")
     variety = variety_polynomial(psi)
     from .inner import distinguished_certificate
 
     cert = distinguished_certificate(
         psi, args.boundary_samples, max(64, args.disc_grid[0] * args.disc_grid[1] // 16),
-        tol_unitary=tol.tol_unitary,
+        tol=tol,
     )
     os.makedirs(args.out, exist_ok=True)
     payload = variety_to_json(variety)
@@ -160,7 +160,7 @@ def cmd_certify(args, tol):
                     bundle_to_json(artifacts["bundle"]),
                     os.path.join(args.out, f"{inst.spec.instance_id}-bundle.json"),
                 )
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, TypeError, KeyError) as exc:
         return _fail_invalid(str(exc))
     except DistvarError as exc:
         return _fail_invalid(f"{type(exc).__name__}: {exc}")

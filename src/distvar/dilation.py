@@ -23,7 +23,17 @@ from .errors import (
     NotPure,
     TruncationNotConverged,
 )
-from .inner import eval_psi_jet, from_polynomial, interior_pureness, taylor_until
+from .inner import (
+    POLYNOMIAL,
+    MatrixInnerFunction,
+    _unitarity_defect,
+    circle_grid,
+    eval_psi_grid,
+    eval_psi_jet,
+    from_polynomial,
+    interior_pureness,
+    taylor_until,
+)
 from .opcore import (
     CommutingPair,
     defect,
@@ -83,6 +93,7 @@ def _vec(m):
 
 
 def _polar_unitary(m):
+    """Unitary polar factor of a matrix, or of each matrix of a stack."""
     u, _, vh = np.linalg.svd(m)
     return u @ vh
 
@@ -273,23 +284,7 @@ def _stack_from_coeffs(c):
 
 def _inner_point_search(xp, nbasis, deg, d, rng, boundary_n, restarts, iters, tol):
     n_b = max(boundary_n, 4 * (deg + 1))
-    thetas = np.arange(n_b) * (2.0 * np.pi / n_b)
-    ring = np.exp(1j * thetas)
-
-    def boundary_samples(coeffs):
-        out = np.empty((n_b, d, d), dtype=complex)
-        for t in range(n_b):
-            acc = coeffs[-1].copy()
-            for k in range(deg - 1, -1, -1):
-                acc = ring[t] * acc + coeffs[k]
-            out[t] = acc
-        return out
-
-    def boundary_defect(samples):
-        worst = 0.0
-        for t in range(n_b):
-            worst = max(worst, opnorm(samples[t].conj().T @ samples[t] - np.eye(d)))
-        return worst
+    ring = circle_grid(n_b)
 
     def affine_project(x):
         if nbasis is None:
@@ -310,8 +305,9 @@ def _inner_point_search(xp, nbasis, deg, d, rng, boundary_n, restarts, iters, to
         stalled = 0
         for _ in range(iters):
             coeffs = _coeffs_from_stack(x, deg, d)
-            samples = boundary_samples(coeffs)
-            defect = boundary_defect(samples)
+            trial = MatrixInnerFunction(POLYNOMIAL, d, {"coeffs": coeffs}, 0.0, 0.0)
+            samples = eval_psi_grid(trial, ring)
+            defect = float(_unitarity_defect(samples).max(initial=0.0))
             if defect <= 0.1 * tol.tol_unitary:
                 break
             # convergent runs contract geometrically; plateaus are hopeless
@@ -321,9 +317,7 @@ def _inner_point_search(xp, nbasis, deg, d, rng, boundary_n, restarts, iters, to
                 stalled += 1
                 if stalled >= 40:
                     break
-            for t in range(n_b):
-                samples[t] = _polar_unitary(samples[t])
-            fft = np.fft.fft(samples, axis=0) / n_b
+            fft = np.fft.fft(_polar_unitary(samples), axis=0) / n_b
             x = affine_project(_stack_from_coeffs(fft[: deg + 1]))
         coeffs = _coeffs_from_stack(affine_project(x), deg, d)
         try:

@@ -49,7 +49,9 @@ def _as_matrix(m, shape=None):
 
 
 def _unitarity_defect(u):
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2))
+    """||U* U - I||_2 of one matrix, or of each matrix of a stack."""
+    gram = np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1])
+    return np.linalg.norm(gram, 2, axis=(-2, -1))
 
 
 class BPFactor:
@@ -80,11 +82,6 @@ class BPFactor:
     @property
     def rank(self):
         return int(round(float(np.trace(self.projection).real)))
-
-    def value(self, z):
-        d = self.projection.shape[0]
-        b = (self.zero - z) / (1.0 - np.conj(self.zero) * z)
-        return self.unitary @ (np.eye(d) - self.projection + b * self.projection)
 
     def taylor(self, z0, n):
         """First n Taylor coefficient matrices around z0."""
@@ -212,31 +209,74 @@ def from_polynomial(coeff_matrices, tol_unitary=None, boundary_n=512, check_inne
     return MatrixInnerFunction(POLYNOMIAL, d, psi.data, bdef, 0.0)
 
 
-def eval_psi(psi, lam, tol=1e-9):
-    """Evaluate Psi at a point of the closed disc (slightly beyond is tolerated)."""
-    lam = complex(lam)
-    if abs(lam) > 1.0 + tol:
+def _bp_factor_grid(f, zs):
+    """Values U ((I - P) + b_a(z) P) of one factor at each point of ``zs``."""
+    a = f.zero
+    # 1 - conj(a) z in real arithmetic, rounded as the scalar complex product
+    # is; numpy's vectorized complex multiply rounds some points differently
+    den = np.empty_like(zs)
+    den.real = 1.0 - (a.real * zs.real + a.imag * zs.imag)
+    den.imag = 0.0 - (a.real * zs.imag - a.imag * zs.real)
+    b = (a - zs) / den
+    d = f.projection.shape[0]
+    return f.unitary @ (np.eye(d) - f.projection + b[:, None, None] * f.projection[None])
+
+
+def eval_psi_grid(psi, zs, tol=1e-9):
+    """Psi at every point of ``zs`` (closed disc, slightly beyond tolerated).
+
+    Returns an (n, d, d) array for the n points of ``zs``, flattened.  This is
+    the one evaluation path of each representation: Horner on stacked arrays
+    for polynomials, one batched solve for colligations, stacked factor
+    products for Blaschke-Potapov products.
+    """
+    zs = np.asarray(zs, dtype=complex).reshape(-1)
+    outside = np.abs(zs) > 1.0 + tol
+    if outside.any():
+        lam = zs[np.argmax(outside)]
         raise ValueError(f"|lambda| = {abs(lam):.6f} is outside the closed disc")
+    n = zs.size
+    # complex products below take operands of equal rank.  numpy runs a
+    # product whose operands all broadcast from one element (a one-point grid
+    # times a 1 x 1 block) in an unvectorized loop, which rounds differently
+    # from the vectorized loop of larger grids; equal ranks keep one-point
+    # calls on the vectorized loop, so every grid size gives the same values
+    zc = zs[:, None, None]
     if psi.kind == COLLIGATION:
         A, B, C, D = (psi.data[k] for k in ("A", "B", "C", "D"))
         if A.shape[0] == 0:
-            return D.copy()
-        M = np.eye(A.shape[0]) - lam * A
+            return np.repeat(D[None], n, axis=0)
         try:
-            X = np.linalg.solve(M, B)
+            X = np.linalg.solve(np.eye(A.shape[0]) - zc * A[None], B)
         except np.linalg.LinAlgError as exc:
-            raise ResolventSingular(f"I - zA singular at z = {lam}") from exc
-        return D + lam * (C @ X)
+            raise ResolventSingular("I - zA singular at a point of the grid") from exc
+        return D + zc * (C @ X)
     if psi.kind == BP_PRODUCT:
-        out = psi.data["leading"].copy()
+        out = np.repeat(psi.data["leading"][None], n, axis=0)
         for f in psi.data["factors"]:
-            out = out @ f.value(lam)
+            out = out @ _bp_factor_grid(f, zs)
         return out
     coeffs = psi.data["coeffs"]
-    out = coeffs[-1].copy()
+    out = np.repeat(coeffs[-1][None], n, axis=0)
     for k in range(coeffs.shape[0] - 2, -1, -1):
-        out = lam * out + coeffs[k]
+        out = zc * out + coeffs[k]
     return out
+
+
+def eval_psi(psi, lam, tol=1e-9):
+    """Psi at one point of the closed disc: the one-point case of ``eval_psi_grid``."""
+    return eval_psi_grid(psi, [lam], tol)[0]
+
+
+def fibers_grid(psi, zs):
+    """Fibers {w : det(Psi(z) - wI) = 0} over ``zs``, an (n, d) array.
+
+    Row k holds the eigenvalues of Psi(zs[k]) with multiplicity, sorted by
+    (real, imag).
+    """
+    vals = np.linalg.eigvals(eval_psi_grid(psi, zs))
+    order = np.lexsort((vals.imag, vals.real), axis=-1)
+    return np.take_along_axis(vals, order, axis=-1)
 
 
 def eval_psi_jet(psi, lam, order):
@@ -341,10 +381,13 @@ def taylor_until(psi, tol=1e-14, nmax=4096):
 
 def boundary_unitarity_defect(psi, n=2048):
     """max_theta || Psi(e^{i theta})* Psi(e^{i theta}) - I || on a uniform grid."""
-    worst = 0.0
-    for t in np.arange(n) * (2.0 * np.pi / n):
-        worst = max(worst, _unitarity_defect(eval_psi(psi, np.exp(1j * t))))
-    return worst
+    u = eval_psi_grid(psi, circle_grid(n))
+    return float(_unitarity_defect(u).max(initial=0.0))
+
+
+def circle_grid(n):
+    """Uniform grid of n points on the unit circle, starting at 1."""
+    return np.exp(1j * (np.arange(n) * (2.0 * np.pi / n)))
 
 
 def interior_disc_grid(n, radius=0.995):
@@ -356,19 +399,17 @@ def interior_disc_grid(n, radius=0.995):
 
 
 def interior_pureness(psi, n=512, radius=0.995):
-    """Largest spectral radius of Psi over a deterministic interior grid."""
-    worst, arg = -1.0, 0j
-    for lam in interior_disc_grid(n, radius):
-        rho = float(np.max(np.abs(np.linalg.eigvals(eval_psi(psi, lam)))))
-        if rho > worst:
-            worst, arg = rho, complex(lam)
-    return worst, arg
+    """Largest spectral radius of Psi over a deterministic interior grid,
+    with the first grid point that attains it."""
+    grid = interior_disc_grid(n, radius)
+    rho = np.abs(fibers_grid(psi, grid)).max(axis=1)
+    k = int(np.argmax(rho))
+    return float(rho[k]), complex(grid[k])
 
 
 def fiber(psi, z):
     """Eigenvalues of Psi(z) with multiplicity, sorted by (real, imag)."""
-    vals = np.linalg.eigvals(eval_psi(psi, z))
-    return sorted((complex(v) for v in vals), key=lambda v: (v.real, v.imag))
+    return [complex(v) for v in fibers_grid(psi, [z])[0]]
 
 
 class VarietyDescription:
@@ -391,47 +432,48 @@ class VarietyDescription:
         return f"VarietyDescription(bidegree={self.p.bidegree})"
 
 
-def _pencil_sampler(psi):
-    """Sampler g(z, w) for a polynomial with the same zeros as det(Psi(z)-wI)
-    on the closed bidisc, together with the z-degree bound."""
+def _pencil_values(psi):
+    """Samples of a polynomial with the same zeros as det(Psi(z) - wI) on the
+    closed bidisc, on the tensor nodes of its degree bound.
+
+    Returns (degz, z nodes, w nodes, values) with values[i, j] taken at
+    (z_i, w_j); the whole node grid is evaluated at once.
+    """
     d = psi.d
+    eyed = np.eye(d)
     if psi.kind == COLLIGATION:
         A, B, C, D = (psi.data[k] for k in ("A", "B", "C", "D"))
         N = A.shape[0]
         if N and np.max(np.abs(np.linalg.eigvals(A))) >= 1.0 - 1e-12:
             raise SpuriousFactorInDisc("det(I - zA) vanishes on the closed disc")
-        eyeN = np.eye(N)
-        eyed = np.eye(d)
-
-        def g(z, w):
-            top = np.hstack([eyeN - z * A, z * B])
-            bot = np.hstack([-C, D - w * eyed])
-            return complex(np.linalg.det(np.vstack([top, bot])))
-
-        return g, N
+        zn, wn = interpolation_nodes(N, d)
+        zc = zn[:, None, None, None]
+        # the pencil [[I - zA, zB], [-C, D - wI]] at every node pair
+        pencil = np.empty((zn.size, wn.size, N + d, N + d), dtype=complex)
+        pencil[..., :N, :N] = np.eye(N) - zc * A[None, None]
+        pencil[..., :N, N:] = zc * B[None, None]
+        pencil[..., N:, :N] = -C
+        pencil[..., N:, N:] = D - wn[None, :, None, None] * eyed
+        return N, zn, wn, np.linalg.det(pencil)
     if psi.kind == BP_PRODUCT:
         factors = psi.data["factors"]
         for f in factors:
             if abs(f.zero) >= 1.0 - 1e-12 and f.zero != 0:
                 raise SpuriousFactorInDisc("cleared factor vanishes on the closed disc")
         degz = sum(f.rank for f in factors)
-        eyed = np.eye(d)
-
-        def g(z, w):
+    else:
+        degz = (psi.data["coeffs"].shape[0] - 1) * d
+    zn, wn = interpolation_nodes(degz, d)
+    values = np.linalg.det(eval_psi_grid(psi, zn)[:, None] - wn[:, None, None] * eyed)
+    if psi.kind == BP_PRODUCT:
+        # clear the denominators; scalar products, which numpy's vectorized
+        # complex multiply would round differently
+        for i, z in enumerate(zn):
             q = 1.0 + 0j
             for f in factors:
                 q *= (1.0 - np.conj(f.zero) * z) ** f.rank
-            return complex(q * np.linalg.det(eval_psi(psi, z) - w * eyed))
-
-        return g, degz
-    coeffs = psi.data["coeffs"]
-    degz = (coeffs.shape[0] - 1) * d
-    eyed = np.eye(d)
-
-    def g(z, w):
-        return complex(np.linalg.det(eval_psi(psi, z) - w * eyed))
-
-    return g, degz
+            values[i] = [q * v for v in values[i]]
+    return degz, zn, wn, values
 
 
 def variety_polynomial(psi, tol_fit=None, check_fibers=200):
@@ -441,23 +483,18 @@ def variety_polynomial(psi, tol_fit=None, check_fibers=200):
     pencil determinant; the cleared factor has no zeros on the closed disc.
     Agreement of the zero sets is asserted on sampled fibers.
     """
-    g, degz = _pencil_sampler(psi)
+    degz, zn, wn, values = _pencil_values(psi)
     degw = psi.d
-    zn, wn = interpolation_nodes(degz, degw)
-    values = np.empty((degz + 1, degw + 1), dtype=complex)
-    for i, z in enumerate(zn):
-        for j, w in enumerate(wn):
-            values[i, j] = g(z, w)
     p, residual = fit_tensor_nodes(zn, wn, values, tol_fit=tol_fit)
     p = normalize_unit(p)
     worst = 0.0
     if check_fibers:
         nz = max(4, check_fibers // 2)
-        for ring in (0.35, 0.85):
-            for t in np.arange(nz) * (2.0 * np.pi / nz):
-                z = ring * np.exp(1j * t)
-                for w in fiber(psi, z):
-                    worst = max(worst, abs(p(z, w)))
+        circle = circle_grid(nz)
+        zs = np.concatenate([0.35 * circle, 0.85 * circle])
+        for z, ws in zip(zs, fibers_grid(psi, zs)):
+            for w in ws:
+                worst = max(worst, abs(p(z, w)))
         if worst > 1e-8 * p.scale * 10:
             raise SpuriousFactorInDisc(
                 f"fiber residual {worst:.3e} inconsistent with the fitted polynomial"
@@ -465,35 +502,34 @@ def variety_polynomial(psi, tol_fit=None, check_fibers=200):
     return VarietyDescription(psi, p, degz, degw, residual, worst)
 
 
-def distinguished_certificate(psi, boundary_n=512, disc_n=512, tol_unitary=None):
+def distinguished_certificate(psi, boundary_n=512, disc_n=512, tol=DEFAULT):
     """Certificate that the variety of Psi is distinguished.
 
     Conditions: (a) boundary fibers are unimodular, (b) interior fibers stay in
     the open disc, (c) the variety meets the open bidisc (witness recorded).
     """
-    tol_unitary = DEFAULT.tol_unitary if tol_unitary is None else tol_unitary
     if boundary_n < 64 or disc_n < 64:
         raise ValueError("grid sizes must be at least 64")
-    worst_boundary = 0.0
-    for t in np.arange(boundary_n) * (2.0 * np.pi / boundary_n):
-        vals = fiber(psi, np.exp(1j * t))
-        worst_boundary = max(worst_boundary, max(abs(abs(v) - 1.0) for v in vals))
-    cond_a = worst_boundary <= tol_unitary
+    vals = fibers_grid(psi, circle_grid(boundary_n))
+    # np.hypot rounds as abs() of a complex scalar does; np.abs may not
+    worst_boundary = float(np.abs(np.hypot(vals.real, vals.imag) - 1.0).max())
+    cond_a = worst_boundary <= tol.tol_unitary
 
-    worst_interior = 0.0
+    grid = interior_disc_grid(disc_n)
+    vals = fibers_grid(psi, grid)
+    moduli = np.hypot(vals.real, vals.imag).max(axis=1)
+    worst_interior = float(moduli.max())
+    inside = np.flatnonzero(moduli < 1.0 - 1e-9)
     witness = None
-    for lam in interior_disc_grid(disc_n):
-        vals = fiber(psi, lam)
-        m = max(abs(v) for v in vals)
-        worst_interior = max(worst_interior, m)
-        if witness is None and m < 1.0 - 1e-9:
-            witness = (complex(lam), vals[int(np.argmax(np.abs(vals)))])
+    if inside.size:
+        k = inside[0]
+        witness = (complex(grid[k]), complex(vals[k, np.argmax(np.abs(vals[k]))]))
     # no uniform interior gap exists, so only a pointwise margin is sensible
-    cond_b = worst_interior <= 1.0 - DEFAULT.pure_margin
+    cond_b = worst_interior <= 1.0 - tol.pure_margin
     cond_c = witness is not None
 
     status = PASS if (cond_a and cond_b and cond_c) else FAIL
-    margin = min(tol_unitary - worst_boundary, 1.0 - worst_interior)
+    margin = min(tol.tol_unitary - worst_boundary, 1.0 - worst_interior)
     data = {
         "boundary_defect": worst_boundary,
         "interior_max_modulus": worst_interior,

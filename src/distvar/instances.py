@@ -26,7 +26,7 @@ from .dilation import compress_pair, constrained_coextension, verify_coextension
 from .errors import DegenerateCluster, DistvarError
 from .inner import (
     distinguished_certificate,
-    eval_psi,
+    fibers_grid,
     from_colligation,
     from_polynomial,
     from_scalar_blaschke_identity,
@@ -135,9 +135,7 @@ def _haar_colligation_spec(rng, n_state, d):
 def _fiber_gap(psi, theta, floor):
     """Smallest gap among all fiber eigenvalues over the zeros of theta,
     within and across fibers; exact coincidences (multiplicity) do not count."""
-    vals = []
-    for a, _ in theta.zeros:
-        vals.extend(np.linalg.eigvals(eval_psi(psi, a)))
+    vals = fibers_grid(psi, [a for a, _ in theta.zeros]).ravel()
     gap = np.inf
     for i in range(len(vals)):
         for j in range(i + 1, len(vals)):
@@ -208,6 +206,8 @@ class Instance:
 
 
 def make_instance(spec, tol=DEFAULT):
+    """Theta, symbol and compressed pair of a recipe, under its tolerances."""
+    tol = tol.override(**spec.tolerances)
     theta = build_theta(spec)
     psi = build_psi(spec)
     pair = compress_pair(psi, theta, tol=tol)
@@ -229,14 +229,15 @@ def run_certification(instance, tol=DEFAULT, vn_polys=None, artifacts=None):
 
     Stages: pair validation, symbol certification, variety polynomial,
     co-extension bundle, annihilator checks, synthesis conditions, and the
-    variety-dominates inequalities for seeded test polynomials.  When a dict
-    is passed as ``artifacts`` the computed variety, basis and bundle are
-    stashed in it for export.
+    variety-dominates inequalities for seeded test polynomials.  The spec's
+    tolerance overrides apply on top of ``tol``, and the report records the
+    table every check ran under.  When a dict is passed as ``artifacts`` the
+    computed variety, basis and bundle are stashed in it for export.
     """
     spec = instance.spec
+    tol = tol.override(**spec.tolerances)
     report = CertificateReport(
-        instance_id=spec.instance_id, seed=spec.seed,
-        tolerances={**tol.as_dict(), **spec.tolerances},
+        instance_id=spec.instance_id, seed=spec.seed, tolerances=tol.as_dict(),
     )
     pair, psi = instance.pair, instance.psi
 
@@ -265,7 +266,7 @@ def run_certification(instance, tol=DEFAULT, vn_polys=None, artifacts=None):
     if artifacts is not None:
         artifacts["variety"] = variety
     report.add(distinguished_certificate(
-        psi, max(64, spec.boundary_n // 4), 128, tol_unitary=tol.tol_unitary
+        psi, max(64, spec.boundary_n // 4), 128, tol=tol
     ))
 
     try:

@@ -195,3 +195,14 @@ def test_reports_are_deterministic(w2z_pair, w2z_variety):
         return json.dumps(rep.to_dict(), sort_keys=True)
 
     assert run() == run()
+
+
+def test_spec_tolerances_are_applied_and_recorded():
+    # w^2 = z annihilates its pair to about 1e-15, far above tol_ann = 1e-30
+    spec = dv.InstanceSpec(theta_zeros=((0j, 2),), psi_spec={"kind": "companion", "d": 2},
+                           boundary_n=128, disc_grid=(8, 32), tolerances={"tol_ann": 1e-30})
+    report = dv.run_certification(dv.make_instance(spec))
+    assert report.tolerances["tol_ann"] == 1e-30
+    assert not any(e.name == "defining-polynomial-annihilates" and e.passed
+                   for e in report.entries)
+    assert report.overall != "pass"

@@ -135,6 +135,26 @@ def test_cmd_variety_invalid_input(tmp_path, capsys):
     assert "error" in json.loads(capsys.readouterr().out)
 
 
+def test_cmd_variety_malformed_symbol_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    dump_json({"kind": "scalar_blaschke_times_identity", "zeros": 3, "d": 1}, path)
+    code = main(["--out", str(tmp_path / "o"), "variety", str(path)])
+    assert code == 2
+    assert "error" in json.loads(capsys.readouterr().out)
+
+
+def test_cmd_certify_malformed_recipe_exits_2(tmp_path, capsys):
+    # a phase written as a [re, im] pair is not a number
+    rp = tmp_path / "recipe.json"
+    dump_json({"theta_zeros": [{"point": [0.0, 0.0], "multiplicity": 2}],
+               "psi": {"kind": "companion", "d": 2,
+                       "phases": [[0.0, 1.0], [1.0, 0.0]]}}, rp)
+    code = main(["--out", str(tmp_path / "o"), "--boundary-samples", "128",
+                 "--disc-samples", "8x32", "certify", "--recipe", str(rp)])
+    assert code == 2
+    assert "error" in json.loads(capsys.readouterr().out)
+
+
 def test_cmd_certify_recipe(tmp_path, capsys):
     recipe = {
         "theta_zeros": [{"point": [0.0, 0.0], "multiplicity": 2}],

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import distvar as dv
-from distvar.errors import NotPureRealization, NotUnitaryColligation
+from distvar.certify import VarietySamples
+from distvar.errors import NotPureRealization, NotUnitaryColligation, ResolventSingular
+from distvar.inner import COLLIGATION, MatrixInnerFunction, interior_disc_grid
 from conftest import random_unitary, w2z_poly
 
 
@@ -196,3 +198,141 @@ def test_taylor_at_zero_matches_eval(companion_psi_2):
         z = 0.41 - 0.17j
         acc = sum(coeffs[k] * z ** k for k in range(coeffs.shape[0]))
         assert np.linalg.norm(acc - dv.eval_psi(psi, z), 2) < 1e-12
+
+
+def test_distinguished_reads_pure_margin_from_tolerances(companion_psi_2):
+    entry = dv.distinguished_certificate(companion_psi_2, 128, 128)
+    assert entry.data["conditions"]["interior_strict"]
+    tol = dv.DEFAULT.override(pure_margin=0.5)
+    entry = dv.distinguished_certificate(companion_psi_2, 128, 128, tol=tol)
+    assert not entry.data["conditions"]["interior_strict"]
+    assert entry.status == "fail"
+
+
+# ---------------------------------------------------------------------------
+# the grid evaluation layer, pinned bit for bit to per-point scalar formulas
+
+
+def _oracle_psi(psi, z):
+    """Psi(z) at one point, written out per representation."""
+    z = complex(z)
+    if psi.kind == "polynomial":
+        coeffs = psi.data["coeffs"]
+        out = coeffs[-1].copy()
+        for k in range(coeffs.shape[0] - 2, -1, -1):
+            out = z * out + coeffs[k]
+        return out
+    if psi.kind == "colligation":
+        A, B, C, D = (psi.data[k] for k in ("A", "B", "C", "D"))
+        if A.shape[0] == 0:
+            return D.copy()
+        return D + z * (C @ np.linalg.solve(np.eye(A.shape[0]) - z * A, B))
+    out = psi.data["leading"].copy()
+    for f in psi.data["factors"]:
+        a, p = f.zero, f.projection
+        b = (a - z) / (1.0 - np.conj(a) * z)
+        out = out @ (f.unitary @ (np.eye(p.shape[0]) - p + b * p))
+    return out
+
+
+def _oracle_fiber(psi, z):
+    vals = np.linalg.eigvals(_oracle_psi(psi, z))
+    return sorted((complex(v) for v in vals), key=lambda v: (v.real, v.imag))
+
+
+def _grid_symbols():
+    rng = np.random.default_rng(21)
+    coeffs = np.zeros((2, 2, 2), dtype=complex)
+    coeffs[0, 1, 0] = 1.0
+    coeffs[1, 0, 1] = 1.0
+    u = random_unitary(rng, 4)
+    s = random_unitary(rng, 2)
+    proj = np.array([[1.0, 0.0], [0.0, 0.0]])
+    rot = np.array([[0.6, 0.8], [-0.8, 0.6]])
+    b = dv.BlaschkeProduct([(0.3 + 0.2j, 2), (-0.5, 1)], constant=1j)
+    return {
+        "companion": dv.from_polynomial(coeffs),
+        "colligation": dv.from_colligation(u[:2, :2], u[:2, 2:], u[2:, :2], u[2:, 2:]),
+        "colligation-1x1": dv.from_colligation(s[:1, :1], s[:1, 1:], s[1:, :1], s[1:, 1:]),
+        "bp-factors": dv.from_bp_factors(
+            [dv.BPFactor(0.2 + 0.1j, proj, rot),
+             dv.BPFactor(-0.3 + 0.45j, np.eye(2), np.diag([1j, 1.0]))],
+            leading=random_unitary(rng, 2),
+        ),
+        "scalar-identity": dv.from_scalar_blaschke_identity(b, 2),
+        "scalar-identity-d1": dv.from_scalar_blaschke_identity(b, 1),
+    }
+
+
+def _grid_points():
+    circle = np.exp(1j * (np.arange(64) * (2.0 * np.pi / 64)))
+    return np.concatenate([circle, interior_disc_grid(64)])
+
+
+@pytest.mark.parametrize("name", sorted(_grid_symbols()))
+def test_grid_layer_matches_pointwise_formula(name):
+    psi = _grid_symbols()[name]
+    zs = _grid_points()
+    values = dv.eval_psi_grid(psi, zs)
+    fibers = dv.fibers_grid(psi, zs)
+    assert values.shape == (zs.size, psi.d, psi.d)
+    assert fibers.shape == (zs.size, psi.d)
+    for k, z in enumerate(zs):
+        assert np.array_equal(values[k], _oracle_psi(psi, z))
+        assert fibers[k].tolist() == _oracle_fiber(psi, z)
+    # one-point grids and the one-point calls agree with the same formula
+    for z in zs[::9]:
+        assert np.array_equal(dv.eval_psi_grid(psi, [z])[0], _oracle_psi(psi, z))
+        assert np.array_equal(dv.eval_psi(psi, z), _oracle_psi(psi, z))
+        assert dv.fiber(psi, z) == _oracle_fiber(psi, z)
+
+
+@pytest.mark.parametrize("name", sorted(_grid_symbols()))
+def test_distinguished_certificate_matches_pointwise_loop(name):
+    psi = _grid_symbols()[name]
+    circle = np.exp(1j * (np.arange(64) * (2.0 * np.pi / 64)))
+    worst_boundary = 0.0
+    for z in circle:
+        vals = _oracle_fiber(psi, z)
+        worst_boundary = max(worst_boundary, max(abs(abs(v) - 1.0) for v in vals))
+    worst_interior, witness = 0.0, None
+    for lam in interior_disc_grid(64):
+        vals = _oracle_fiber(psi, lam)
+        m = max(abs(v) for v in vals)
+        worst_interior = max(worst_interior, m)
+        if witness is None and m < 1.0 - 1e-9:
+            witness = [complex(lam), vals[int(np.argmax(np.abs(vals)))]]
+    data = dv.distinguished_certificate(psi, 64, 64).data
+    assert data["boundary_defect"] == worst_boundary
+    assert data["interior_max_modulus"] == worst_interior
+    assert data.get("witness") == witness
+
+
+@pytest.mark.parametrize("name", ["companion", "colligation", "scalar-identity"])
+def test_mesh_matches_matching_distance_loop(name):
+    psi = _grid_symbols()[name]
+    variety = dv.variety_polynomial(psi)
+    samples = VarietySamples(variety, 128, (4, 16))
+    d = variety.degw
+    z = samples.boundary_z.reshape(-1, d)
+    w = samples.boundary_w.reshape(-1, d)
+    rows = w.shape[0]
+    dz = float(np.abs(np.roll(z[:, 0], -1) - z[:, 0]).max())
+    dw = max(dv.matching_distance(list(w[k]), list(w[(k + 1) % rows]))
+             for k in range(rows))
+    assert samples.mesh() == dz + dw
+
+
+def test_eval_psi_grid_rejects_points_outside_the_disc(companion_psi_2):
+    with pytest.raises(ValueError, match="outside the closed disc"):
+        dv.eval_psi_grid(companion_psi_2, [0.5, 1.0 + 1e-6, 0.0])
+    # slightly beyond the circle is tolerated
+    assert dv.eval_psi_grid(companion_psi_2, [1.0 + 1e-10]).shape == (1, 2, 2)
+
+
+def test_eval_psi_grid_singular_resolvent():
+    one = np.eye(1, dtype=complex)
+    psi = MatrixInnerFunction(COLLIGATION, 1, {"A": 2.0 * one, "B": one, "C": one,
+                                               "D": one}, 0.0, 2.0)
+    with pytest.raises(ResolventSingular):
+        dv.eval_psi_grid(psi, [0.1, 0.5])

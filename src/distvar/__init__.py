@@ -40,7 +40,6 @@ from .inner import (
     MatrixInnerFunction,
     VarietyDescription,
     boundary_unitarity_defect,
-    circle_grid,
     distinguished_certificate,
     eval_psi,
     eval_psi_grid,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .certify import VarietySamples
 from .dilation import construct_psi
-from .errors import DistvarError
+from .errors import DistvarError, malformed
 from .inner import variety_polynomial
 from .instances import (
     Instance,
@@ -80,7 +80,7 @@ def _write_report(report, out_dir, fmt):
 def cmd_variety(args, tol):
     try:
         psi = psi_from_json(load_json(args.psi), boundary_n=min(args.boundary_samples, 1024))
-    except (OSError, ValueError, TypeError, KeyError, DistvarError) as exc:
+    except (OSError, ValueError, KeyError, DistvarError) as exc:
         return _fail_invalid(f"invalid symbol file: {exc}")
     variety = variety_polynomial(psi)
     from .inner import distinguished_certificate
@@ -106,14 +106,16 @@ def cmd_variety(args, tol):
 
 
 def _recipe_spec(obj, args):
-    zeros = tuple(
-        (complex(z["point"][0], z["point"][1]), int(z.get("multiplicity", 1)))
-        for z in obj["theta_zeros"]
-    )
+    with malformed("recipe"):
+        zeros = tuple(
+            (complex(z["point"][0], z["point"][1]), int(z.get("multiplicity", 1)))
+            for z in obj["theta_zeros"]
+        )
+        psi_spec, seed = {**obj["psi"]}, int(obj.get("seed", args.seed))
     return InstanceSpec(
         theta_zeros=zeros,
-        psi_spec=obj["psi"],
-        seed=int(obj.get("seed", args.seed)),
+        psi_spec=psi_spec,
+        seed=seed,
         boundary_n=args.boundary_samples,
         disc_grid=args.disc_grid,
     )
@@ -160,7 +162,7 @@ def cmd_certify(args, tol):
                     bundle_to_json(artifacts["bundle"]),
                     os.path.join(args.out, f"{inst.spec.instance_id}-bundle.json"),
                 )
-    except (OSError, ValueError, TypeError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         return _fail_invalid(str(exc))
     except DistvarError as exc:
         return _fail_invalid(f"{type(exc).__name__}: {exc}")

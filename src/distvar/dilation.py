@@ -24,15 +24,13 @@ from .errors import (
     TruncationNotConverged,
 )
 from .inner import (
-    POLYNOMIAL,
-    MatrixInnerFunction,
-    _unitarity_defect,
+    _horner_grid,
     circle_grid,
-    eval_psi_grid,
     eval_psi_jet,
     from_polynomial,
     interior_pureness,
     taylor_until,
+    unitarity_defect,
 )
 from .opcore import (
     CommutingPair,
@@ -305,9 +303,8 @@ def _inner_point_search(xp, nbasis, deg, d, rng, boundary_n, restarts, iters, to
         stalled = 0
         for _ in range(iters):
             coeffs = _coeffs_from_stack(x, deg, d)
-            trial = MatrixInnerFunction(POLYNOMIAL, d, {"coeffs": coeffs}, 0.0, 0.0)
-            samples = eval_psi_grid(trial, ring)
-            defect = float(_unitarity_defect(samples).max(initial=0.0))
+            samples = _horner_grid(coeffs, ring)
+            defect = float(unitarity_defect(samples).max(initial=0.0))
             if defect <= 0.1 * tol.tol_unitary:
                 break
             # convergent runs contract geometrically; plateaus are hopeless

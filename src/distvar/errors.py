@@ -1,5 +1,21 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
+
+@contextmanager
+def malformed(what):
+    """Turn a TypeError or IndexError raised while reading ``what`` into a
+    ValueError.
+
+    Wraps only the reading of input values (JSON files, recipe descriptors),
+    so a value of the wrong type or length is reported as invalid input.
+    """
+    try:
+        yield
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"malformed {what}: {exc}") from exc
+
 
 class DistvarError(Exception):
     """Base class for all library errors."""

@@ -36,6 +36,9 @@ COLLIGATION = "colligation"
 BP_PRODUCT = "bp_product"
 POLYNOMIAL = "polynomial"
 
+# grid points up to this far outside the closed disc still evaluate
+DISC_SLACK = 1e-9
+
 
 def _as_matrix(m, shape=None):
     a = np.asarray(m, dtype=complex)
@@ -48,7 +51,7 @@ def _as_matrix(m, shape=None):
     return a
 
 
-def _unitarity_defect(u):
+def unitarity_defect(u):
     """||U* U - I||_2 of one matrix, or of each matrix of a stack."""
     gram = np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1])
     return np.linalg.norm(gram, 2, axis=(-2, -1))
@@ -70,7 +73,7 @@ class BPFactor:
             raise ValueError("projection is not Hermitian")
         if np.linalg.norm(p @ p - p, 2) > tol_unitary:
             raise ValueError("projection is not idempotent")
-        if _unitarity_defect(u) > tol_unitary:
+        if unitarity_defect(u) > tol_unitary:
             raise ValueError("factor unitary fails the unitarity test")
         object.__setattr__(self, "zero", zero)
         object.__setattr__(self, "projection", p)
@@ -135,7 +138,7 @@ def from_colligation(A, B, C, D, tol_unitary=None, pure_tol=1e-9, boundary_n=512
     if D.shape != (d, d) or B.shape != (n, d) or C.shape != (d, n):
         raise ValueError("inconsistent colligation block sizes")
     block = np.block([[A, B], [C, D]])
-    defect = _unitarity_defect(block)
+    defect = unitarity_defect(block)
     if defect > tol_unitary:
         raise NotUnitaryColligation(
             f"colligation unitarity defect {defect:.3e} exceeds {tol_unitary:.1e}"
@@ -162,7 +165,7 @@ def from_bp_factors(factors, leading=None, tol_unitary=None, boundary_n=512):
     if leading is None:
         leading = np.eye(d)
     leading = _as_matrix(leading, (d, d))
-    if _unitarity_defect(leading) > tol_unitary:
+    if unitarity_defect(leading) > tol_unitary:
         raise ValueError("leading matrix fails the unitarity test")
     for f in factors:
         if f.projection.shape[0] != d:
@@ -222,8 +225,22 @@ def _bp_factor_grid(f, zs):
     return f.unitary @ (np.eye(d) - f.projection + b[:, None, None] * f.projection[None])
 
 
-def eval_psi_grid(psi, zs, tol=1e-9):
-    """Psi at every point of ``zs`` (closed disc, slightly beyond tolerated).
+def _horner_grid(coeffs, zs):
+    """sum_k coeffs[k] z^k at each point of the 1-d array ``zs``, (n, d, d)."""
+    # complex products take operands of equal rank.  numpy runs a product
+    # whose operands all broadcast from one element (a one-point grid times a
+    # 1 x 1 block) in an unvectorized loop, which rounds differently from the
+    # vectorized loop of larger grids; equal ranks keep one-point calls on the
+    # vectorized loop, so every grid size gives the same values
+    zc = zs[:, None, None]
+    out = np.repeat(coeffs[-1][None], zs.size, axis=0)
+    for k in range(coeffs.shape[0] - 2, -1, -1):
+        out = zc * out + coeffs[k]
+    return out
+
+
+def eval_psi_grid(psi, zs):
+    """Psi at every point of ``zs`` (closed disc, up to ``DISC_SLACK`` beyond).
 
     Returns an (n, d, d) array for the n points of ``zs``, flattened.  This is
     the one evaluation path of each representation: Horner on stacked arrays
@@ -231,23 +248,20 @@ def eval_psi_grid(psi, zs, tol=1e-9):
     products for Blaschke-Potapov products.
     """
     zs = np.asarray(zs, dtype=complex).reshape(-1)
-    outside = np.abs(zs) > 1.0 + tol
+    outside = np.abs(zs) > 1.0 + DISC_SLACK
     if outside.any():
         lam = zs[np.argmax(outside)]
         raise ValueError(f"|lambda| = {abs(lam):.6f} is outside the closed disc")
     n = zs.size
-    # complex products below take operands of equal rank.  numpy runs a
-    # product whose operands all broadcast from one element (a one-point grid
-    # times a 1 x 1 block) in an unvectorized loop, which rounds differently
-    # from the vectorized loop of larger grids; equal ranks keep one-point
-    # calls on the vectorized loop, so every grid size gives the same values
-    zc = zs[:, None, None]
     if psi.kind == COLLIGATION:
         A, B, C, D = (psi.data[k] for k in ("A", "B", "C", "D"))
         if A.shape[0] == 0:
             return np.repeat(D[None], n, axis=0)
+        # equal ranks, as in _horner_grid; B[None] is a stack of one matrix
+        # on every numpy version (numpy 1.x reads a 2-d B as a stack of vectors)
+        zc = zs[:, None, None]
         try:
-            X = np.linalg.solve(np.eye(A.shape[0]) - zc * A[None], B)
+            X = np.linalg.solve(np.eye(A.shape[0]) - zc * A[None], B[None])
         except np.linalg.LinAlgError as exc:
             raise ResolventSingular("I - zA singular at a point of the grid") from exc
         return D + zc * (C @ X)
@@ -256,16 +270,12 @@ def eval_psi_grid(psi, zs, tol=1e-9):
         for f in psi.data["factors"]:
             out = out @ _bp_factor_grid(f, zs)
         return out
-    coeffs = psi.data["coeffs"]
-    out = np.repeat(coeffs[-1][None], n, axis=0)
-    for k in range(coeffs.shape[0] - 2, -1, -1):
-        out = zc * out + coeffs[k]
-    return out
+    return _horner_grid(psi.data["coeffs"], zs)
 
 
-def eval_psi(psi, lam, tol=1e-9):
+def eval_psi(psi, lam):
     """Psi at one point of the closed disc: the one-point case of ``eval_psi_grid``."""
-    return eval_psi_grid(psi, [lam], tol)[0]
+    return eval_psi_grid(psi, [lam])[0]
 
 
 def fibers_grid(psi, zs):
@@ -382,7 +392,7 @@ def taylor_until(psi, tol=1e-14, nmax=4096):
 def boundary_unitarity_defect(psi, n=2048):
     """max_theta || Psi(e^{i theta})* Psi(e^{i theta}) - I || on a uniform grid."""
     u = eval_psi_grid(psi, circle_grid(n))
-    return float(_unitarity_defect(u).max(initial=0.0))
+    return float(unitarity_defect(u).max(initial=0.0))
 
 
 def circle_grid(n):

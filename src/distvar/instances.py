@@ -23,7 +23,7 @@ from .annvar import (
     z_ann,
 )
 from .dilation import compress_pair, constrained_coextension, verify_coextension
-from .errors import DegenerateCluster, DistvarError
+from .errors import DegenerateCluster, DistvarError, malformed
 from .inner import (
     distinguished_certificate,
     fibers_grid,
@@ -67,30 +67,33 @@ def build_theta(spec):
 
 
 def build_psi(spec):
-    """Materialize the symbol descriptor deterministically."""
+    """Materialize the symbol descriptor deterministically.
+
+    A descriptor value of the wrong type or length raises ValueError.
+    """
     ps = spec.psi_spec
     kind = ps["kind"]
     if kind == "scalar_blaschke_times_identity":
-        zeros = [(complex(*z) if isinstance(z, (list, tuple)) else complex(z), 1)
-                 for z in ps["zeros"]]
-        b = BlaschkeProduct(zeros, ps.get("constant", 1.0))
-        return from_scalar_blaschke_identity(b, int(ps["d"]))
+        with malformed("symbol descriptor"):
+            zeros = [(complex(*z) if isinstance(z, (list, tuple)) else complex(z), 1)
+                     for z in ps["zeros"]]
+            b = BlaschkeProduct(zeros, ps.get("constant", 1.0))
+            d = int(ps["d"])
+        return from_scalar_blaschke_identity(b, d)
     if kind == "companion":
         # cyclic pattern with a z in the corner: det(psi - w) ~ w^d - (phase) z
-        d = int(ps["d"])
-        phases = ps.get("phases", [1.0] * d)
-        deg1 = np.zeros((2, d, d), dtype=complex)
-        for i in range(1, d):
-            deg1[0, i, i - 1] = phases[i]
-        deg1[1, 0, d - 1] = phases[0]
+        with malformed("symbol descriptor"):
+            d = int(ps["d"])
+            phases = ps.get("phases", [1.0] * d)
+            deg1 = np.zeros((2, d, d), dtype=complex)
+            for i in range(1, d):
+                deg1[0, i, i - 1] = phases[i]
+            deg1[1, 0, d - 1] = phases[0]
         return from_polynomial(deg1)
     if kind == "colligation":
-        return from_colligation(
-            np.asarray(ps["A"], dtype=complex),
-            np.asarray(ps["B"], dtype=complex),
-            np.asarray(ps["C"], dtype=complex),
-            np.asarray(ps["D"], dtype=complex),
-        )
+        with malformed("symbol descriptor"):
+            blocks = [np.asarray(ps[k], dtype=complex) for k in ("A", "B", "C", "D")]
+        return from_colligation(*blocks)
     raise ValueError(f"unknown symbol descriptor kind {kind!r}")
 
 

@@ -9,6 +9,7 @@ import json
 
 import numpy as np
 
+from .errors import malformed
 from .inner import (
     BPFactor,
     MatrixInnerFunction,
@@ -96,36 +97,35 @@ def psi_to_json(psi):
 
 
 def psi_from_json(obj, boundary_n=512):
-    kind = obj["kind"]
+    """Symbol from its JSON form.
+
+    A value of the wrong type or length raises ValueError.
+    """
+    with malformed("symbol"):
+        kind = obj["kind"]
     if kind == "colligation":
-        return from_colligation(
-            matrix_from_json(obj["A"]),
-            matrix_from_json(obj["B"]),
-            matrix_from_json(obj["C"]),
-            matrix_from_json(obj["D"]),
-            boundary_n=boundary_n,
-        )
+        with malformed("symbol"):
+            blocks = [matrix_from_json(obj[k]) for k in ("A", "B", "C", "D")]
+        return from_colligation(*blocks, boundary_n=boundary_n)
     if kind == "bp_product":
-        factors = [
-            BPFactor(
-                complex_from_json(f["zero"]),
-                matrix_from_json(f["projection"]),
-                matrix_from_json(f["unitary"]),
-            )
-            for f in obj["factors"]
-        ]
-        leading = matrix_from_json(obj["leading"]) if "leading" in obj else None
+        with malformed("symbol"):
+            factors = [
+                BPFactor(
+                    complex_from_json(f["zero"]),
+                    matrix_from_json(f["projection"]),
+                    matrix_from_json(f["unitary"]),
+                )
+                for f in obj["factors"]
+            ]
+            leading = matrix_from_json(obj["leading"]) if "leading" in obj else None
         return from_bp_factors(factors, leading=leading, boundary_n=boundary_n)
     if kind == "scalar_blaschke_times_identity":
-        zeros = [
-            (complex_from_json(z["point"]), int(z.get("multiplicity", 1)))
-            for z in obj["zeros"]
-        ]
-        constant = complex_from_json(obj.get("constant", [1.0, 0.0]))
-        b = BlaschkeProduct(zeros, constant)
-        return from_scalar_blaschke_identity(b, int(obj["d"]), boundary_n=boundary_n)
+        with malformed("symbol"):
+            b, d = blaschke_from_json(obj), int(obj["d"])
+        return from_scalar_blaschke_identity(b, d, boundary_n=boundary_n)
     if kind == "polynomial":
-        coeffs = np.array([matrix_from_json(c) for c in obj["coeffs"]])
+        with malformed("symbol"):
+            coeffs = np.array([matrix_from_json(c) for c in obj["coeffs"]])
         return from_polynomial(coeffs, boundary_n=boundary_n)
     raise ValueError(f"unknown symbol kind {kind!r}")
 
@@ -142,12 +142,11 @@ def pair_from_json(obj, tol=None):
     from .opcore import validate_pair
     from .tolerances import DEFAULT
 
+    with malformed("pair"):
+        t1, t2 = matrix_from_json(obj["t1"]), matrix_from_json(obj["t2"])
+        require_pure = bool(obj.get("require_pure", False))
     return validate_pair(
-        matrix_from_json(obj["t1"]),
-        matrix_from_json(obj["t2"]),
-        require_pure=bool(obj.get("require_pure", False)),
-        strict=True,
-        tol=tol or DEFAULT,
+        t1, t2, require_pure=require_pure, strict=True, tol=tol or DEFAULT
     )
 
 

@@ -143,16 +143,33 @@ def test_cmd_variety_malformed_symbol_exits_2(tmp_path, capsys):
     assert "error" in json.loads(capsys.readouterr().out)
 
 
-def test_cmd_certify_malformed_recipe_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("recipe", [
     # a phase written as a [re, im] pair is not a number
+    {"theta_zeros": [{"point": [0.0, 0.0], "multiplicity": 2}],
+     "psi": {"kind": "companion", "d": 2, "phases": [[0.0, 1.0], [1.0, 0.0]]}},
+    # fewer phases than d
+    {"theta_zeros": [{"point": [0.0, 0.0], "multiplicity": 2}],
+     "psi": {"kind": "companion", "d": 2, "phases": [1.0]}},
+    # a theta zero that is not a [re, im] pair
+    {"theta_zeros": [{"point": 0.5}], "psi": {"kind": "companion", "d": 1}},
+    # a symbol descriptor that is not a mapping
+    {"theta_zeros": [{"point": [0.0, 0.0]}], "psi": ["companion", 1]},
+])
+def test_cmd_certify_malformed_recipe_exits_2(tmp_path, capsys, recipe):
     rp = tmp_path / "recipe.json"
-    dump_json({"theta_zeros": [{"point": [0.0, 0.0], "multiplicity": 2}],
-               "psi": {"kind": "companion", "d": 2,
-                       "phases": [[0.0, 1.0], [1.0, 0.0]]}}, rp)
+    dump_json(recipe, rp)
     code = main(["--out", str(tmp_path / "o"), "--boundary-samples", "128",
                  "--disc-samples", "8x32", "certify", "--recipe", str(rp)])
     assert code == 2
-    assert "error" in json.loads(capsys.readouterr().out)
+    assert "malformed" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_cmd_certify_malformed_pair_exits_2(tmp_path, capsys):
+    pp = tmp_path / "pair.json"
+    dump_json({"t1": 3, "t2": [[[0.0, 0.0]]]}, pp)
+    code = main(["--out", str(tmp_path / "o"), "certify", "--pair", str(pp)])
+    assert code == 2
+    assert "malformed pair" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_cmd_certify_recipe(tmp_path, capsys):

@@ -323,6 +323,16 @@ def test_mesh_matches_matching_distance_loop(name):
     assert samples.mesh() == dz + dw
 
 
+def test_colligation_grid_as_long_as_the_state():
+    # grid size = state size = d: the stacked solve must read B as one matrix,
+    # not as a stack of vectors (numpy 1.x reads a 2-d right-hand side so)
+    psi = _grid_symbols()["colligation"]
+    zs = _grid_points()[[3, 70]]
+    values = dv.eval_psi_grid(psi, zs)
+    for k, z in enumerate(zs):
+        assert np.array_equal(values[k], _oracle_psi(psi, z))
+
+
 def test_eval_psi_grid_rejects_points_outside_the_disc(companion_psi_2):
     with pytest.raises(ValueError, match="outside the closed disc"):
         dv.eval_psi_grid(companion_psi_2, [0.5, 1.0 + 1e-6, 0.0])

@@ -129,7 +129,7 @@ def z_ann(basis, pair, tol=DEFAULT):
                 break
         if ok:
             kept.append((lam, mu))
-    return tuple(dedupe_points(kept, warn_gap=tol.cluster_warn))
+    return tuple(dedupe_points(kept, tol=tol))
 
 
 def omega_psi(bundle, tol=DEFAULT):
@@ -143,7 +143,7 @@ def omega_psi(bundle, tol=DEFAULT):
     )
     spec = joint_point_spectrum(adj, tol=tol)
     pts = [(np.conj(lam), np.conj(mu)) for lam, mu in spec.points]
-    deduped = dedupe_points(pts, warn_gap=tol.cluster_warn)
+    deduped = dedupe_points(pts, tol=tol)
     return tuple(deduped), spec.witnesses
 
 
@@ -199,8 +199,8 @@ def check_projection(omega, m1, tol=DEFAULT):
     name, anchor = "omega-projection", "omega-first-coordinates-equal-zeros-of-m1"
     try:
         omega, _ = _settled(omega)
-        proj = dedupe_points([lam for lam, _ in omega], warn_gap=tol.cluster_warn)
-        zeros = dedupe_points([a for a, _ in m1.zeros], warn_gap=tol.cluster_warn)
+        proj = dedupe_points([lam for lam, _ in omega], tol=tol)
+        zeros = dedupe_points([a for a, _ in m1.zeros], tol=tol)
         dist = matching_distance(list(proj), list(zeros))
     except DegenerateCluster as exc:
         return inconclusive(name, anchor, exc)
@@ -219,7 +219,7 @@ def support_bounds(zset, bundle, variety, tol=DEFAULT):
     zset = _settled(zset)
     spair = validate_pair(bundle.s1, bundle.s2, require_pure=True, strict=True, tol=tol)
     staylor = joint_spectrum_taylor(spair, tol=tol)
-    lower = tuple(dedupe_points(list(staylor.points), warn_gap=tol.cluster_warn))
+    lower = tuple(dedupe_points(list(staylor.points), tol=tol))
     return SupportBounds(inner_set=zset, lower_boundary=lower, variety=variety)
 
 

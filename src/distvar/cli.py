@@ -137,7 +137,7 @@ def _instances(args, tol):
         if args.psi:
             psi = psi_from_json(load_json(args.psi))
         else:
-            psi = construct_psi(pair, tol=tol, seed=args.seed)
+            psi = construct_psi(pair, tol=tol)
         name = os.path.splitext(os.path.basename(args.pair))[0]
         spec = InstanceSpec(
             theta_zeros=(), psi_spec={"kind": "supplied"}, seed=args.seed,

@@ -21,17 +21,11 @@ from .errors import (
     DegenerateCluster,
     NoInnerSolution,
     NotPure,
+    NotPureRealization,
+    NotUnitaryColligation,
     TruncationNotConverged,
 )
-from .inner import (
-    _horner_grid,
-    circle_grid,
-    eval_psi_jet,
-    from_polynomial,
-    interior_pureness,
-    taylor_until,
-    unitarity_defect,
-)
+from .inner import eval_psi_jet, from_colligation, interior_pureness, taylor_until
 from .opcore import (
     CommutingPair,
     defect,
@@ -91,7 +85,7 @@ def _vec(m):
 
 
 def _polar_unitary(m):
-    """Unitary polar factor of a matrix, or of each matrix of a stack."""
+    """Unitary polar factor of a matrix."""
     u, _, vh = np.linalg.svd(m)
     return u @ vh
 
@@ -230,101 +224,40 @@ def coextension_embedding(pair, psi, tol=DEFAULT, seed=0):
 # symbol construction
 
 
-def construct_psi(pair, tol=DEFAULT, seed=0, boundary_n=128, max_degree=None,
-                  restarts=8, iters=400):
-    """Construct an inner pure polynomial symbol intertwining the pair.
+def construct_psi(pair, tol=DEFAULT, seed=0):
+    """Inner symbol intertwining the pair, in closed form from Ando's identity.
 
-    For increasing degree the affine space of coefficient solutions of
-    sum_k T1^k (D w) Psi_k = T2 (D w) is searched for an inner point by
-    alternating projection onto boundary-unitarity; the first candidate that
-    certifies inner and pure is returned.  NoInnerSolution after the budget.
+    With defect coordinates e = w1* D_(T1*) and f = w2* D_(T2*) (those of
+    embed_J), the commuting pair gives X*X = Y*Y for X = [e; f T1*] and
+    Y = [e T2*; f].  The unitary U = [[A, B], [C, D]] with U X = Y is a
+    lurking isometry, and its transfer function
+    Psi(z) = A* + z C* (I - z D*)^(-1) B* intertwines the co-extension
+    (Agler-McCarthy 2005, Das-Sarkar 2017).  The state dimension is
+    rank D_(T2*).  ``seed`` is unused and kept for callers that pass it.
     """
     if not pair.pure:
         raise NotPure("symbol construction requires a pure pair")
-    t1, t2 = pair.t1, pair.t2
-    droot, d, w = defect(t1)
-    dw = droot @ w  # n x d
-    m1 = minimal_blaschke(t1, tol=tol)
-    if max_degree is None:
-        max_degree = m1.degree + d
-    rng = np.random.default_rng(seed)
-    rhs = t2 @ dw
-    cols = [dw]
-    for _ in range(max_degree):
-        cols.append(t1 @ cols[-1])
-    for deg in range(max_degree + 1):
-        lmat = np.hstack(cols[: deg + 1])  # n x (deg+1)d
-        xp, *_ = np.linalg.lstsq(lmat, rhs, rcond=None)
-        if opnorm(lmat @ xp - rhs) > 1e-10 * max(1.0, opnorm(rhs)):
-            continue
-        _, svals, vh = np.linalg.svd(lmat)
-        ncols = lmat.shape[1]
-        smax = svals[0] if svals.size else 0.0
-        null_dim = ncols - int(np.count_nonzero(svals > max(1e-12, 1e-10 * smax)))
-        nbasis = vh.conj().T[:, ncols - null_dim :] if null_dim else None
-        psi = _inner_point_search(
-            xp, nbasis, deg, d, rng, boundary_n, restarts, iters, tol
-        )
-        if psi is not None:
-            return psi
-    raise NoInnerSolution(
-        f"no inner polynomial symbol of degree <= {max_degree} found"
-    )
-
-
-def _coeffs_from_stack(x, deg, d):
-    return np.array([x[k * d : (k + 1) * d, :] for k in range(deg + 1)])
-
-
-def _stack_from_coeffs(c):
-    return np.vstack(list(c))
-
-
-def _inner_point_search(xp, nbasis, deg, d, rng, boundary_n, restarts, iters, tol):
-    n_b = max(boundary_n, 4 * (deg + 1))
-    ring = circle_grid(n_b)
-
-    def affine_project(x):
-        if nbasis is None:
-            return xp.copy()
-        delta = _vec(x - xp)
-        return xp + _unvec_stack(nbasis @ (nbasis.conj().T @ delta), deg, d)
-
-    def _unvec_stack(v, deg, d):
-        return v.reshape((deg + 1) * d, d, order="F")
-
-    tries = restarts if nbasis is not None else 1
-    for r in range(tries):
-        x = xp.copy()
-        if nbasis is not None and r > 0:
-            c = rng.normal(size=nbasis.shape[1]) + 1j * rng.normal(size=nbasis.shape[1])
-            x = x + _unvec_stack(nbasis @ c, deg, d)
-        best = np.inf
-        stalled = 0
-        for _ in range(iters):
-            coeffs = _coeffs_from_stack(x, deg, d)
-            samples = _horner_grid(coeffs, ring)
-            defect = float(unitarity_defect(samples).max(initial=0.0))
-            if defect <= 0.1 * tol.tol_unitary:
-                break
-            # convergent runs contract geometrically; plateaus are hopeless
-            if defect < 0.9 * best:
-                best, stalled = defect, 0
-            else:
-                stalled += 1
-                if stalled >= 40:
-                    break
-            fft = np.fft.fft(_polar_unitary(samples), axis=0) / n_b
-            x = affine_project(_stack_from_coeffs(fft[: deg + 1]))
-        coeffs = _coeffs_from_stack(affine_project(x), deg, d)
-        try:
-            psi = from_polynomial(coeffs, tol_unitary=tol.tol_unitary, boundary_n=256)
-        except Exception:
-            continue
-        rho, _ = interior_pureness(psi, n=128)
-        if rho < 1.0:
-            return psi
-    return None
+    t1s, t2s = pair.t1.conj().T, pair.t2.conj().T
+    droot1, d1, w1 = defect(pair.t1)
+    droot2, _, w2 = defect(pair.t2)
+    e = w1.conj().T @ droot1
+    f = w2.conj().T @ droot2
+    x = np.vstack([e, f @ t1s])
+    y = np.vstack([e @ t2s, f])
+    u = _polar_unitary(y @ x.conj().T)
+    res = opnorm(u @ x - y)
+    if res > tol.tol_intertwine * max(1.0, opnorm(x)):
+        raise NoInnerSolution(f"lurking-isometry residual {res:.3e} is too large")
+    a, b, c, d = u[:d1, :d1], u[:d1, d1:], u[d1:, :d1], u[d1:, d1:]
+    try:
+        psi = from_colligation(d.conj().T, b.conj().T, c.conj().T, a.conj().T,
+                               tol_unitary=tol.tol_unitary)
+    except (NotUnitaryColligation, NotPureRealization) as exc:
+        raise NoInnerSolution(f"lurking isometry gives no pure symbol: {exc}") from exc
+    rho, _ = interior_pureness(psi, n=128)
+    if rho >= 1.0:
+        raise NoInnerSolution(f"symbol is not pure: interior spectral radius {rho:.12f}")
+    return psi
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,8 @@ class TriangularizationFailed(DistvarError):
 
 
 class NoInnerSolution(DistvarError):
-    """The inner-completion search exhausted its budget without success."""
+    """No inner symbol intertwining the pair was found: the closed-form
+    construction or an alignment failed its residual or inner/pure check."""
 
 
 class AnnTrivial(DistvarError):

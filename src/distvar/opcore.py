@@ -71,12 +71,12 @@ def _cluster_means(points, radius):
     return out
 
 
-def dedupe_points(points, merge_radius=None, warn_gap=None):
-    """Cluster means of a point multiset; raises DegenerateCluster when two
-    distinct clusters are closer than the warning gap."""
-    merge_radius = DEFAULT.cluster_merge if merge_radius is None else merge_radius
-    warn_gap = DEFAULT.cluster_warn if warn_gap is None else warn_gap
-    means = _cluster_means(points, merge_radius)
+def dedupe_points(points, tol=DEFAULT):
+    """Cluster means of a point multiset, merged within ``tol.cluster_merge``;
+    raises DegenerateCluster when two distinct clusters are closer than
+    ``tol.cluster_warn``."""
+    warn_gap = tol.cluster_warn
+    means = _cluster_means(points, tol.cluster_merge)
     for i in range(len(means)):
         for j in range(i + 1, len(means)):
             gap = float(np.max(np.abs(means[i][0] - means[j][0])))

@@ -151,6 +151,22 @@ def test_deep_jordan_routes_to_inconclusive(companion_psi_2):
     assert entry.status == "inconclusive"
 
 
+def test_cluster_merge_override_is_applied():
+    # a multiplicity-4 zero splits by ~1e-4: the default merge radius keeps
+    # the cluster apart, a 3e-3 override merges it
+    spec = random_recipe(9, repeated=True)
+
+    def failing(tolerances):
+        report = run_certification(
+            make_instance(dataclasses.replace(spec, tolerances=tolerances)))
+        assert report.tolerances["cluster_merge"] == tolerances.get(
+            "cluster_merge", dv.DEFAULT.cluster_merge)
+        return sorted(e.name for e in report.entries if e.status == "fail")
+
+    assert failing({}) == ["support-collapse", "zero-set-equals-omega"]
+    assert failing({"cluster_merge": 3e-3}) == []
+
+
 def test_projection_pass(j2_instance, two_point_instance):
     for pair, basis, bundle in (j2_instance, two_point_instance):
         entry = dv.check_projection(_omega(bundle), bundle.m1)

@@ -5,6 +5,7 @@ import pytest
 
 import distvar as dv
 from distvar.cli import main
+from distvar.instances import make_instance, random_recipe
 from distvar.serialize import (
     blaschke_from_json,
     blaschke_to_json,
@@ -269,6 +270,19 @@ def test_cmd_certify_pair_constructs_symbol(tmp_path, j2_pair):
     code = main(["--out", str(out), "--boundary-samples", "128",
                  "--disc-samples", "8x32", "certify", "--pair", str(pp)])
     assert code == 0
+
+
+def test_cmd_certify_pair_constructs_symbol_for_d3(tmp_path, capsys):
+    # the pair of a Blaschke-Potapov symbol with d = 3
+    inst = make_instance(random_recipe(3))
+    assert inst.psi.d == 3
+    pp = tmp_path / "pair.json"
+    dump_json(pair_to_json(inst.pair), pp)
+    code = main(["--out", str(tmp_path / "out"), "--boundary-samples", "128",
+                 "--disc-samples", "8x32", "certify", "--pair", str(pp)])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert summary["pass"] == 1
 
 
 def test_cmd_certify_writes_bundle_export(tmp_path, capsys):

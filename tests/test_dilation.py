@@ -5,6 +5,7 @@ import pytest
 import distvar as dv
 from distvar.dilation import _gram_entry
 from distvar.errors import NoInnerSolution
+from distvar.inner import circle_grid, eval_psi_grid
 from distvar.instances import make_instance, random_recipe
 from conftest import J2, w2z_poly
 
@@ -41,19 +42,17 @@ def test_embed_geometric_column():
 
 def test_construct_psi_shift_for_j2(j2_pair):
     psi = dv.construct_psi(j2_pair)
-    coeffs = psi.data["coeffs"]
-    assert coeffs.shape[0] == 2
-    assert abs(coeffs[0][0, 0]) < 1e-10
-    assert coeffs[1][0, 0] == pytest.approx(1.0)
+    zs = 0.7 * circle_grid(16)
+    assert psi.d == 1
+    assert np.max(np.abs(eval_psi_grid(psi, zs)[:, 0, 0] - zs)) < 1e-12
 
 
 def test_construct_psi_square_for_j2_zero():
     pair = dv.validate_pair(J2, np.zeros((2, 2)), require_pure=True)
     psi = dv.construct_psi(pair)
-    coeffs = psi.data["coeffs"]
-    assert coeffs.shape[0] == 3
-    assert np.max(np.abs(coeffs[:2])) < 1e-8
-    assert abs(abs(coeffs[2][0, 0]) - 1.0) < 1e-8
+    zs = 0.7 * circle_grid(16)
+    assert psi.d == 1
+    assert np.max(np.abs(eval_psi_grid(psi, zs)[:, 0, 0] - zs**2)) < 1e-12
 
 
 def test_construct_psi_for_compressed_pair(companion_psi_2):
@@ -63,12 +62,28 @@ def test_construct_psi_for_compressed_pair(companion_psi_2):
     assert np.linalg.norm(dv.poly_apply(v.p, pair), 2) < 1e-10
 
 
-def test_construct_psi_honest_failure():
-    # scalar inner polynomials are c z^m, so psi(1/2) = 3/10 has no solution;
-    # the search must report failure instead of returning a non-inner lift
+def test_construct_psi_blaschke_factor():
+    # no inner polynomial has psi(1/2) = 3/10; a Blaschke factor does
     pair = dv.validate_pair(np.diag([0.5]), np.diag([0.3]), require_pure=True)
-    with pytest.raises(NoInnerSolution):
-        dv.construct_psi(pair, restarts=2, iters=100)
+    psi = dv.construct_psi(pair)
+    assert psi.boundary_defect <= dv.DEFAULT.tol_unitary
+    assert dv.eval_psi(psi, 0.5)[0, 0] == pytest.approx(0.3, abs=1e-12)
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+def test_construct_psi_properties_on_random_pairs(repeated):
+    # the constructed symbol is inner and pure, intertwines a co-extension of
+    # the pair, and its variety polynomial annihilates the pair
+    tol = dv.DEFAULT
+    for seed in range(20):
+        pair = make_instance(random_recipe(seed, repeated=repeated)).pair
+        psi = dv.construct_psi(pair)
+        assert psi.boundary_defect <= tol.tol_unitary
+        assert dv.interior_pureness(psi)[0] < 1.0
+        _, _, _, res = dv.coextension_embedding(pair, psi)
+        assert res["intertwine_symbol"] <= tol.tol_intertwine
+        p = dv.variety_polynomial(psi).p
+        assert np.linalg.norm(dv.poly_apply(p, pair), 2) <= tol.tol_ann
 
 
 def test_construct_psi_rejects_mismatched_symbol(j2_pair):

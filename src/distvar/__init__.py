@@ -43,7 +43,6 @@ from .inner import (
     distinguished_certificate,
     eval_psi,
     eval_psi_grid,
-    eval_psi_jet,
     fiber,
     fibers_grid,
     from_bp_factors,
@@ -51,7 +50,7 @@ from .inner import (
     from_polynomial,
     from_scalar_blaschke_identity,
     interior_pureness,
-    taylor_at_zero,
+    taylor_at,
     variety_polynomial,
 )
 from .instances import (

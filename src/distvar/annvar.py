@@ -236,13 +236,13 @@ def check_support(zset, bundle, variety, tol=DEFAULT):
     worst = 0.0
     for lam, mu in sb.inner_set + sb.lower_boundary:
         worst = max(worst, abs(p(lam, mu)))
-    on_variety = worst <= tol.tol_zset * max(1.0, p.scale)
-    ok = dist <= tol.match_cap and on_variety
+    zset_cap = tol.tol_zset * max(1.0, p.scale)
+    ok = dist <= tol.match_cap and worst <= zset_cap
     return CertEntry(
         name=name,
         anchor=anchor,
         status=PASS if ok else FAIL,
-        margin=float(min(tol.match_cap - dist, tol.tol_zset - worst))
+        margin=float(min(tol.match_cap - dist, zset_cap - worst))
         if np.isfinite(dist)
         else -1.0,
         data={

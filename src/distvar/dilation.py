@@ -12,7 +12,7 @@ matrix carries analytic formulas.
 """
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import numpy as np
 
@@ -25,7 +25,13 @@ from .errors import (
     NotUnitaryColligation,
     TruncationNotConverged,
 )
-from .inner import eval_psi_jet, from_colligation, interior_pureness, taylor_until
+from .inner import (
+    from_colligation,
+    interior_pureness,
+    series_mul,
+    taylor_at,
+    taylor_until,
+)
 from .opcore import (
     CommutingPair,
     defect,
@@ -180,7 +186,9 @@ def coextension_embedding(pair, psi, tol=DEFAULT, seed=0):
             op = op - np.kron(blocks[m + k].T, coeffs[k].conj().T)
         rows.append(op)
     system = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(system)
+    # the left factor is unused, and forming it square costs O(rows^2); only a
+    # wide system needs the full vh, whose extra rows span part of the kernel
+    _, svals, vh = np.linalg.svd(system, full_matrices=system.shape[0] < system.shape[1])
     smax = svals[0] if svals.size else 0.0
     null_mask = svals <= max(1e-10, 1e-8 * smax)
     nullity = int(np.count_nonzero(null_mask)) + (vh.shape[0] - svals.size)
@@ -388,80 +396,38 @@ def jet_kernel_basis(m1, d):
                           gram=gram, chol=chol)
 
 
-def _poly2_compose_jet(f, lam, psi_jet_taylor, order):
-    """Taylor coefficients (length order+1) of z -> f(z, Psi(z)) at lam.
-
-    ``psi_jet_taylor`` holds the Taylor coefficient matrices of Psi at lam.
-    """
-    d = psi_jet_taylor.shape[1]
-    n = order + 1
-
-    def jet_mul(a, b):
-        out = np.zeros((n, d, d), dtype=complex)
-        for k in range(n):
-            for l in range(k + 1):
-                out[k] += a[l] @ b[k - l]
-        return out
-
-    eye = np.eye(d)
-    # powers of the Psi jet
+def _compose_taylor(f, lam, taylor):
+    """Taylor coefficients at lam of z -> f(z, Psi(z)), as many as ``taylor``
+    holds; ``taylor`` holds those of Psi at lam."""
+    n, d, _ = taylor.shape
     c = f.coeffs
-    pw = [np.zeros((n, d, d), dtype=complex)]
-    pw[0][0] = eye
-    for _ in range(c.shape[1] - 1):
-        pw.append(jet_mul(pw[-1], psi_jet_taylor[:n]))
-    # z-jet: lam + t
-    zjet = np.zeros(n, dtype=complex)
-    zjet[0] = lam
-    if n > 1:
-        zjet[1] = 1.0
+    pw = np.zeros((c.shape[1], n, d, d), dtype=complex)
+    pw[0, 0] = np.eye(d)
+    for j in range(1, c.shape[1]):
+        pw[j] = series_mul(pw[j - 1], taylor)
     out = np.zeros((n, d, d), dtype=complex)
-    zpow = np.zeros(n, dtype=complex)
-    zpow[0] = 1.0
-    for i in range(c.shape[0]):
-        row = np.zeros((n, d, d), dtype=complex)
-        for j in range(c.shape[1]):
-            if c[i, j] != 0.0:
-                row += c[i, j] * pw[j]
-        for k in range(n):
-            acc = np.zeros((d, d), dtype=complex)
-            for l in range(k + 1):
-                acc += zpow[l] * row[k - l]
-            out[k] += acc
-        # multiply zpow by (lam + t)
-        new = np.zeros(n, dtype=complex)
-        for k in range(n):
-            new[k] += zpow[k] * lam
-            if k + 1 < n:
-                new[k + 1] += zpow[k]
-        zpow = new
+    # Horner in z; z is the series lam + t, so a step scales and shifts
+    for row in np.tensordot(c, pw, axes=(1, 0))[::-1]:
+        step = lam * out + row
+        step[1:] += out[:-1]
+        out = step
     return out
 
 
-def _adjoint_action(basis, jet_values):
-    """Matrix of M_Phi* on the jet basis from jet values of the symbol Phi.
-
-    ``jet_values[lam]`` is the array of Taylor coefficients of Phi at lam
-    (converted internally to derivatives for the Leibniz rule).
-    """
+def _adjoint_action(basis, taylor):
+    """Matrix of M_Phi* on the jet basis, from the Taylor coefficients
+    ``taylor[lam]`` of the symbol Phi at each zero (Leibniz rule)."""
     d = basis.d
     s = basis.scalar_dim
     a = np.zeros((s * d, s * d), dtype=complex)
-    offsets = {}
-    pos = 0
+    base = 0
     for lam, mult in basis.points:
-        offsets[lam] = pos
-        pos += mult
-    for lam, mult in basis.points:
-        taylor = jet_values[lam]
-        derivs = [taylor[l] * factorial(l) for l in range(mult)]
-        base = offsets[lam]
         for j in range(mult):
-            col = base + j
             for l in range(j + 1):
-                row = base + j - l
-                blk = comb(j, l) * derivs[l].conj().T
+                row, col = base + j - l, base + j
+                blk = perm(j, l) * taylor[lam][l].conj().T
                 a[row * d : (row + 1) * d, col * d : (col + 1) * d] += blk
+        base += mult
     return a
 
 
@@ -504,11 +470,7 @@ def constrained_coextension(pair, psi, basis, tol=DEFAULT, seed=0):
         raise AnnTrivial("the univariate annihilator of T1 is trivial")
     d = psi.d
     jets = jet_kernel_basis(m1, d)
-    max_mult = max(m for _, m in m1.zeros)
-    psi_taylor = {}
-    for lam, mult in m1.zeros:
-        jet = eval_psi_jet(psi, lam, max_mult - 1)
-        psi_taylor[lam] = np.array([jet[k] / factorial(k) for k in range(max_mult)])
+    psi_taylor = {lam: taylor_at(psi, lam, mult) for lam, mult in m1.zeros}
 
     # adjoint shift action: symbol z
     zvals = {}
@@ -519,16 +481,14 @@ def constrained_coextension(pair, psi, basis, tol=DEFAULT, seed=0):
             arr[1] = np.eye(d)
         zvals[lam] = arr
     a_z = _to_onb(jets, _adjoint_action(jets, zvals))
-    a_psi = _to_onb(jets, _adjoint_action(jets, {
-        lam: psi_taylor[lam][: dict(m1.zeros)[lam]] for lam, _ in m1.zeros
-    }))
+    a_psi = _to_onb(jets, _adjoint_action(jets, psi_taylor))
 
-    stack = []
-    for f in ann_gens:
-        vals = {}
-        for lam, mult in m1.zeros:
-            vals[lam] = _poly2_compose_jet(f, lam, psi_taylor[lam], mult - 1)
-        stack.append(_to_onb(jets, _adjoint_action(jets, vals)))
+    stack = [
+        _to_onb(jets, _adjoint_action(jets, {
+            lam: _compose_taylor(f, lam, psi_taylor[lam]) for lam, _ in m1.zeros
+        }))
+        for f in ann_gens
+    ]
     # the generators always include the minimal polynomials, so the stack is
     # never empty
     dim = jets.dimension

@@ -6,11 +6,17 @@ Three interchangeable representations are supported:
   * bp_product:   ordered elementary factors U ((I-P) + b_a(z) P),
   * polynomial:   Psi(z) = sum_k coeffs[k] z^k with matrix coefficients.
 
+Each representation has one evaluation path, ``eval_psi_grid``, which takes
+a whole grid of points, and one Taylor path, ``taylor_at``, which returns
+Taylor coefficients (never derivatives) around an interior point.
+
 The zero set {det(Psi(z) - wI) = 0} is produced as an honest bivariate
 polynomial by sampling the determinant of the linear pencil
 [[I - zA, zB], [-C, D - wI]] (or a denominator-cleared determinant) on a
 tensor grid and interpolating.
 """
+
+from math import comb
 
 import numpy as np
 
@@ -289,96 +295,56 @@ def fibers_grid(psi, zs):
     return np.take_along_axis(vals, order, axis=-1)
 
 
-def eval_psi_jet(psi, lam, order):
-    """Value and derivatives [Psi, Psi', ..., Psi^(order)] at an interior point."""
+def series_mul(a, b):
+    """Cauchy product of two (n, d, d) matrix power series, cut at n terms."""
+    return np.array([(a[: k + 1] @ b[k::-1]).sum(axis=0) for k in range(a.shape[0])])
+
+
+def taylor_at(psi, lam, n):
+    """First n Taylor coefficient matrices of Psi around an interior point lam,
+    an (n, d, d) array.  This is the one Taylor path of each representation.
+    """
     lam = complex(lam)
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    d = psi.d
     if psi.kind == COLLIGATION:
         A, B, C, D = (psi.data[k] for k in ("A", "B", "C", "D"))
-        if A.shape[0] == 0:
-            return [D.copy()] + [np.zeros_like(D) for _ in range(order)]
+        # T_0 = D + lam C R B and T_k = C R^(k+1) A^(k-1) B, R = (I - lam A)^(-1)
         M = np.eye(A.shape[0]) - lam * A
         try:
-            RB = np.linalg.solve(M, B)
+            X = np.linalg.solve(M, B)
         except np.linalg.LinAlgError as exc:
             raise ResolventSingular(f"I - zA singular at z = {lam}") from exc
-        out = [D + lam * (C @ RB)]
-        # Psi^(k) = k! C R^(k+1) A^(k-1) B for k >= 1, R = (I - lam A)^(-1)
-        X = RB
-        fact = 1.0
-        for k in range(1, order + 1):
-            X = np.linalg.solve(M, X) if k == 1 else np.linalg.solve(M, A @ X)
-            fact *= k
-            out.append(fact * (C @ X))
+        out = np.empty((n, d, d), dtype=complex)
+        out[0] = D + lam * (C @ X)
+        for k in range(1, n):
+            X = np.linalg.solve(M, X if k == 1 else A @ X)
+            out[k] = C @ X
         return out
-    n = order + 1
     if psi.kind == BP_PRODUCT:
-        d = psi.d
-        jet = np.zeros((n, d, d), dtype=complex)
-        jet[0] = psi.data["leading"]
+        out = np.zeros((n, d, d), dtype=complex)
+        out[0] = psi.data["leading"]
         for f in psi.data["factors"]:
-            fj = f.taylor(lam, n)
-            out = np.zeros_like(jet)
-            for k in range(n):
-                for i in range(k + 1):
-                    out[k] += jet[i] @ fj[k - i]
-            jet = out
-    else:
-        coeffs = psi.data["coeffs"]
-        deg = coeffs.shape[0] - 1
-        jet = np.zeros((n, psi.d, psi.d), dtype=complex)
-        pows = lam ** np.arange(deg + 1)
-        from math import comb
-
-        for m in range(n):
-            for k in range(m, deg + 1):
-                jet[m] += comb(k, m) * pows[k - m] * coeffs[k]
-    fact = 1.0
-    out = []
-    for k in range(n):
-        if k > 0:
-            fact *= k
-        out.append(fact * jet[k])
-    return out
-
-
-def taylor_at_zero(psi, n):
-    """First n Taylor coefficient matrices of Psi at the origin."""
-    if psi.kind == COLLIGATION:
-        A, B, C, D = (psi.data[k] for k in ("A", "B", "C", "D"))
-        out = np.zeros((n, psi.d, psi.d), dtype=complex)
-        out[0] = D
-        if A.shape[0] and n > 1:
-            X = B.copy()
-            for k in range(1, n):
-                out[k] = C @ X
-                X = A @ X
+            out = series_mul(out, f.taylor(lam, n))
         return out
-    if psi.kind == POLYNOMIAL:
-        coeffs = psi.data["coeffs"]
-        out = np.zeros((n, psi.d, psi.d), dtype=complex)
-        m = min(n, coeffs.shape[0])
-        out[:m] = coeffs[:m]
-        return out
-    jet = eval_psi_jet(psi, 0.0, n - 1)
-    fact = 1.0
-    out = np.zeros((n, psi.d, psi.d), dtype=complex)
-    for k in range(n):
-        if k > 0:
-            fact *= k
-        out[k] = jet[k] / fact
+    # re-expand sum_k c_k z^k around lam: T_m = sum_k binom(k, m) lam^(k-m) c_k
+    coeffs = psi.data["coeffs"]
+    deg = coeffs.shape[0] - 1
+    pows = lam ** np.arange(deg + 1)
+    out = np.zeros((n, d, d), dtype=complex)
+    for m in range(n):
+        for k in range(m, deg + 1):
+            out[m] += comb(k, m) * pows[k - m] * coeffs[k]
     return out
 
 
 def taylor_until(psi, tol=1e-14, nmax=4096):
     """Taylor coefficients at 0 until three consecutive ones fall below tol."""
     if psi.kind == POLYNOMIAL:
-        return taylor_at_zero(psi, psi.data["coeffs"].shape[0])
+        return taylor_at(psi, 0.0, psi.data["coeffs"].shape[0])
     n = 8
     while n <= nmax:
-        coeffs = taylor_at_zero(psi, n)
-        norms = np.array([np.linalg.norm(c, 2) for c in coeffs])
+        coeffs = taylor_at(psi, 0.0, n)
+        norms = np.linalg.norm(coeffs, 2, axis=(1, 2))
         small = norms <= tol
         if n >= 4 and small[-3:].all():
             last = int(np.max(np.nonzero(~small)[0])) if (~small).any() else 0
@@ -502,9 +468,7 @@ def variety_polynomial(psi, tol_fit=None, check_fibers=200):
         nz = max(4, check_fibers // 2)
         circle = circle_grid(nz)
         zs = np.concatenate([0.35 * circle, 0.85 * circle])
-        for z, ws in zip(zs, fibers_grid(psi, zs)):
-            for w in ws:
-                worst = max(worst, abs(p(z, w)))
+        worst = float(np.abs(p(np.repeat(zs, psi.d), fibers_grid(psi, zs).ravel())).max())
         if worst > 1e-8 * p.scale * 10:
             raise SpuriousFactorInDisc(
                 f"fiber residual {worst:.3e} inconsistent with the fitted polynomial"

@@ -384,21 +384,13 @@ def _factor_taylor(a, z0, n):
     return out
 
 
-def _jet_mul(a, b):
-    n = a.size
-    out = np.zeros(n, dtype=complex)
-    for k in range(n):
-        out[k] = np.sum(a[: k + 1] * b[k::-1])
-    return out
-
-
 def _blaschke_taylor_jet(b, z0, n):
     jet = np.zeros(n, dtype=complex)
     jet[0] = b.constant
     for a, m in b.zeros:
         f = _factor_taylor(a, z0, n)
         for _ in range(m):
-            jet = _jet_mul(jet, f)
+            jet = np.convolve(jet, f)[:n]
     return jet
 
 

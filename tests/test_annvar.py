@@ -153,7 +153,8 @@ def test_deep_jordan_routes_to_inconclusive(companion_psi_2):
 
 def test_cluster_merge_override_is_applied():
     # a multiplicity-4 zero splits by ~1e-4: the default merge radius keeps
-    # the cluster apart, a 3e-3 override merges it
+    # the cluster apart, a 3e-3 override merges it.  Which other checks fail
+    # at the default radius follows rounding, so only the set check is pinned
     spec = random_recipe(9, repeated=True)
 
     def failing(tolerances):
@@ -163,7 +164,7 @@ def test_cluster_merge_override_is_applied():
             "cluster_merge", dv.DEFAULT.cluster_merge)
         return sorted(e.name for e in report.entries if e.status == "fail")
 
-    assert failing({}) == ["support-collapse", "zero-set-equals-omega"]
+    assert "zero-set-equals-omega" in failing({})
     assert failing({"cluster_merge": 3e-3}) == []
 
 

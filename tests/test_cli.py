@@ -189,6 +189,22 @@ def test_cmd_certify_recipe(tmp_path, capsys):
     assert summary["pass"] == 1 and summary["fail"] == 0
 
 
+def test_cmd_certify_recipe_symbol_zero_past_factorial_range(tmp_path, capsys):
+    # the symbol's Taylor series needs 220 terms, more than k! covers in floats
+    recipe = {
+        "theta_zeros": [{"point": [0.3, 0.0]}],
+        "psi": {"kind": "scalar_blaschke_times_identity", "zeros": [[0.85, 0.0]], "d": 1},
+    }
+    rp = tmp_path / "recipe.json"
+    dump_json(recipe, rp)
+    out = tmp_path / "out"
+    code = main(["--out", str(out), "--boundary-samples", "128",
+                 "--disc-samples", "8x32", "certify", "--recipe", str(rp)])
+    assert code == 0
+    summary = load_json(out / "summary.json")
+    assert summary["pass"] == 1 and summary["fail"] == 0
+
+
 def test_cmd_certify_recipe_all_true_instance(tmp_path, capsys):
     recipe = {
         "theta_zeros": [

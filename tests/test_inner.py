@@ -4,7 +4,7 @@ import pytest
 import distvar as dv
 from distvar.certify import VarietySamples
 from distvar.errors import NotPureRealization, NotUnitaryColligation, ResolventSingular
-from distvar.inner import COLLIGATION, MatrixInnerFunction, interior_disc_grid
+from distvar.inner import COLLIGATION, MatrixInnerFunction, interior_disc_grid, taylor_until
 from conftest import random_unitary, w2z_poly
 
 
@@ -52,15 +52,16 @@ def test_eval_psi_scalar_identity():
 
 
 def test_jet_scalar_shift(scalar_shift_psi):
-    jet = dv.eval_psi_jet(scalar_shift_psi, 0.37 - 0.11j, 1)
-    assert jet[0][0, 0] == pytest.approx(0.37 - 0.11j)
-    assert jet[1][0, 0] == pytest.approx(1.0)
+    taylor = dv.taylor_at(scalar_shift_psi, 0.37 - 0.11j, 2)
+    assert taylor[0][0, 0] == pytest.approx(0.37 - 0.11j)
+    assert taylor[1][0, 0] == pytest.approx(1.0)
 
 
 def test_jet_companion_linear(companion_psi_2):
-    jet = dv.eval_psi_jet(companion_psi_2, 0.0, 1)
-    assert np.allclose(jet[0], [[0, 0], [1, 0]])
-    assert np.allclose(jet[1], [[0, 1], [0, 0]])
+    for lam in (0.0, 0.5j):
+        taylor = dv.taylor_at(companion_psi_2, lam, 2)
+        assert np.allclose(taylor[0], [[0, lam], [1, 0]])
+        assert np.allclose(taylor[1], [[0, 1], [0, 0]])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -69,18 +70,18 @@ def test_jet_matches_finite_differences(seed):
     u = random_unitary(rng, 5)
     psi = dv.from_colligation(u[:2, :2], u[:2, 2:], u[2:, :2], u[2:, 2:])
     lam = 0.31 - 0.22j
-    jet = dv.eval_psi_jet(psi, lam, 2)
+    taylor = dv.taylor_at(psi, lam, 3)
     f = lambda z: dv.eval_psi(psi, z)
     h = 1e-5
     fd1 = (f(lam + h) - f(lam - h)) / (2 * h)
-    assert np.linalg.norm(jet[1] - fd1, 2) < 1e-9
+    assert np.linalg.norm(taylor[1] - fd1, 2) < 1e-9
     # 5-point stencil keeps the oracle's own roundoff below the tolerance
     h = 1e-3
     fd2 = (
         -f(lam + 2 * h) + 16 * f(lam + h) - 30 * f(lam)
         + 16 * f(lam - h) - f(lam - 2 * h)
     ) / (12 * h ** 2)
-    assert np.linalg.norm(jet[2] - fd2, 2) < 1e-7
+    assert np.linalg.norm(2 * taylor[2] - fd2, 2) < 1e-7
 
 
 def test_bp_product_jet_matches_finite_differences():
@@ -93,11 +94,23 @@ def test_bp_product_jet_matches_finite_differences():
     ])
     lam = -0.15 + 0.4j
     h = 1e-5
-    jet = dv.eval_psi_jet(psi, lam, 1)
+    taylor = dv.taylor_at(psi, lam, 2)
     f = lambda z: dv.eval_psi(psi, z)
     fd1 = (f(lam + h) - f(lam - h)) / (2 * h)
-    assert np.linalg.norm(jet[1] - fd1, 2) < 1e-9
-    assert np.allclose(jet[0], f(lam))
+    assert np.linalg.norm(taylor[1] - fd1, 2) < 1e-9
+    assert np.allclose(taylor[0], f(lam))
+
+
+def test_taylor_until_past_171_terms():
+    # a zero of modulus 0.85 needs 220 terms at 1e-16; k! overflows from k = 171
+    a = 0.85
+    psi = dv.from_scalar_blaschke_identity(dv.BlaschkeProduct([(a, 1)]), 1)
+    s = np.sqrt(1.0 - a * a)
+    same = dv.from_colligation([[a]], [[s]], [[-s]], [[a]])
+    coeffs = taylor_until(psi, 1e-16)
+    assert np.isfinite(coeffs).all()
+    assert coeffs.shape == (220, 1, 1)
+    assert np.abs(coeffs - taylor_until(same, 1e-16)).max() < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +200,18 @@ def test_interior_pureness_invariant():
     assert worst < 1.0
 
 
-def test_taylor_at_zero_matches_eval(companion_psi_2):
+def test_taylor_at_matches_eval(companion_psi_2):
     rng = np.random.default_rng(2)
     u = random_unitary(rng, 4)
     psis = [companion_psi_2,
             dv.from_colligation(u[:2, :2], u[:2, 2:], u[2:, :2], u[2:, 2:]),
             dv.from_scalar_blaschke_identity(dv.BlaschkeProduct([(0.3, 1)]), 2)]
+    z = 0.41 - 0.17j
     for psi in psis:
-        coeffs = dv.taylor_at_zero(psi, 40)
-        z = 0.41 - 0.17j
-        acc = sum(coeffs[k] * z ** k for k in range(coeffs.shape[0]))
-        assert np.linalg.norm(acc - dv.eval_psi(psi, z), 2) < 1e-12
+        for lam in (0.0, 0.2 + 0.1j):
+            coeffs = dv.taylor_at(psi, lam, 40)
+            acc = sum(coeffs[k] * (z - lam) ** k for k in range(coeffs.shape[0]))
+            assert np.linalg.norm(acc - dv.eval_psi(psi, z), 2) < 1e-12
 
 
 def test_distinguished_reads_pure_margin_from_tolerances(companion_psi_2):
@@ -346,3 +360,5 @@ def test_eval_psi_grid_singular_resolvent():
                                                "D": one}, 0.0, 2.0)
     with pytest.raises(ResolventSingular):
         dv.eval_psi_grid(psi, [0.1, 0.5])
+    with pytest.raises(ResolventSingular):
+        dv.taylor_at(psi, 0.5, 3)

@@ -286,13 +286,13 @@ def _span_matrix(polys, d1, d2):
     return q
 
 
-def _spans_equal(qa, qb, tol=1e-7):
+def _spans_equal(qa, qb):
     if qa.shape[1] != qb.shape[1]:
         return False
     if qa.shape[1] == 0:
         return True
     res = qa - qb @ (qb.conj().T @ qa)
-    return float(np.linalg.norm(res, 2)) <= tol
+    return float(np.linalg.norm(res, 2)) <= 1e-7
 
 
 def _require_conclusive_fibers(psi, m1, tol):

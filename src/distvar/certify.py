@@ -26,8 +26,8 @@ class VarietySamples:
     """
 
     def __init__(self, variety, boundary_n=512, disc_grid=(16, 64)):
-        if boundary_n < 64 or disc_grid[0] * disc_grid[1] < 64:
-            raise ValueError("grid sizes must be at least 64")
+        if boundary_n < 64 or min(disc_grid) < 1 or disc_grid[0] * disc_grid[1] < 64:
+            raise ValueError("grid sizes must be positive and at least 64 in total")
         self.variety = variety
         self.boundary_n = int(boundary_n)
         self.disc_grid = (int(disc_grid[0]), int(disc_grid[1]))
@@ -81,10 +81,11 @@ def sup_on_variety(variety, q, boundary_n=512, disc_grid=(16, 64), samples=None)
     return float(max(vals_b.max(), vals_i.max()))
 
 
-def gradient_bound(q, n=24):
-    """Sampled bound for |grad q| on the closed bidisc (torus grid suffices)."""
+def gradient_bound(q):
+    """Sampled bound for |grad q| on the closed bidisc, from a 24 x 24 torus
+    grid."""
     qz, qw = q.dz(), q.dw()
-    ts = np.exp(2j * np.pi * np.arange(n) / n)
+    ts = np.exp(2j * np.pi * np.arange(24) / 24)
     zz, ww = np.meshgrid(ts, ts)
     g = np.abs(qz(zz, ww)) + np.abs(qw(zz, ww))
     return float(g.max())
@@ -282,7 +283,7 @@ def min_conditions(pair, variety, phi1, phi2, tol=DEFAULT,
     return entries
 
 
-def isometry_variant(pair, variety=None, tol=DEFAULT):
+def isometry_variant(pair, tol=DEFAULT):
     """Minimality certificate when T2 is an isometry and ||T1|| = 1.
 
     Matrix isometries are unitary, so the pair is not pure; this certifies

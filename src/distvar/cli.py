@@ -15,7 +15,7 @@ import numpy as np
 from .certify import VarietySamples
 from .dilation import construct_psi
 from .errors import DistvarError, malformed
-from .inner import variety_polynomial
+from .inner import distinguished_certificate, variety_polynomial
 from .instances import (
     Instance,
     InstanceSpec,
@@ -55,6 +55,8 @@ def _tolerances(items):
         overrides[key] = float(val)
         if not 0.0 <= overrides[key] < np.inf:
             raise ValueError(f"tolerance {key} must be finite and nonnegative")
+    if overrides.get("rank_guard") == 0.0:
+        raise ValueError("tolerance rank_guard divides a threshold and must be positive")
     return DEFAULT.override(**overrides)
 
 
@@ -78,13 +80,9 @@ def _write_report(report, out_dir, fmt):
 
 
 def cmd_variety(args, tol):
-    try:
-        psi = psi_from_json(load_json(args.psi), boundary_n=min(args.boundary_samples, 1024))
-    except (OSError, ValueError, KeyError, DistvarError) as exc:
-        return _fail_invalid(f"invalid symbol file: {exc}")
-    variety = variety_polynomial(psi)
-    from .inner import distinguished_certificate
-
+    psi = psi_from_json(load_json(args.psi), tol=tol,
+                        boundary_n=min(args.boundary_samples, 1024))
+    variety = variety_polynomial(psi, tol=tol)
     cert = distinguished_certificate(
         psi, args.boundary_samples, max(64, args.disc_grid[0] * args.disc_grid[1] // 16),
         tol=tol,
@@ -135,7 +133,7 @@ def _instances(args, tol):
     elif args.pair:
         pair = pair_from_json(load_json(args.pair), tol=tol)
         if args.psi:
-            psi = psi_from_json(load_json(args.psi))
+            psi = psi_from_json(load_json(args.psi), tol=tol)
         else:
             psi = construct_psi(pair, tol=tol)
         name = os.path.splitext(os.path.basename(args.pair))[0]
@@ -151,21 +149,16 @@ def _instances(args, tol):
 
 def cmd_certify(args, tol):
     reports = []
-    try:
-        for inst in _instances(args, tol):
-            artifacts = {}
-            reports.append(run_certification(inst, tol=tol, artifacts=artifacts))
-            # a batch writes reports only; a single instance also its bundle
-            if "bundle" in artifacts and not args.batch:
-                os.makedirs(args.out, exist_ok=True)
-                dump_json(
-                    bundle_to_json(artifacts["bundle"]),
-                    os.path.join(args.out, f"{inst.spec.instance_id}-bundle.json"),
-                )
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail_invalid(str(exc))
-    except DistvarError as exc:
-        return _fail_invalid(f"{type(exc).__name__}: {exc}")
+    for inst in _instances(args, tol):
+        artifacts = {}
+        reports.append(run_certification(inst, tol=tol, artifacts=artifacts))
+        # a batch writes reports only; a single instance also its bundle
+        if "bundle" in artifacts and not args.batch:
+            os.makedirs(args.out, exist_ok=True)
+            dump_json(
+                bundle_to_json(artifacts["bundle"]),
+                os.path.join(args.out, f"{inst.spec.instance_id}-bundle.json"),
+            )
 
     paths = [_write_report(r, args.out, args.format) for r in reports]
     summary = {
@@ -196,7 +189,7 @@ def cmd_demo(args, tol):
     inst = make_instance(spec, tol)
     report = run_certification(inst, tol=tol)
     os.makedirs(args.out, exist_ok=True)
-    variety = variety_polynomial(inst.psi)
+    variety = variety_polynomial(inst.psi, tol=tol)
     payload = variety_to_json(variety)
     payload["psi"] = psi_to_json(inst.psi)
     dump_json(payload, os.path.join(args.out, "demo-variety.json"))
@@ -219,7 +212,9 @@ def build_parser():
         description="distinguished-variety certificates for commuting matrix pairs",
     )
     ap.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                    help="tolerance override (repeatable)")
+                    help="tolerance override (repeatable); it applies to every "
+                         "check, among them symbol files, the variety fit and "
+                         "the co-extension's defect cut")
     ap.add_argument("--boundary-samples", type=int, default=2048)
     ap.add_argument("--disc-samples", type=_parse_grid, default=(64, 256),
                     dest="disc_grid", metavar="RxA")
@@ -245,12 +240,19 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command.  Invalid input, including a file or value that a
+    library check rejects, prints a JSON error and returns 2."""
     args = build_parser().parse_args(argv)
     try:
         tol = _tolerances(args.tol)
     except ValueError as exc:
         return _fail_invalid(f"invalid --tol: {exc}")
-    return args.func(args, tol)
+    try:
+        return args.func(args, tol)
+    except (OSError, ValueError, KeyError) as exc:
+        return _fail_invalid(str(exc))
+    except DistvarError as exc:
+        return _fail_invalid(f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

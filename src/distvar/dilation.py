@@ -50,18 +50,17 @@ from .tolerances import DEFAULT
 # minimal isometric co-extension
 
 
-def embed_J(pair, tol_trunc=None, cap=5000):
+def embed_J(pair, tol=DEFAULT, cap=5000):
     """Truncated minimal isometric co-extension of T1.
 
     Returns ``(J, n_trunc, w)`` where J has row blocks  w* D T1*^m  for
-    m = 0..n_trunc in the defect-range coordinates ``w`` and
-    ||J*J - I|| = ||T1^(n_trunc+1)||^2 <= tol_trunc.
+    m = 0..n_trunc in the defect-range coordinates ``w`` (cut at
+    ``tol.tol_rank``) and ||J*J - I|| = ||T1^(n_trunc+1)||^2 <= tol.tol_trunc.
     """
-    tol_trunc = DEFAULT.tol_trunc if tol_trunc is None else tol_trunc
     if not pair.pure:
         raise NotPure("co-extension requires a pure pair")
     t1 = pair.t1
-    droot, rank, w = defect(t1)
+    droot, rank, w = defect(t1, tol=tol)
     n = t1.shape[0]
     wd = w.conj().T @ droot  # d x n
     t1s = t1.conj().T
@@ -70,13 +69,13 @@ def embed_J(pair, tol_trunc=None, cap=5000):
     n_trunc = 0
     for m in range(1, cap + 1):
         power = power @ t1
-        if opnorm(power) ** 2 <= tol_trunc:
+        if opnorm(power) ** 2 <= tol.tol_trunc:
             n_trunc = m - 1
             break
         blocks.append(blocks[-1] @ t1s)
     else:
         raise TruncationNotConverged(
-            f"||T1^m||^2 did not reach {tol_trunc:.1e} within {cap} powers"
+            f"||T1^m||^2 did not reach {tol.tol_trunc:.1e} within {cap} powers"
         )
     j = np.vstack(blocks)
     return j, n_trunc, w
@@ -96,7 +95,7 @@ def _polar_unitary(m):
     return u @ vh
 
 
-def _unitary_in_subspace(basis, rng, iters=150, restarts=8, tol=1e-10):
+def _unitary_in_subspace(basis, rng):
     """Search a unitary matrix inside span(columns of basis).
 
     Alternating projection between the subspace and the unitary group gives a
@@ -144,16 +143,16 @@ def _unitary_in_subspace(basis, rng, iters=150, restarts=8, tol=1e-10):
             u = u + lam * step
         return u[:r] + 1j * u[r:]
 
-    for _ in range(restarts):
+    for _ in range(8):
         c = rng.normal(size=r) + 1j * rng.normal(size=r)
         x = basis @ c
-        for _ in range(iters):
+        for _ in range(150):
             w = _polar_unitary(_unvec(x, d))
             x = basis @ (basis.conj().T @ _vec(w))
         c = basis.conj().T @ x
         c = newton_polish(c)
         w = as_matrix(c)
-        if opnorm(w.conj().T @ w - np.eye(d)) <= tol:
+        if opnorm(w.conj().T @ w - np.eye(d)) <= 1e-10:
             return _polar_unitary(w)
     return None
 
@@ -168,7 +167,7 @@ def coextension_embedding(pair, psi, tol=DEFAULT, seed=0):
     """
     coeffs = taylor_until(psi, 1e-15)
     kk = coeffs.shape[0]
-    j0, n_trunc, w = embed_J(pair, tol.tol_trunc)
+    j0, n_trunc, w = embed_J(pair, tol)
     d = psi.d
     n = pair.n
     blocks = [j0[m * d : (m + 1) * d] for m in range(n_trunc + 1)]
@@ -246,8 +245,8 @@ def construct_psi(pair, tol=DEFAULT, seed=0):
     if not pair.pure:
         raise NotPure("symbol construction requires a pure pair")
     t1s, t2s = pair.t1.conj().T, pair.t2.conj().T
-    droot1, d1, w1 = defect(pair.t1)
-    droot2, _, w2 = defect(pair.t2)
+    droot1, d1, w1 = defect(pair.t1, tol=tol)
+    droot2, _, w2 = defect(pair.t2, tol=tol)
     e = w1.conj().T @ droot1
     f = w2.conj().T @ droot2
     x = np.vstack([e, f @ t1s])
@@ -258,8 +257,7 @@ def construct_psi(pair, tol=DEFAULT, seed=0):
         raise NoInnerSolution(f"lurking-isometry residual {res:.3e} is too large")
     a, b, c, d = u[:d1, :d1], u[:d1, d1:], u[d1:, :d1], u[d1:, d1:]
     try:
-        psi = from_colligation(d.conj().T, b.conj().T, c.conj().T, a.conj().T,
-                               tol_unitary=tol.tol_unitary)
+        psi = from_colligation(d.conj().T, b.conj().T, c.conj().T, a.conj().T, tol=tol)
     except (NotUnitaryColligation, NotPureRealization) as exc:
         raise NoInnerSolution(f"lurking isometry gives no pure symbol: {exc}") from exc
     rho, _ = interior_pureness(psi, n=128)
@@ -619,7 +617,7 @@ def calculus_residual(pair, psi, p, tol=DEFAULT, seed=0):
     is deterministic, so the alignment unitary carries over.
     """
     _, _, w_align, _ = coextension_embedding(pair, psi, tol=tol, seed=seed)
-    j2, n2, _ = embed_J(pair, tol.tol_trunc * 1e-4, cap=20000)
+    j2, n2, _ = embed_J(pair, tol.override(tol_trunc=tol.tol_trunc * 1e-4), cap=20000)
     d = psi.d
     aligned = np.vstack([w_align @ j2[m * d : (m + 1) * d] for m in range(n2 + 1)])
     mz, mpsi = truncated_model_operators(psi, n2)

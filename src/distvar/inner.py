@@ -68,18 +68,17 @@ class BPFactor:
 
     __slots__ = ("zero", "projection", "unitary")
 
-    def __init__(self, zero, projection, unitary, tol_unitary=None):
-        tol_unitary = DEFAULT.tol_unitary if tol_unitary is None else tol_unitary
+    def __init__(self, zero, projection, unitary, tol=DEFAULT):
         zero = complex(zero)
         if abs(zero) >= 1.0:
             raise ValueError(f"factor zero {zero} is not in the open disc")
         p = _as_matrix(projection)
         u = _as_matrix(unitary, p.shape)
-        if np.linalg.norm(p - p.conj().T, 2) > tol_unitary:
+        if np.linalg.norm(p - p.conj().T, 2) > tol.tol_unitary:
             raise ValueError("projection is not Hermitian")
-        if np.linalg.norm(p @ p - p, 2) > tol_unitary:
+        if np.linalg.norm(p @ p - p, 2) > tol.tol_unitary:
             raise ValueError("projection is not idempotent")
-        if unitarity_defect(u) > tol_unitary:
+        if unitarity_defect(u) > tol.tol_unitary:
             raise ValueError("factor unitary fails the unitarity test")
         object.__setattr__(self, "zero", zero)
         object.__setattr__(self, "projection", p)
@@ -125,14 +124,13 @@ class MatrixInnerFunction:
         return f"MatrixInnerFunction(kind={self.kind!r}, d={self.d})"
 
 
-def from_colligation(A, B, C, D, tol_unitary=None, pure_tol=1e-9, boundary_n=512):
+def from_colligation(A, B, C, D, tol=DEFAULT, boundary_n=512):
     """Build the transfer function of a unitary colligation.
 
-    Checks that [[A, B], [C, D]] is unitary, that the state matrix has spectral
-    radius strictly below 1, and records the boundary unitarity defect on a
-    uniform grid of ``boundary_n`` circle points.
+    Checks that [[A, B], [C, D]] is unitary within ``tol.tol_unitary``, that
+    the state matrix has spectral radius strictly below 1, and records the
+    boundary unitarity defect on a uniform grid of ``boundary_n`` circle points.
     """
-    tol_unitary = DEFAULT.tol_unitary if tol_unitary is None else tol_unitary
     A = _as_matrix(A)
     n = A.shape[0]
     if A.shape != (n, n):
@@ -145,12 +143,12 @@ def from_colligation(A, B, C, D, tol_unitary=None, pure_tol=1e-9, boundary_n=512
         raise ValueError("inconsistent colligation block sizes")
     block = np.block([[A, B], [C, D]])
     defect = unitarity_defect(block)
-    if defect > tol_unitary:
+    if defect > tol.tol_unitary:
         raise NotUnitaryColligation(
-            f"colligation unitarity defect {defect:.3e} exceeds {tol_unitary:.1e}"
+            f"colligation unitarity defect {defect:.3e} exceeds {tol.tol_unitary:.1e}"
         )
     radius = float(np.max(np.abs(np.linalg.eigvals(A)))) if n else 0.0
-    if radius >= 1.0 - pure_tol:
+    if radius >= 1.0 - 1e-9:
         raise NotPureRealization(
             f"state spectral radius {radius:.12f} is not strictly inside the disc"
         )
@@ -161,9 +159,8 @@ def from_colligation(A, B, C, D, tol_unitary=None, pure_tol=1e-9, boundary_n=512
     return MatrixInnerFunction(COLLIGATION, d, psi.data, bdef, radius)
 
 
-def from_bp_factors(factors, leading=None, tol_unitary=None, boundary_n=512):
+def from_bp_factors(factors, leading=None, tol=DEFAULT, boundary_n=512):
     """Build a Blaschke-Potapov product; ``leading`` is an optional constant unitary."""
-    tol_unitary = DEFAULT.tol_unitary if tol_unitary is None else tol_unitary
     factors = list(factors)
     if not factors and leading is None:
         raise ValueError("empty product; pass a constant via from_colligation")
@@ -171,7 +168,7 @@ def from_bp_factors(factors, leading=None, tol_unitary=None, boundary_n=512):
     if leading is None:
         leading = np.eye(d)
     leading = _as_matrix(leading, (d, d))
-    if unitarity_defect(leading) > tol_unitary:
+    if unitarity_defect(leading) > tol.tol_unitary:
         raise ValueError("leading matrix fails the unitarity test")
     for f in factors:
         if f.projection.shape[0] != d:
@@ -184,19 +181,19 @@ def from_bp_factors(factors, leading=None, tol_unitary=None, boundary_n=512):
     return MatrixInnerFunction(BP_PRODUCT, d, psi.data, bdef, radius)
 
 
-def from_scalar_blaschke_identity(b, d, boundary_n=512):
+def from_scalar_blaschke_identity(b, d, tol=DEFAULT, boundary_n=512):
     """Psi(z) = b(z) I_d for a scalar finite Blaschke product b."""
     eye = np.eye(d)
     factors = []
     for a, m in b.zeros:
         for _ in range(m):
-            factors.append(BPFactor(a, eye, eye))
-    return from_bp_factors(factors, leading=b.constant * eye, boundary_n=boundary_n)
+            factors.append(BPFactor(a, eye, eye, tol=tol))
+    return from_bp_factors(factors, leading=b.constant * eye, tol=tol,
+                           boundary_n=boundary_n)
 
 
-def from_polynomial(coeff_matrices, tol_unitary=None, boundary_n=512, check_inner=True):
+def from_polynomial(coeff_matrices, tol=DEFAULT, boundary_n=512):
     """Psi(z) = sum_k coeffs[k] z^k; inner-ness is certified on a boundary grid."""
-    tol_unitary = DEFAULT.tol_unitary if tol_unitary is None else tol_unitary
     coeffs = np.asarray(coeff_matrices, dtype=complex)
     if coeffs.ndim == 2:
         coeffs = coeffs[None, :, :]
@@ -211,9 +208,9 @@ def from_polynomial(coeff_matrices, tol_unitary=None, boundary_n=512, check_inne
     d = coeffs.shape[1]
     psi = MatrixInnerFunction(POLYNOMIAL, d, {"coeffs": coeffs}, 0.0, 0.0)
     bdef = boundary_unitarity_defect(psi, boundary_n)
-    if check_inner and bdef > tol_unitary:
+    if bdef > tol.tol_unitary:
         raise NotUnitaryColligation(
-            f"polynomial symbol boundary defect {bdef:.3e} exceeds {tol_unitary:.1e}"
+            f"polynomial symbol boundary defect {bdef:.3e} exceeds {tol.tol_unitary:.1e}"
         )
     return MatrixInnerFunction(POLYNOMIAL, d, psi.data, bdef, 0.0)
 
@@ -337,21 +334,21 @@ def taylor_at(psi, lam, n):
     return out
 
 
-def taylor_until(psi, tol=1e-14, nmax=4096):
-    """Taylor coefficients at 0 until three consecutive ones fall below tol."""
+def taylor_until(psi, cut):
+    """Taylor coefficients at 0 until three consecutive ones fall below cut."""
     if psi.kind == POLYNOMIAL:
         return taylor_at(psi, 0.0, psi.data["coeffs"].shape[0])
     n = 8
-    while n <= nmax:
+    while n <= 4096:
         coeffs = taylor_at(psi, 0.0, n)
         norms = np.linalg.norm(coeffs, 2, axis=(1, 2))
-        small = norms <= tol
+        small = norms <= cut
         if n >= 4 and small[-3:].all():
             last = int(np.max(np.nonzero(~small)[0])) if (~small).any() else 0
             return coeffs[: last + 1]
         n *= 2
     raise TruncationNotConverged(
-        f"Taylor series of the symbol did not reach {tol:.1e} within {nmax} terms"
+        f"Taylor series of the symbol did not reach {cut:.1e} within 4096 terms"
     )
 
 
@@ -363,21 +360,24 @@ def boundary_unitarity_defect(psi, n=2048):
 
 def circle_grid(n):
     """Uniform grid of n points on the unit circle, starting at 1."""
+    if n < 1:
+        raise ValueError(f"a circle grid needs at least one point, got {n}")
     return np.exp(1j * (np.arange(n) * (2.0 * np.pi / n)))
 
 
-def interior_disc_grid(n, radius=0.995):
-    """Deterministic quasi-uniform points of the open disc (sunflower layout)."""
+def interior_disc_grid(n):
+    """Deterministic quasi-uniform points of the disc of radius 0.995
+    (sunflower layout)."""
     k = np.arange(n)
-    r = radius * np.sqrt((k + 0.5) / n)
+    r = 0.995 * np.sqrt((k + 0.5) / n)
     golden = np.pi * (3.0 - np.sqrt(5.0))
     return r * np.exp(1j * golden * k)
 
 
-def interior_pureness(psi, n=512, radius=0.995):
+def interior_pureness(psi, n=512):
     """Largest spectral radius of Psi over a deterministic interior grid,
     with the first grid point that attains it."""
-    grid = interior_disc_grid(n, radius)
+    grid = interior_disc_grid(n)
     rho = np.abs(fibers_grid(psi, grid)).max(axis=1)
     k = int(np.argmax(rho))
     return float(rho[k]), complex(grid[k])
@@ -452,16 +452,17 @@ def _pencil_values(psi):
     return degz, zn, wn, values
 
 
-def variety_polynomial(psi, tol_fit=None, check_fibers=200):
+def variety_polynomial(psi, tol=DEFAULT, check_fibers=200):
     """Bivariate defining polynomial of the variety of Psi, unit-normalized.
 
     The polynomial is obtained by evaluation-interpolation of the cleared
-    pencil determinant; the cleared factor has no zeros on the closed disc.
-    Agreement of the zero sets is asserted on sampled fibers.
+    pencil determinant within ``tol.tol_fit``; the cleared factor has no zeros
+    on the closed disc.  Agreement of the zero sets is asserted on sampled
+    fibers.
     """
     degz, zn, wn, values = _pencil_values(psi)
     degw = psi.d
-    p, residual = fit_tensor_nodes(zn, wn, values, tol_fit=tol_fit)
+    p, residual = fit_tensor_nodes(zn, wn, values, tol=tol)
     p = normalize_unit(p)
     worst = 0.0
     if check_fibers:

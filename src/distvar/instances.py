@@ -47,8 +47,6 @@ class InstanceSpec:
     seed: int = 0
     boundary_n: int = 512
     disc_grid: tuple = (16, 64)
-    n_test_polys: int = 5
-    max_bidegree: tuple = (3, 3)
     tolerances: dict = field(default_factory=dict)
     label: str = ""
 
@@ -66,7 +64,7 @@ def build_theta(spec):
     return BlaschkeProduct(list(spec.theta_zeros))
 
 
-def build_psi(spec):
+def build_psi(spec, tol=DEFAULT):
     """Materialize the symbol descriptor deterministically.
 
     A descriptor value of the wrong type or length raises ValueError.
@@ -79,7 +77,7 @@ def build_psi(spec):
                      for z in ps["zeros"]]
             b = BlaschkeProduct(zeros, ps.get("constant", 1.0))
             d = int(ps["d"])
-        return from_scalar_blaschke_identity(b, d)
+        return from_scalar_blaschke_identity(b, d, tol=tol)
     if kind == "companion":
         # cyclic pattern with a z in the corner: det(psi - w) ~ w^d - (phase) z
         with malformed("symbol descriptor"):
@@ -89,17 +87,17 @@ def build_psi(spec):
             for i in range(1, d):
                 deg1[0, i, i - 1] = phases[i]
             deg1[1, 0, d - 1] = phases[0]
-        return from_polynomial(deg1)
+        return from_polynomial(deg1, tol=tol)
     if kind == "colligation":
         with malformed("symbol descriptor"):
             blocks = [np.asarray(ps[k], dtype=complex) for k in ("A", "B", "C", "D")]
-        return from_colligation(*blocks)
+        return from_colligation(*blocks, tol=tol)
     raise ValueError(f"unknown symbol descriptor kind {kind!r}")
 
 
-def _draw_separated_points(rng, count, rmax=0.7, sep=0.2, attempts=200):
+def _draw_separated_points(rng, count, rmax=0.7, sep=0.2):
     pts = []
-    for _ in range(attempts):
+    for _ in range(200):
         if len(pts) == count:
             break
         c = rmax * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
@@ -135,9 +133,10 @@ def _haar_colligation_spec(rng, n_state, d):
     raise DistvarError("failed to draw a pure colligation")
 
 
-def _fiber_gap(psi, theta, floor):
+def _fiber_gap(psi, theta):
     """Smallest gap among all fiber eigenvalues over the zeros of theta,
-    within and across fibers; exact coincidences (multiplicity) do not count."""
+    within and across fibers, or inf; exact coincidences (multiplicity) do
+    not count."""
     vals = fibers_grid(psi, [a for a, _ in theta.zeros]).ravel()
     gap = np.inf
     for i in range(len(vals)):
@@ -145,17 +144,16 @@ def _fiber_gap(psi, theta, floor):
             dist = abs(vals[i] - vals[j])
             if dist > 1e-12:
                 gap = min(gap, dist)
-    return gap if np.isfinite(gap) else floor + 1.0
+    return gap
 
 
 def random_recipe(seed, max_theta_deg=4, max_d=3, repeated=False,
-                  kinds=("scalar_blaschke_times_identity", "companion", "colligation"),
-                  fiber_floor=5e-3):
+                  kinds=("scalar_blaschke_times_identity", "companion", "colligation")):
     """Seeded well-separated instance recipe.
 
     Zeros of theta respect a pairwise separation of 0.2 and stay inside
     radius 0.7; draws whose symbol fibers over the zeros would bring distinct
-    eigenvalues closer than ``fiber_floor`` are resampled in-stream.
+    eigenvalues closer than 5e-3 are resampled in-stream.
     """
     rng = np.random.default_rng(seed)
     for _ in range(60):
@@ -195,7 +193,7 @@ def random_recipe(seed, max_theta_deg=4, max_d=3, repeated=False,
             psi = build_psi(recipe)
         except DistvarError:
             continue
-        if _fiber_gap(psi, theta, fiber_floor) >= fiber_floor:
+        if _fiber_gap(psi, theta) >= 5e-3:
             return recipe
     raise DistvarError(f"could not draw a well-separated recipe for seed {seed}")
 
@@ -212,7 +210,7 @@ def make_instance(spec, tol=DEFAULT):
     """Theta, symbol and compressed pair of a recipe, under its tolerances."""
     tol = tol.override(**spec.tolerances)
     theta = build_theta(spec)
-    psi = build_psi(spec)
+    psi = build_psi(spec, tol)
     pair = compress_pair(psi, theta, tol=tol)
     return Instance(spec=spec, theta=theta, psi=psi, pair=pair)
 
@@ -227,7 +225,7 @@ def random_test_polys(rng, count, max_bidegree=(3, 3)):
     return out
 
 
-def run_certification(instance, tol=DEFAULT, vn_polys=None, artifacts=None):
+def run_certification(instance, tol=DEFAULT, artifacts=None):
     """Full pipeline on one instance; returns a consolidated report.
 
     Stages: pair validation, symbol certification, variety polynomial,
@@ -265,7 +263,7 @@ def run_certification(instance, tol=DEFAULT, vn_polys=None, artifacts=None):
         data={"boundary_defect": psi.boundary_defect, "d": psi.d},
     ))
 
-    variety = variety_polynomial(psi)
+    variety = variety_polynomial(psi, tol=tol)
     if artifacts is not None:
         artifacts["variety"] = variety
     report.add(distinguished_certificate(
@@ -311,9 +309,7 @@ def run_certification(instance, tol=DEFAULT, vn_polys=None, artifacts=None):
     report.add(check_support(zset, bundle, variety, tol=tol))
     report.extend(synthesis_report(omega, bundle, basis, tol=tol))
 
-    if vn_polys is None:
-        rng = np.random.default_rng(spec.seed + 10 ** 6)
-        vn_polys = random_test_polys(rng, spec.n_test_polys, spec.max_bidegree)
+    vn_polys = random_test_polys(np.random.default_rng(spec.seed + 10 ** 6), 5)
     report.extend(vn_report(
         pair, variety, vn_polys,
         boundary_n=spec.boundary_n, disc_grid=spec.disc_grid, tol=tol,

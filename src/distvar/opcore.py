@@ -224,12 +224,12 @@ class AnalyticHandle:
         return AnalyticHandle(cf, float(max(p.scale, 1e-300)), "polynomial")
 
 
-def _power_envelope(t, rate, cap=2000):
+def _power_envelope(t, rate):
     """sup_k ||T^k|| / rate^k, computed until the tail is provably below it."""
     n = t.shape[0]
     best = 1.0
     x = np.eye(n, dtype=complex)
-    for k in range(1, cap + 1):
+    for k in range(1, 2001):
         x = x @ t
         r = opnorm(x) / rate ** k
         best = max(best, r)
@@ -238,13 +238,12 @@ def _power_envelope(t, rate, cap=2000):
     raise TruncationNotConverged("power envelope did not settle")
 
 
-def analytic_apply(f, pair, tol_calc=None, return_info=False):
+def analytic_apply(f, pair, tol=DEFAULT):
     """Apply an analytic function to a pure pair through its Taylor series.
 
     The truncation box is chosen so that the geometric tail bound derived
-    from the purity margins is below ``tol_calc``.
+    from the purity margins is below ``tol.tol_calc``.
     """
-    tol_calc = DEFAULT.tol_calc if tol_calc is None else tol_calc
     if isinstance(f, Poly2):
         f = AnalyticHandle.from_poly2(f)
     if min(pair.purity_margins) <= 0.0:
@@ -258,9 +257,9 @@ def analytic_apply(f, pair, tol_calc=None, return_info=False):
     head = f.coeff_bound * m1 * m2 / ((1.0 - r1) * (1.0 - r2))
 
     def box_edge(r, label):
-        if head <= tol_calc / 2:
+        if head <= tol.tol_calc / 2:
             return 0
-        need = np.log(tol_calc / (2.0 * head)) / np.log(r)
+        need = np.log(tol.tol_calc / (2.0 * head)) / np.log(r)
         n = int(np.ceil(need))
         if n > 10000:
             raise TruncationNotConverged(
@@ -270,7 +269,6 @@ def analytic_apply(f, pair, tol_calc=None, return_info=False):
 
     nz = box_edge(r1, "z")
     nw = box_edge(r2, "w")
-    tail_bound = head * (r1 ** (nz + 1) + r2 ** (nw + 1))
 
     n = pair.n
     pow1 = [np.eye(n, dtype=complex)]
@@ -288,8 +286,6 @@ def analytic_apply(f, pair, tol_calc=None, return_info=False):
                 acc += c * pow2[j]
         if np.any(acc):
             out += pow1[i] @ acc
-    if return_info:
-        return out, {"nz": nz, "nw": nw, "tail_bound": float(tail_bound)}
     return out
 
 
@@ -360,9 +356,8 @@ def joint_spectrum_taylor(pair, seed=0, attempts=5, tol=DEFAULT):
     )
 
 
-def _eigen_clusters(t, merge=_EIG_MERGE):
-    vals = np.linalg.eigvals(t)
-    return _cluster_means(vals, merge)
+def _eigen_clusters(t):
+    return _cluster_means(np.linalg.eigvals(t), _EIG_MERGE)
 
 
 def joint_point_spectrum(pair, tol=DEFAULT):

@@ -55,9 +55,6 @@ class Poly1:
     def __call__(self, z):
         return npoly.polyval(z, self.coeffs)
 
-    def deriv(self, order=1):
-        return Poly1(npoly.polyder(self.coeffs, m=order))
-
     def __add__(self, other):
         other = other if isinstance(other, Poly1) else Poly1([other])
         return Poly1(npoly.polyadd(self.coeffs, other.coeffs))
@@ -77,22 +74,21 @@ class Poly1:
         return f"Poly1({list(self.coeffs)})"
 
     @staticmethod
-    def from_roots(rts, leading=1.0):
+    def from_roots(rts):
         c = npoly.polyfromroots(rts) if len(rts) else np.ones(1, dtype=complex)
-        return Poly1(np.asarray(c, dtype=complex) * complex(leading))
+        return Poly1(c)
 
     @staticmethod
     def identity():
         return Poly1([0.0, 1.0])
 
 
-def roots(p, tol_root=None):
+def roots(p, tol=DEFAULT):
     """Roots of ``p`` via companion-matrix eigenvalues.
 
     The returned multiset has exactly ``p.degree`` elements and each root
-    ``r`` satisfies ``|p(r)| <= tol_root * scale``.
+    ``r`` satisfies ``|p(r)| <= tol.tol_root * scale``.
     """
-    tol_root = DEFAULT.tol_root if tol_root is None else tol_root
     if not isinstance(p, Poly1):
         p = Poly1(p)
     if p.is_zero():
@@ -101,11 +97,11 @@ def roots(p, tol_root=None):
         return []
     rts = npoly.polyroots(p.coeffs)
     scale = p.scale * max(1.0, float(np.max(np.abs(rts))) ** p.degree)
-    bad = [r for r in rts if abs(p(r)) > tol_root * scale]
+    bad = [r for r in rts if abs(p(r)) > tol.tol_root * scale]
     if bad:
         raise ZeroPolynomial(
             f"root residual {max(abs(p(r)) for r in bad):.3e} exceeds "
-            f"{tol_root:.1e} * {scale:.3e}"
+            f"{tol.tol_root:.1e} * {scale:.3e}"
         )
     return [complex(r) for r in rts]
 
@@ -199,12 +195,6 @@ class Poly2:
     def from_poly1_in_w(p):
         return Poly2(np.asarray(p.coeffs, dtype=complex).reshape(1, -1))
 
-    @staticmethod
-    def monomial(i, j, c=1.0):
-        out = np.zeros((i + 1, j + 1), dtype=complex)
-        out[i, j] = c
-        return Poly2(out)
-
 
 def eval2(p, z, w):
     """Bivariate Horner evaluation of ``p`` at ``(z, w)``."""
@@ -242,20 +232,21 @@ def unit_distance(p, q, rel=1e-8):
     return float(np.max(np.abs(pa - pb)))
 
 
-def interpolation_nodes(degz, degw, rz=0.9, rw=1.1):
-    """Tensor nodes for determinant interpolation: scaled roots of unity."""
-    z = rz * np.exp(2j * np.pi * np.arange(degz + 1) / (degz + 1))
-    w = rw * np.exp(2j * np.pi * np.arange(degw + 1) / (degw + 1))
+def interpolation_nodes(degz, degw):
+    """Tensor nodes for determinant interpolation: roots of unity scaled to
+    radius 0.9 in z and 1.1 in w."""
+    z = 0.9 * np.exp(2j * np.pi * np.arange(degz + 1) / (degz + 1))
+    w = 1.1 * np.exp(2j * np.pi * np.arange(degw + 1) / (degw + 1))
     return z, w
 
 
-def fit_tensor_nodes(z_nodes, w_nodes, values, tol_fit=None):
+def fit_tensor_nodes(z_nodes, w_nodes, values, tol=DEFAULT):
     """Fit a Poly2 to samples ``values[i, j]`` at ``(z_nodes[i], w_nodes[j])``.
 
     Both Vandermonde systems are solved by QR least squares.  Returns the
-    polynomial together with the maximal relative residual on the grid.
+    polynomial together with the maximal relative residual on the grid, which
+    must not exceed ``tol.tol_fit``.
     """
-    tol_fit = DEFAULT.tol_fit if tol_fit is None else tol_fit
     z_nodes = np.asarray(z_nodes, dtype=complex).ravel()
     w_nodes = np.asarray(w_nodes, dtype=complex).ravel()
     values = np.asarray(values, dtype=complex)
@@ -277,14 +268,14 @@ def fit_tensor_nodes(z_nodes, w_nodes, values, tol_fit=None):
     fitted = vz @ coeffs @ vw.T
     scale = max(np.max(np.abs(values)), 1e-300)
     residual = float(np.max(np.abs(fitted - values)) / scale)
-    if residual > tol_fit:
+    if residual > tol.tol_fit:
         raise SingularInterpolation(
-            f"interpolation residual {residual:.3e} exceeds {tol_fit:.1e}"
+            f"interpolation residual {residual:.3e} exceeds {tol.tol_fit:.1e}"
         )
     return Poly2(coeffs), residual
 
 
-def fit_tensor_grid(samples, degz, degw, tol_fit=None):
+def fit_tensor_grid(samples, degz, degw, tol=DEFAULT):
     """Fit a Poly2 of bidegree (degz, degw) through a tensor grid of samples.
 
     ``samples`` maps (z, w) points to complex values; the keys must form a
@@ -304,7 +295,7 @@ def fit_tensor_grid(samples, degz, degw, tol_fit=None):
             if (z, w) not in samples:
                 raise SingularInterpolation("sample grid is not a tensor product")
             values[i, j] = samples[(z, w)]
-    p, _ = fit_tensor_nodes(zs, ws, values, tol_fit=tol_fit)
+    p, _ = fit_tensor_nodes(zs, ws, values, tol=tol)
     return p
 
 
@@ -351,21 +342,21 @@ class BlaschkeProduct:
                 p = p * Poly1([a, -1.0])
         return p
 
-    def derivative_at(self, z, order):
-        """Jet (value, f', f'', ...) of the product at an interior point."""
-        return _jet_derivs(_blaschke_taylor_jet(self, complex(z), order + 1))
+    def taylor(self, z0, n):
+        """First n Taylor coefficients of the product around an interior point."""
+        return _blaschke_taylor_jet(self, complex(z0), n)
 
     def __repr__(self):
         return f"BlaschkeProduct(zeros={list(self.zeros)}, constant={self.constant})"
 
 
-def blaschke_eval(b, z, tol=1e-12):
+def blaschke_eval(b, z):
     """Evaluate a Blaschke product; raises PoleHit at 1/conj(a) collisions."""
     z = complex(z)
     out = b.constant
     for a, m in b.zeros:
         den = 1.0 - np.conj(a) * z
-        if abs(den) < tol:
+        if abs(den) < 1e-12:
             raise PoleHit(f"pole of factor with zero {a} at z = {z}")
         out *= ((a - z) / den) ** m
     return complex(out)
@@ -392,16 +383,6 @@ def _blaschke_taylor_jet(b, z0, n):
         for _ in range(m):
             jet = np.convolve(jet, f)[:n]
     return jet
-
-
-def _jet_derivs(taylor):
-    fact = 1.0
-    out = []
-    for k, c in enumerate(taylor):
-        if k > 0:
-            fact *= k
-        out.append(complex(c * fact))
-    return out
 
 
 def has_simple_roots(b, sep):

@@ -18,7 +18,9 @@ from .inner import (
     from_polynomial,
     from_scalar_blaschke_identity,
 )
+from .opcore import validate_pair
 from .poly import BlaschkeProduct, Poly2
+from .tolerances import DEFAULT
 
 
 def complex_to_json(c):
@@ -96,8 +98,8 @@ def psi_to_json(psi):
     }
 
 
-def psi_from_json(obj, boundary_n=512):
-    """Symbol from its JSON form.
+def psi_from_json(obj, tol=DEFAULT, boundary_n=512):
+    """Symbol from its JSON form, checked against ``tol``.
 
     A value of the wrong type or length raises ValueError.
     """
@@ -106,7 +108,7 @@ def psi_from_json(obj, boundary_n=512):
     if kind == "colligation":
         with malformed("symbol"):
             blocks = [matrix_from_json(obj[k]) for k in ("A", "B", "C", "D")]
-        return from_colligation(*blocks, boundary_n=boundary_n)
+        return from_colligation(*blocks, tol=tol, boundary_n=boundary_n)
     if kind == "bp_product":
         with malformed("symbol"):
             factors = [
@@ -114,19 +116,20 @@ def psi_from_json(obj, boundary_n=512):
                     complex_from_json(f["zero"]),
                     matrix_from_json(f["projection"]),
                     matrix_from_json(f["unitary"]),
+                    tol=tol,
                 )
                 for f in obj["factors"]
             ]
             leading = matrix_from_json(obj["leading"]) if "leading" in obj else None
-        return from_bp_factors(factors, leading=leading, boundary_n=boundary_n)
+        return from_bp_factors(factors, leading=leading, tol=tol, boundary_n=boundary_n)
     if kind == "scalar_blaschke_times_identity":
         with malformed("symbol"):
             b, d = blaschke_from_json(obj), int(obj["d"])
-        return from_scalar_blaschke_identity(b, d, boundary_n=boundary_n)
+        return from_scalar_blaschke_identity(b, d, tol=tol, boundary_n=boundary_n)
     if kind == "polynomial":
         with malformed("symbol"):
             coeffs = np.array([matrix_from_json(c) for c in obj["coeffs"]])
-        return from_polynomial(coeffs, boundary_n=boundary_n)
+        return from_polynomial(coeffs, tol=tol, boundary_n=boundary_n)
     raise ValueError(f"unknown symbol kind {kind!r}")
 
 
@@ -138,16 +141,11 @@ def pair_to_json(pair, require_pure=True):
     }
 
 
-def pair_from_json(obj, tol=None):
-    from .opcore import validate_pair
-    from .tolerances import DEFAULT
-
+def pair_from_json(obj, tol=DEFAULT):
     with malformed("pair"):
         t1, t2 = matrix_from_json(obj["t1"]), matrix_from_json(obj["t2"])
         require_pure = bool(obj.get("require_pure", False))
-    return validate_pair(
-        t1, t2, require_pure=require_pure, strict=True, tol=tol or DEFAULT
-    )
+    return validate_pair(t1, t2, require_pure=require_pure, strict=True, tol=tol)
 
 
 def variety_to_json(variety):
@@ -201,19 +199,20 @@ def write_samples_csv(path, samples, q=None):
         fh.write("\n")
 
 
-def _svg_panel(points, x0, title, width=420, height=420, pad=40):
+def _svg_panel(points, x0, title):
+    size, pad = 420, 40
     out = []
     out.append(
-        f'<rect x="{x0 + pad}" y="{pad}" width="{width - 2 * pad}" '
-        f'height="{height - 2 * pad}" fill="none" stroke="black"/>'
+        f'<rect x="{x0 + pad}" y="{pad}" width="{size - 2 * pad}" '
+        f'height="{size - 2 * pad}" fill="none" stroke="black"/>'
     )
     out.append(
-        f'<text x="{x0 + width / 2:.1f}" y="{pad - 12}" text-anchor="middle" '
+        f'<text x="{x0 + size / 2:.1f}" y="{pad - 12}" text-anchor="middle" '
         f'font-size="14">{title}</text>'
     )
     for x, y in points:
-        px = x0 + pad + (x + 1.0) / 2.0 * (width - 2 * pad)
-        py = pad + (1.0 - (y + 1.0) / 2.0) * (height - 2 * pad)
+        px = x0 + pad + (x + 1.0) / 2.0 * (size - 2 * pad)
+        py = pad + (1.0 - (y + 1.0) / 2.0) * (size - 2 * pad)
         out.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="1.5" fill="steelblue"/>')
     return out
 

@@ -1,7 +1,10 @@
 """Central tolerance table.
 
-Every decision threshold used by the library lives here so that reports can
-record the exact semantics under which they were produced.
+Every threshold a caller can override lives here and reaches its checks
+only as this table, passed as ``tol``, so that a report records the exact
+table it was produced under.  Other thresholds (node spacings, SVD floors,
+the eigenvalue merge radius and others) are still fixed literals in the
+modules that use them: no override moves them.
 """
 
 from dataclasses import dataclass, asdict, replace

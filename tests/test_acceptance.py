@@ -212,7 +212,6 @@ def test_criterion_7_dilation_contracts(sweep200):
         ann_ok &= _spans_equal(
             _span_matrix(basis.box_generators, d1, d2),
             _span_matrix(sbasis.box_generators, d1, d2),
-            tol=1e-7,
         )
     # mixed-defect sweep: embedding and annihilator contracts still bind
     for row in sweep200:

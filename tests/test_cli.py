@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import distvar as dv
 from distvar.cli import main
@@ -255,6 +260,28 @@ def test_invalid_tolerance_override_exits_2(tmp_path, capsys, command, override)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--boundary-samples", "10", "demo"],
+    ["--disc-samples", "0x0", "demo"],
+    ["--boundary-samples", "10", "variety", "psi.json"],
+    ["--tol", "tol_unitary=1e-300", "demo"],
+    ["--tol", "tol_fit=1e-30", "certify", "--batch", "2"],
+    # the symbol [z] of this pair has a boundary unitarity defect of about 1e-16
+    ["--tol", "tol_unitary=1e-300", "certify", "--pair", "pair.json", "--psi", "shift.json"],
+])
+def test_rejected_input_exits_2_on_every_command(tmp_path, capsys, companion_psi_2,
+                                                 j2_pair, scalar_shift_psi, argv):
+    dump_json(pair_to_json(j2_pair), tmp_path / "pair.json")
+    dump_json(psi_to_json(scalar_shift_psi), tmp_path / "shift.json")
+    files = {"psi.json": _psi_file(tmp_path, companion_psi_2),
+             "pair.json": str(tmp_path / "pair.json"),
+             "shift.json": str(tmp_path / "shift.json")}
+    argv = [files.get(a, a) for a in argv]
+    code = main(["--out", str(tmp_path / "o")] + argv)
+    assert code == 2
+    assert "error" in json.loads(capsys.readouterr().out)
+
+
 def test_cmd_certify_batch(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["--out", str(out), "--boundary-samples", "128",
@@ -364,3 +391,119 @@ def test_report_json_schema(tmp_path):
     for e in rep["entries"]:
         assert set(e) >= {"name", "anchor", "status", "margin"}
         assert e["status"] in ("pass", "fail", "inconclusive")
+
+
+# ---------------------------------------------------------------------------
+# property: invalid input exits 2 with a JSON error, never with a traceback
+
+_J2 = [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+_PAIR = {"t1": _J2, "t2": _J2, "require_pure": True}
+_SYMBOL = {"kind": "scalar_blaschke_times_identity", "zeros": [{"point": [0.5, 0.0]}], "d": 1}
+_RECIPE = {"theta_zeros": [{"point": [0.0, 0.0], "multiplicity": 2}],
+           "psi": {"kind": "companion", "d": 2}}
+_FILES = {"pair.json": _PAIR, "psi.json": _SYMBOL, "recipe.json": _RECIPE}
+_TOLERANCES = sorted(dv.DEFAULT.as_dict())
+
+# JSON values with too few leaves to spell a 2 x 2 matrix or a valid field
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2.0, 2.0)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+_not_mapping = _json.filter(lambda v: not isinstance(v, dict))
+_off_circle = st.floats(0.0, 0.9) | st.floats(1.1, 10.0)
+_outside_disc = st.floats(1.0, 10.0)
+_nonpositive = st.integers(-3, 0)
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+def _scaled_identity(s):
+    return [[[s, 0.0], [0.0, 0.0]], [[0.0, 0.0], [s, 0.0]]]
+
+
+_bad_pair = st.one_of(
+    _not_mapping,
+    st.sampled_from(["t1", "t2"]).map(lambda k: _without(_PAIR, k)),
+    st.builds(lambda k, v: {**_PAIR, k: v}, st.sampled_from(["t1", "t2"]), _json),
+    st.floats(1.1, 10.0).map(lambda s: {"t1": _scaled_identity(s), "t2": _J2}),
+    st.just({"t1": _J2, "t2": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}),
+    st.just({**_PAIR, "t1": _scaled_identity(1.0), "t2": _scaled_identity(1.0)}),
+)
+_bad_symbol = st.one_of(
+    _not_mapping,
+    st.text(max_size=5).map(lambda kind: {"kind": kind}),
+    st.sampled_from(["kind", "zeros", "d"]).map(lambda k: _without(_SYMBOL, k)),
+    _outside_disc.map(lambda r: {**_SYMBOL, "zeros": [{"point": [r, 0.0]}]}),
+    _nonpositive.map(lambda m: {**_SYMBOL, "zeros": [{"point": [0.5, 0.0], "multiplicity": m}]}),
+    _nonpositive.map(lambda d: {**_SYMBOL, "d": d}),
+    _off_circle.map(lambda c: {"kind": "polynomial", "coeffs": [[[[c, 0.0]]]]}),
+    _off_circle.map(lambda s: {"kind": "colligation", "A": [[[0.0, 0.0]]], "B": [[[s, 0.0]]],
+                               "C": [[[s, 0.0]]], "D": [[[0.0, 0.0]]]}),
+)
+_bad_recipe = st.one_of(
+    _not_mapping,
+    st.sampled_from(["theta_zeros", "psi"]).map(lambda k: _without(_RECIPE, k)),
+    st.builds(lambda k, v: {**_RECIPE, k: v}, st.sampled_from(["theta_zeros", "psi"]), _json),
+    _outside_disc.map(lambda r: {**_RECIPE, "theta_zeros": [{"point": [r, 0.0]}]}),
+    _nonpositive.map(lambda m: {**_RECIPE, "theta_zeros": [{"point": [0.0, 0.0],
+                                                            "multiplicity": m}]}),
+    _nonpositive.map(lambda d: {**_RECIPE, "psi": {"kind": "companion", "d": d}}),
+)
+_bad_tol = st.one_of(
+    st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12)
+    .filter(lambda k: k not in _TOLERANCES).map(lambda k: f"{k}=1"),
+    st.sampled_from(_TOLERANCES),
+    st.builds("{}={}".format, st.sampled_from(_TOLERANCES),
+              st.sampled_from(["", "abc", "nan", "inf", "1e400", "1j"])
+              | st.floats(max_value=-1e-300).map(repr)),
+    st.just("rank_guard=0"),
+)
+_bad_boundary = st.integers(-10 ** 4, 63).map(lambda n: [f"--boundary-samples={n}"])
+_bad_disc = (st.tuples(st.integers(-50, 50), st.integers(-50, 50))
+             .filter(lambda g: min(g) < 1 or g[0] * g[1] < 64)
+             .map(lambda g: ["--boundary-samples=128", f"--disc-samples={g[0]}x{g[1]}"]))
+
+
+def _assert_exits_2(argv, files):
+    """Run the CLI on argv, with the file names of ``files`` written to a
+    scratch directory; it must print a JSON error and return 2."""
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, obj in files.items():
+            dump_json(obj, os.path.join(tmp, name))
+        argv = [os.path.join(tmp, a) if a in files else a for a in argv]
+        with contextlib.redirect_stdout(stdout):
+            code = main(["--out", os.path.join(tmp, "out")] + argv)
+    assert code == 2, stdout.getvalue()
+    assert "error" in json.loads(stdout.getvalue())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    _bad_pair.map(lambda obj: (["certify", "--pair", "in.json"], obj)),
+    _bad_symbol.map(lambda obj: (["variety", "in.json"], obj)),
+    _bad_symbol.map(lambda obj: (["certify", "--pair", "pair.json", "--psi", "in.json"], obj)),
+    _bad_recipe.map(lambda obj: (["certify", "--recipe", "in.json"], obj)),
+))
+def test_malformed_input_file_exits_2(case):
+    argv, obj = case
+    _assert_exits_2(["--boundary-samples=128", "--disc-samples=8x32"] + argv,
+                    {**_FILES, "in.json": obj})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.tuples(_bad_boundary, st.sampled_from(
+        [["demo"], ["certify", "--recipe", "recipe.json"], ["variety", "psi.json"]])),
+    st.tuples(_bad_disc, st.sampled_from([["demo"], ["certify", "--recipe", "recipe.json"]])),
+    st.tuples(_bad_tol.map(lambda t: ["--tol", t]), st.sampled_from(
+        [["demo"], ["certify", "--batch", "1"], ["variety", "psi.json"]])),
+))
+def test_invalid_option_value_exits_2(case):
+    flags, command = case
+    _assert_exits_2(flags + command, _FILES)

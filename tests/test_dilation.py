@@ -15,7 +15,7 @@ from conftest import J2, w2z_poly
 
 
 def test_embed_j2_is_exact_identity(j2_pair):
-    j, n_trunc, _ = dv.embed_J(j2_pair, 1e-10)
+    j, n_trunc, _ = dv.embed_J(j2_pair, dv.DEFAULT.override(tol_trunc=1e-10))
     assert n_trunc == 1
     assert np.allclose(np.abs(j), np.eye(2))
     assert np.linalg.norm(j.conj().T @ j - np.eye(2), 2) < 1e-15
@@ -23,17 +23,28 @@ def test_embed_j2_is_exact_identity(j2_pair):
 
 def test_embed_zero_matrix():
     pair = dv.validate_pair(np.zeros((3, 3)), np.zeros((3, 3)), require_pure=True)
-    j, n_trunc, _ = dv.embed_J(pair, 1e-10)
+    j, n_trunc, _ = dv.embed_J(pair, dv.DEFAULT.override(tol_trunc=1e-10))
     assert n_trunc == 0
     assert np.allclose(np.abs(j), np.eye(3))
 
 
 def test_embed_geometric_column():
     pair = dv.validate_pair([[0.5]], [[0.5]], require_pure=True)
-    j, n_trunc, _ = dv.embed_J(pair, 1e-10)
+    j, n_trunc, _ = dv.embed_J(pair, dv.DEFAULT.override(tol_trunc=1e-10))
     expected = (np.sqrt(3) / 2) * 0.5 ** np.arange(n_trunc + 1)
     assert np.allclose(np.abs(j[:, 0]), expected)
     assert abs(np.linalg.norm(j) - 1.0) < 1e-10
+
+
+def test_embed_defect_cut_follows_tol_rank():
+    # I - T1 T1* has eigenvalues 1e-4 and 1, so tol_rank = 1e-3 keeps one
+    t1 = np.array([[0.0, np.sqrt(1.0 - 1e-4)], [0.0, 0.0]])
+    tol = dv.DEFAULT.override(tol_rank=1e-3)
+    pair = dv.validate_pair(t1, np.zeros((2, 2)), require_pure=True, tol=tol)
+    assert pair.defect_ranks[0] == 1
+    j, _, w = dv.embed_J(pair, tol)
+    assert w.shape[1] == 1 and j.shape == (2, 2)
+    assert dv.embed_J(pair)[2].shape[1] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +267,7 @@ def test_ann_invariance_between_pair_and_constrained():
         d1, d2 = basis.box
         qa = _span_matrix(basis.box_generators, d1, d2)
         qb = _span_matrix(sbasis.box_generators, d1, d2)
-        assert _spans_equal(qa, qb, tol=1e-7)
+        assert _spans_equal(qa, qb)
         # every generator of the pair annihilates the constrained pair
         for g in basis.generators:
             res = np.linalg.norm(dv.poly_apply(g, (bundle.s1, bundle.s2)), 2)

@@ -46,7 +46,7 @@ def test_roots_from_roots_roundtrip(data):
         if all(abs(c - r) > 1e-3 for r in rts):
             rts.append(c)
     p = dv.Poly1.from_roots(rts)
-    got = dv.roots(p, tol_root=1e-6)
+    got = dv.roots(p, dv.DEFAULT.override(tol_root=1e-6))
     assert dv.matching_distance(rts, got) < 1e-5
 
 
@@ -162,11 +162,23 @@ def test_blaschke_jet_matches_finite_differences():
     b = dv.BlaschkeProduct([(0.3 - 0.1j, 2), (-0.4, 1)], constant=-1.0)
     z0 = 0.2 + 0.25j
     h = 1e-5
-    derivs = b.derivative_at(z0, 2)
+    taylor = b.taylor(z0, 3)
     fd1 = (b(z0 + h) - b(z0 - h)) / (2 * h)
     fd2 = (b(z0 + h) - 2 * b(z0) + b(z0 - h)) / h ** 2
-    assert abs(derivs[1] - fd1) < 1e-8
-    assert abs(derivs[2] - fd2) < 1e-5
+    assert abs(taylor[1] - fd1) < 1e-8
+    assert abs(2 * taylor[2] - fd2) < 1e-5
+
+
+def test_blaschke_taylor_past_factorial_range():
+    # b(z) = (0.85 - z)/(1 - 0.85 z) needs coefficients past 170!, the last
+    # factorial a double holds; they match the colligation A = D = [[0.85]],
+    # B = -C = [[sqrt(1 - 0.85^2)]], whose transfer function is b
+    b = dv.BlaschkeProduct([(0.85, 1)])
+    taylor = b.taylor(0.0, 201)
+    assert np.all(np.isfinite(taylor))
+    s = np.sqrt(1.0 - 0.85 ** 2)
+    psi = dv.from_colligation([[0.85]], [[s]], [[-s]], [[0.85]])
+    assert np.abs(taylor - dv.taylor_at(psi, 0.0, 201)[:, 0, 0]).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------

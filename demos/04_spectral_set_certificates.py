@@ -26,7 +26,7 @@ polys = [
     dv.Poly2([[0.0, 0.0], [0.0, 1.0]]),                # zw
     dv.Poly2(rng.normal(size=(3, 3))),
 ]
-entries = dv.vn_report(pair, variety, polys, boundary_n=512, disc_grid=(16, 64))
+entries = dv.vn_report(pair, variety, polys, boundary_n=512)
 print("norm vs sampled supremum on the closure of w^2 = z")
 print("-" * 72)
 for e in entries:

@@ -1,11 +1,14 @@
 """Spectral-set certificates: sup-norm sampling on varieties and checkers.
 
-Sampling can only under-estimate a supremum, so every inequality entry
-carries a slack term C_lip * h where C_lip is a sampled gradient bound of the
-test polynomial on the closed bidisc and h measures the resolution of the
-sample net on the variety; entries inside the slack band are inconclusive
-rather than failed.
+By the maximum principle on a distinguished variety, the sup of |q| over its
+closure is attained on the boundary fibers, the only ones sampled.  Sampling
+can only under-estimate a supremum, so every inequality entry carries a slack
+C_lip * h, with C_lip a sampled gradient bound of q on the closed bidisc and h
+the resolution of the boundary sample net; entries inside the slack band are
+inconclusive rather than failed.
 """
+
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -19,26 +22,29 @@ from .tolerances import DEFAULT
 
 
 class VarietySamples:
-    """Cached fiber samples of a variety over boundary and interior grids.
+    """Cached fiber samples of a variety over a uniform grid of the circle.
 
-    Grids are nested under the refinement boundary_n -> 2*boundary_n and
-    (nr, na) -> (2*nr + 1, 2*na), which makes sampled suprema monotone.
+    The grids for boundary_n and 2*boundary_n nest, so sampled suprema are
+    monotone under doubling.  ``interior`` holds a fixed polar cloud of
+    interior fibers for the CSV and SVG writers; no certificate reads it.
     """
 
-    def __init__(self, variety, boundary_n=512, disc_grid=(16, 64)):
-        if boundary_n < 64 or min(disc_grid) < 1 or disc_grid[0] * disc_grid[1] < 64:
-            raise ValueError("grid sizes must be positive and at least 64 in total")
+    def __init__(self, variety, boundary_n=512):
+        if boundary_n < 64:
+            raise ValueError("the boundary grid needs at least 64 points")
         self.variety = variety
-        self.boundary_n = int(boundary_n)
-        self.disc_grid = (int(disc_grid[0]), int(disc_grid[1]))
-        psi = variety.psi
-        self.boundary_z, self.boundary_w = _fiber_samples(psi, circle_grid(boundary_n))
-        nr, na = self.disc_grid
-        radii = np.arange(1, nr + 1) / (nr + 1)
-        self.interior_z, self.interior_w = _fiber_samples(
-            psi, (radii[:, None] * circle_grid(na)[None, :]).ravel()
+        self.boundary_z, self.boundary_w = _fiber_samples(
+            variety.psi, circle_grid(boundary_n)
         )
         self._mesh = None
+
+    @cached_property
+    def interior(self):
+        """(z, w) fiber samples over radii k/9 (k = 1..8) times 64 angles."""
+        radii = np.arange(1, 9) / 9
+        return _fiber_samples(
+            self.variety.psi, (radii[:, None] * circle_grid(64)[None, :]).ravel()
+        )
 
     def mesh(self):
         """Max distance between consecutive boundary samples in (z, w).
@@ -64,21 +70,12 @@ def _fiber_samples(psi, zs):
     return np.repeat(zs, ws.shape[1]), ws.ravel()
 
 
-def sup_on_variety(variety, q, boundary_n=512, disc_grid=(16, 64), samples=None):
-    """Sampled sup of |q| over the closure of the variety.
-
-    Monotone nondecreasing under the nested grid refinement; the maximum over
-    the closure is attained on boundary fibers, which are always included.
-    """
+def sup_on_variety(variety, q, boundary_n=512, samples=None):
+    """Sampled sup of |q| over the closure of the variety, read off its
+    boundary fibers, where the maximum principle puts it."""
     if samples is None:
-        samples = VarietySamples(variety, boundary_n, disc_grid)
-    vals_b = np.abs(q(samples.boundary_z, samples.boundary_w))
-    vals_i = (
-        np.abs(q(samples.interior_z, samples.interior_w))
-        if samples.interior_z.size
-        else np.zeros(1)
-    )
-    return float(max(vals_b.max(), vals_i.max()))
+        samples = VarietySamples(variety, boundary_n)
+    return float(np.abs(q(samples.boundary_z, samples.boundary_w)).max())
 
 
 def gradient_bound(q):
@@ -104,14 +101,13 @@ def _bound_verdict(nrm, sup, sl):
     return (INCONCLUSIVE if nrm <= sup + sl else FAIL), sup + sl - nrm
 
 
-def vn_report(pair, variety, polys, boundary_n=512, disc_grid=(16, 64),
-              rationals=None, tol=DEFAULT):
+def vn_report(pair, variety, polys, boundary_n=512, rationals=None, tol=DEFAULT):
     """Inequality certificates ||q(T1,T2)|| <= sup_variety |q| + slack.
 
     The defining polynomial gets an annihilation entry; rational symbols
-    q = p1/p2 are certified when |p2| stays above a margin on the samples.
+    q = p1/p2 are certified when p2 has no zero on the closure of the variety.
     """
-    samples = VarietySamples(variety, boundary_n, disc_grid)
+    samples = VarietySamples(variety, boundary_n)
     entries = []
 
     p = variety.p
@@ -137,14 +133,10 @@ def vn_report(pair, variety, polys, boundary_n=512, disc_grid=(16, 64),
             data={"norm": nrm, "sup": sup, "slack": sl},
         ))
 
+    bz, bw = samples.boundary_z, samples.boundary_w
     for idx, (p1, p2) in enumerate(rationals or []):
-        den_b = np.abs(p2(samples.boundary_z, samples.boundary_w))
-        den_i = (
-            np.abs(p2(samples.interior_z, samples.interior_w))
-            if samples.interior_z.size
-            else np.array([np.inf])
-        )
-        den_min = float(min(den_b.min(), den_i.min()))
+        den = p2(bz, bw)
+        den_min = float(np.abs(den).min())
         # a zero may hide between samples: demand clearance above the mesh slack
         den_margin = max(
             10 * tol.tol_zset * max(1.0, p2.scale),
@@ -153,24 +145,25 @@ def vn_report(pair, variety, polys, boundary_n=512, disc_grid=(16, 64),
         if den_min <= den_margin:
             raise DenominatorVanishes(
                 f"min |denominator| = {den_min:.3e} is below the sampling "
-                f"margin {den_margin:.3e} on the closure"
+                f"margin {den_margin:.3e} on the boundary fibers"
+            )
+        # F(z) = det p2(zI, Psi(z)), the product of p2 over the fiber of z, is
+        # analytic on the disc: its winding number counts the zeros of p2 on
+        # the variety over the open disc (argument principle)
+        f = den.reshape(-1, variety.degw).prod(axis=1)
+        steps = np.angle(np.roll(f, -1) / f)
+        winding = round(float(steps.sum()) / (2 * np.pi))
+        if winding or np.abs(steps).max() > np.pi / 2:
+            raise DenominatorVanishes(
+                f"the denominator's fiber product winds {winding} times, in arg "
+                f"steps up to {np.abs(steps).max():.3f} (pi/2 resolves the count)"
             )
         num_t = poly_apply(p1, pair)
         den_t = poly_apply(p2, pair)
         rat_t = num_t @ np.linalg.inv(den_t)
         nrm = opnorm(rat_t)
-        vals = [
-            float(max(
-                (np.abs(p1(zv, wv)) / np.abs(p2(zv, wv))).max(),
-                0.0,
-            ))
-            for zv, wv in (
-                (samples.boundary_z, samples.boundary_w),
-                (samples.interior_z, samples.interior_w),
-            )
-            if zv.size
-        ]
-        sup = max(vals)
+        # without zeros on the closure, |p1/p2| peaks on the boundary fibers
+        sup = float((np.abs(p1(bz, bw)) / np.abs(den)).max())
         sl = (gradient_bound(p1) / den_min
               + sup * gradient_bound(p2) / den_min) * samples.mesh()
         status, margin = _bound_verdict(nrm, sup, sl)

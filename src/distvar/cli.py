@@ -19,6 +19,7 @@ from .inner import distinguished_certificate, variety_polynomial
 from .instances import (
     Instance,
     InstanceSpec,
+    distinguished_grids,
     make_instance,
     random_recipe,
     run_certification,
@@ -28,6 +29,7 @@ from .serialize import (
     bundle_to_json,
     dump_json,
     load_json,
+    multiplicity_from_json,
     pair_from_json,
     psi_from_json,
     psi_to_json,
@@ -84,15 +86,14 @@ def cmd_variety(args, tol):
                         boundary_n=min(args.boundary_samples, 1024))
     variety = variety_polynomial(psi, tol=tol)
     cert = distinguished_certificate(
-        psi, args.boundary_samples, max(64, args.disc_grid[0] * args.disc_grid[1] // 16),
-        tol=tol,
+        psi, *distinguished_grids(args.boundary_samples, args.disc_grid), tol=tol
     )
     os.makedirs(args.out, exist_ok=True)
     payload = variety_to_json(variety)
     payload["distinguished"] = cert.to_dict()
     payload["psi"] = psi_to_json(psi)
     dump_json(payload, os.path.join(args.out, "variety.json"))
-    samples = VarietySamples(variety, min(args.boundary_samples, 512), (8, 64))
+    samples = VarietySamples(variety, min(args.boundary_samples, 512))
     write_samples_csv(os.path.join(args.out, "variety-samples.csv"), samples, variety.p)
     write_variety_svg(os.path.join(args.out, "variety.svg"), samples)
     print(json.dumps({
@@ -106,7 +107,7 @@ def cmd_variety(args, tol):
 def _recipe_spec(obj, args):
     with malformed("recipe"):
         zeros = tuple(
-            (complex(z["point"][0], z["point"][1]), int(z.get("multiplicity", 1)))
+            (complex(z["point"][0], z["point"][1]), multiplicity_from_json(z))
             for z in obj["theta_zeros"]
         )
         psi_spec, seed = {**obj["psi"]}, int(obj.get("seed", args.seed))
@@ -193,7 +194,7 @@ def cmd_demo(args, tol):
     payload = variety_to_json(variety)
     payload["psi"] = psi_to_json(inst.psi)
     dump_json(payload, os.path.join(args.out, "demo-variety.json"))
-    samples = VarietySamples(variety, 256, (8, 64))
+    samples = VarietySamples(variety, 256)
     write_samples_csv(os.path.join(args.out, "demo-samples.csv"), samples, variety.p)
     write_variety_svg(os.path.join(args.out, "demo-variety.svg"), samples)
     path = _write_report(report, args.out, args.format)
@@ -215,9 +216,10 @@ def build_parser():
                     help="tolerance override (repeatable); it applies to every "
                          "check, among them symbol files, the variety fit and "
                          "the co-extension's defect cut")
-    ap.add_argument("--boundary-samples", type=int, default=2048)
-    ap.add_argument("--disc-samples", type=_parse_grid, default=(64, 256),
-                    dest="disc_grid", metavar="RxA")
+    ap.add_argument("--boundary-samples", type=int, default=2048,
+                    help="points of the boundary grids")
+    ap.add_argument("--disc-samples", type=_parse_grid, default=(64, 256), dest="disc_grid",
+                    metavar="RxA", help="interior grid of the distinguished certificate")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="out")
     ap.add_argument("--format", choices=["json", "csv"], default="json")
@@ -247,6 +249,11 @@ def main(argv=None):
         tol = _tolerances(args.tol)
     except ValueError as exc:
         return _fail_invalid(f"invalid --tol: {exc}")
+    r, a = args.disc_grid
+    if args.boundary_samples < 64 or min(r, a) < 1 or r * a < 64:
+        return _fail_invalid(
+            f"invalid grids {args.boundary_samples} and {r}x{a}: --boundary-samples "
+            "needs N >= 64, --disc-samples RxA needs R, A >= 1 and R*A >= 64")
     try:
         return args.func(args, tol)
     except (OSError, ValueError, KeyError) as exc:

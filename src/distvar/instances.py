@@ -45,8 +45,8 @@ class InstanceSpec:
     theta_zeros: tuple                  # ((complex, mult), ...)
     psi_spec: dict                      # {"kind": ..., ...}
     seed: int = 0
-    boundary_n: int = 512
-    disc_grid: tuple = (16, 64)
+    boundary_n: int = 512               # points of the boundary grids
+    disc_grid: tuple = (16, 64)         # (R, A): the distinguished certificate's interior grid
     tolerances: dict = field(default_factory=dict)
     label: str = ""
 
@@ -225,6 +225,11 @@ def random_test_polys(rng, count, max_bidegree=(3, 3)):
     return out
 
 
+def distinguished_grids(boundary_n, disc_grid):
+    """Boundary and interior sizes of the distinguished certificate's grids."""
+    return max(64, boundary_n // 4), max(64, disc_grid[0] * disc_grid[1] // 8)
+
+
 def run_certification(instance, tol=DEFAULT, artifacts=None):
     """Full pipeline on one instance; returns a consolidated report.
 
@@ -267,7 +272,7 @@ def run_certification(instance, tol=DEFAULT, artifacts=None):
     if artifacts is not None:
         artifacts["variety"] = variety
     report.add(distinguished_certificate(
-        psi, max(64, spec.boundary_n // 4), 128, tol=tol
+        psi, *distinguished_grids(spec.boundary_n, spec.disc_grid), tol=tol
     ))
 
     try:
@@ -310,8 +315,5 @@ def run_certification(instance, tol=DEFAULT, artifacts=None):
     report.extend(synthesis_report(omega, bundle, basis, tol=tol))
 
     vn_polys = random_test_polys(np.random.default_rng(spec.seed + 10 ** 6), 5)
-    report.extend(vn_report(
-        pair, variety, vn_polys,
-        boundary_n=spec.boundary_n, disc_grid=spec.disc_grid, tol=tol,
-    ))
+    report.extend(vn_report(pair, variety, vn_polys, boundary_n=spec.boundary_n, tol=tol))
     return report

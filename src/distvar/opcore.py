@@ -131,6 +131,8 @@ def validate_pair(t1, t2, require_pure=False, strict=True, tol=DEFAULT):
     t2 = np.asarray(t2, dtype=complex)
     if t1.ndim != 2 or t1.shape[0] != t1.shape[1] or t1.shape != t2.shape:
         raise ValueError("expected two square matrices of equal size")
+    if t1.size == 0:
+        raise ValueError("t1 and t2 are empty; a pair needs matrices of size at least 1")
     comm = opnorm(t1 @ t2 - t2 @ t1)
     norms = (opnorm(t1), opnorm(t2))
     margins = (1.0 - spectral_radius(t1), 1.0 - spectral_radius(t2))

@@ -62,9 +62,18 @@ def blaschke_to_json(b):
     }
 
 
+def multiplicity_from_json(zero):
+    """The multiplicity of a zero entry, 1 when absent.  A non-integral value
+    raises TypeError, which ``malformed`` reports as invalid input."""
+    m = zero.get("multiplicity", 1)
+    if isinstance(m, float) and not m.is_integer():
+        raise TypeError(f"multiplicity {m!r} is not an integer")
+    return int(m)
+
+
 def blaschke_from_json(obj):
     zeros = [
-        (complex_from_json(z["point"]), int(z.get("multiplicity", 1)))
+        (complex_from_json(z["point"]), multiplicity_from_json(z))
         for z in obj["zeros"]
     ]
     return BlaschkeProduct(zeros, complex_from_json(obj.get("constant", [1.0, 0.0])))
@@ -186,8 +195,9 @@ def load_json(path):
 def write_samples_csv(path, samples, q=None):
     """Sample dump with columns re_z, im_z, re_w, im_w, abs_q."""
     lines = ["re_z,im_z,re_w,im_w,abs_q"]
-    zall = np.concatenate([samples.boundary_z, samples.interior_z])
-    wall = np.concatenate([samples.boundary_w, samples.interior_w])
+    iz, iw = samples.interior
+    zall = np.concatenate([samples.boundary_z, iz])
+    wall = np.concatenate([samples.boundary_w, iw])
     for z, w in zip(zall, wall):
         a = float(abs(q(z, w))) if q is not None else 0.0
         lines.append(
@@ -230,7 +240,7 @@ def write_variety_svg(path, samples):
         for z, w in zip(samples.boundary_z, samples.boundary_w)
     ]
     body += _svg_panel(angles, 0, "arg z vs arg w over boundary fibers")
-    cloud = [(w.real, w.imag) for w in samples.interior_w]
+    cloud = [(w.real, w.imag) for w in samples.interior[1]]
     body += _svg_panel(cloud, width, "interior fiber cloud (Re w, Im w)")
     body.append("</svg>")
     with open(path, "w") as fh:

@@ -13,7 +13,6 @@ from distvar.instances import make_instance, random_recipe, random_test_polys
 from conftest import J2, w2z_poly
 
 BOUNDARY_N = 256
-DISC_GRID = (8, 32)
 
 
 def _verdict(num, ok, text):
@@ -79,8 +78,7 @@ def test_criterion_2_inequality_suite():
         variety = dv.variety_polynomial(inst.psi, check_fibers=0)
         rng = np.random.default_rng(3000 + k)
         polys = random_test_polys(rng, 20, (3, 3))
-        entries = dv.vn_report(inst.pair, variety, polys,
-                               boundary_n=BOUNDARY_N, disc_grid=DISC_GRID)
+        entries = dv.vn_report(inst.pair, variety, polys, boundary_n=BOUNDARY_N)
         for e in entries[1:]:
             total += 1
             if e.data["norm"] > e.data["sup"] + e.data["slack"]:

@@ -30,22 +30,22 @@ def w2z_pair(companion_psi_2):
 
 
 def test_sup_of_defining_polynomial_vanishes(w2z_variety):
-    assert dv.sup_on_variety(w2z_variety, w2z_variety.p, 128, (8, 32)) < 1e-8
+    assert dv.sup_on_variety(w2z_variety, w2z_variety.p, 128) < 1e-8
 
 
 def test_sup_of_coordinates_reach_one(w2z_variety):
     pz = dv.Poly2([[0.0], [1.0]])
     pw = dv.Poly2([[0.0, 1.0]])
-    assert dv.sup_on_variety(w2z_variety, pz, 256, (8, 32)) == pytest.approx(1.0, abs=1e-12)
-    assert dv.sup_on_variety(w2z_variety, pw, 256, (8, 32)) == pytest.approx(1.0, abs=1e-12)
+    assert dv.sup_on_variety(w2z_variety, pz, 256) == pytest.approx(1.0, abs=1e-12)
+    assert dv.sup_on_variety(w2z_variety, pw, 256) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sup_monotone_under_refinement(w2z_variety):
     rng = np.random.default_rng(3)
     q = dv.Poly2(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
     sups = [
-        dv.sup_on_variety(w2z_variety, q, bn, (nr, na))
-        for bn, nr, na in [(64, 8, 32), (128, 17, 64), (256, 35, 128)]
+        dv.sup_on_variety(w2z_variety, q, bn)
+        for bn in (64, 128, 256)
     ]
     assert sups[0] <= sups[1] + 1e-15
     assert sups[1] <= sups[2] + 1e-15
@@ -61,8 +61,7 @@ def test_vn_report_basic(w2z_pair, w2z_variety):
         dv.Poly2([[0.0, 1.0]]),          # w
         dv.Poly2([[0.0, 0.0], [0.0, 1.0]]),  # zw
     ]
-    entries = dv.vn_report(w2z_pair, w2z_variety, polys, boundary_n=256,
-                           disc_grid=(8, 32))
+    entries = dv.vn_report(w2z_pair, w2z_variety, polys, boundary_n=256)
     defining = entries[0]
     assert defining.name == "defining-polynomial-annihilates"
     assert defining.status == "pass"
@@ -76,7 +75,7 @@ def test_vn_rational_entry(w2z_pair, w2z_variety):
     p1 = dv.Poly2([[0.0, 1.0]])              # w
     p2 = dv.Poly2([[1.0], [0.5]])            # 1 + z/2, zero at -2
     entries = dv.vn_report(w2z_pair, w2z_variety, [], boundary_n=256,
-                           disc_grid=(8, 32), rationals=[(p1, p2)])
+                           rationals=[(p1, p2)])
     rat = entries[-1]
     assert rat.name == "variety-dominates-rational0"
     assert rat.status in ("pass", "inconclusive")
@@ -87,14 +86,64 @@ def test_vn_rational_denominator_vanishes(w2z_pair, w2z_variety):
     p2 = dv.Poly2([[-0.5, 1.0]])             # w - 1/2 vanishes on the closure
     with pytest.raises(DenominatorVanishes):
         dv.vn_report(w2z_pair, w2z_variety, [], boundary_n=256,
-                     disc_grid=(8, 32), rationals=[(p1, p2)])
+                     rationals=[(p1, p2)])
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+def test_interior_fibers_stay_below_boundary_sup(repeated):
+    # the maximum principle on a distinguished variety, which lets the
+    # inequality suite sample boundary fibers only
+    radii = np.arange(1, 17) / 17
+    disc = (radii[:, None] * np.exp(2j * np.pi * np.arange(64) / 64)).ravel()
+    kinds = ("scalar_blaschke_times_identity", "companion", "colligation")
+    for seed in range(30):
+        spec = dv.random_recipe(seed, repeated=repeated, kinds=(kinds[seed % 3],))
+        psi = dv.instances.build_psi(spec)
+        variety = dv.variety_polynomial(psi)
+        samples = dv.VarietySamples(variety, 512)
+        zi = np.repeat(disc, psi.d)
+        wi = dv.fibers_grid(psi, disc).ravel()
+        for q in dv.random_test_polys(np.random.default_rng(seed), 5):
+            sup = dv.sup_on_variety(variety, q, samples=samples)
+            assert np.abs(q(zi, wi)).max() <= sup
+
+
+def test_vn_rational_zero_between_samples(w2z_pair, w2z_variety):
+    # w - a vanishes at (a^2, a) inside the bidisc, which an 8 x 32 polar grid
+    # of interior fibers misses; the winding count of the fiber product finds it
+    a = 0.62 * np.exp(1j * np.pi / 64)
+    with pytest.raises(DenominatorVanishes, match="winds 1 times"):
+        dv.vn_report(w2z_pair, w2z_variety, [], boundary_n=256,
+                     rationals=[(dv.Poly2([[1.0]]), dv.Poly2([[-a, 1.0]]))])
+    p1 = dv.Poly2([[0.0, 1.0]])              # w
+    p2 = dv.Poly2([[1.0], [0.5]])            # 1 + z/2, least modulus at z = -1
+    rat = dv.vn_report(w2z_pair, w2z_variety, [], boundary_n=256,
+                       rationals=[(p1, p2)])[-1]
+    assert rat.status == "pass"
+    assert rat.data["den_min"] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_vn_report_evaluates_psi_on_the_circle_only(w2z_pair, w2z_variety, monkeypatch):
+    seen = []
+    evaluate = dv.inner.eval_psi_grid
+
+    def spy(psi, zs):
+        seen.append(np.abs(np.asarray(zs, dtype=complex).reshape(-1)))
+        return evaluate(psi, zs)
+
+    monkeypatch.setattr(dv.inner, "eval_psi_grid", spy)
+    dv.vn_report(w2z_pair, w2z_variety, [dv.Poly2([[0.0, 0.0], [0.0, 1.0]])],
+                 boundary_n=128,
+                 rationals=[(dv.Poly2([[0.0, 1.0]]), dv.Poly2([[1.0], [0.5]]))])
+    assert seen
+    assert np.abs(np.concatenate(seen) - 1.0).max() < 1e-15
 
 
 def test_variety_sup_below_bidisc_sup(w2z_variety):
     rng = np.random.default_rng(8)
     for _ in range(5):
         q = dv.Poly2(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        vsup = dv.sup_on_variety(w2z_variety, q, 128, (8, 32))
+        vsup = dv.sup_on_variety(w2z_variety, q, 128)
         ts = np.exp(2j * np.pi * np.arange(64) / 64)
         zz, ww = np.meshgrid(ts, ts)
         bidisc = float(np.abs(q(zz, ww)).max())
@@ -194,8 +243,7 @@ def test_williams_blaschke_symbol():
 def test_reports_are_deterministic(w2z_pair, w2z_variety):
     def run():
         entries = dv.vn_report(w2z_pair, w2z_variety,
-                               [dv.Poly2([[0.0], [1.0]])],
-                               boundary_n=128, disc_grid=(8, 32))
+                               [dv.Poly2([[0.0], [1.0]])], boundary_n=128)
         rep = dv.CertificateReport("demo", 7, dv.DEFAULT.as_dict())
         rep.extend(entries)
         return json.dumps(rep.to_dict(), sort_keys=True)

@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import distvar as dv
 from distvar.cli import main
@@ -249,6 +249,24 @@ def test_cmd_certify_recipe_uses_sample_flags(tmp_path, monkeypatch, capsys):
     assert [(s.boundary_n, s.disc_grid, s.seed) for s in specs] == [(96, (8, 40), 3)]
 
 
+def test_variety_and_certify_share_the_distinguished_certificate(tmp_path, capsys):
+    recipe = {"theta_zeros": [{"point": [0.2, 0.1]}, {"point": [-0.3, 0.0]}],
+              "psi": {"kind": "companion", "d": 3, "phases": [1.0, -1.0, 1.0]}}
+    dump_json(recipe, tmp_path / "recipe.json")
+    spec = dv.InstanceSpec(theta_zeros=((0.2 + 0.1j, 1), (-0.3 + 0j, 1)),
+                           psi_spec=recipe["psi"])
+    dump_json(psi_to_json(dv.instances.build_psi(spec)), tmp_path / "psi.json")
+    flags = ["--boundary-samples", "320", "--disc-samples", "8x40"]
+    assert main(["--out", str(tmp_path / "v")] + flags
+                + ["variety", str(tmp_path / "psi.json")]) == 0
+    assert main(["--out", str(tmp_path / "c")] + flags
+                + ["certify", "--recipe", str(tmp_path / "recipe.json")]) == 0
+    block = load_json(tmp_path / "v" / "variety.json")["distinguished"]
+    (report,) = (tmp_path / "c").glob("*-report.json")
+    entries = {e["name"]: e for e in load_json(report)["entries"]}
+    assert block == entries["distinguished-variety"]
+
+
 @pytest.mark.parametrize("command", [["demo"], ["certify", "--batch", "1"],
                                      ["variety", "psi.json"]])
 @pytest.mark.parametrize("override", ["bogus=1", "tol_ann=abc", "tol_ann",
@@ -416,6 +434,7 @@ _not_mapping = _json.filter(lambda v: not isinstance(v, dict))
 _off_circle = st.floats(0.0, 0.9) | st.floats(1.1, 10.0)
 _outside_disc = st.floats(1.0, 10.0)
 _nonpositive = st.integers(-3, 0)
+_fractional = st.floats(0.05, 4.95).filter(lambda m: not m.is_integer())
 
 
 def _without(obj, key):
@@ -433,13 +452,15 @@ _bad_pair = st.one_of(
     st.floats(1.1, 10.0).map(lambda s: {"t1": _scaled_identity(s), "t2": _J2}),
     st.just({"t1": _J2, "t2": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}),
     st.just({**_PAIR, "t1": _scaled_identity(1.0), "t2": _scaled_identity(1.0)}),
+    st.just({"t1": [], "t2": []}),
 )
 _bad_symbol = st.one_of(
     _not_mapping,
     st.text(max_size=5).map(lambda kind: {"kind": kind}),
     st.sampled_from(["kind", "zeros", "d"]).map(lambda k: _without(_SYMBOL, k)),
     _outside_disc.map(lambda r: {**_SYMBOL, "zeros": [{"point": [r, 0.0]}]}),
-    _nonpositive.map(lambda m: {**_SYMBOL, "zeros": [{"point": [0.5, 0.0], "multiplicity": m}]}),
+    (_nonpositive | _fractional).map(
+        lambda m: {**_SYMBOL, "zeros": [{"point": [0.5, 0.0], "multiplicity": m}]}),
     _nonpositive.map(lambda d: {**_SYMBOL, "d": d}),
     _off_circle.map(lambda c: {"kind": "polynomial", "coeffs": [[[[c, 0.0]]]]}),
     _off_circle.map(lambda s: {"kind": "colligation", "A": [[[0.0, 0.0]]], "B": [[[s, 0.0]]],
@@ -450,8 +471,8 @@ _bad_recipe = st.one_of(
     st.sampled_from(["theta_zeros", "psi"]).map(lambda k: _without(_RECIPE, k)),
     st.builds(lambda k, v: {**_RECIPE, k: v}, st.sampled_from(["theta_zeros", "psi"]), _json),
     _outside_disc.map(lambda r: {**_RECIPE, "theta_zeros": [{"point": [r, 0.0]}]}),
-    _nonpositive.map(lambda m: {**_RECIPE, "theta_zeros": [{"point": [0.0, 0.0],
-                                                            "multiplicity": m}]}),
+    (_nonpositive | _fractional).map(
+        lambda m: {**_RECIPE, "theta_zeros": [{"point": [0.0, 0.0], "multiplicity": m}]}),
     _nonpositive.map(lambda d: {**_RECIPE, "psi": {"kind": "companion", "d": d}}),
 )
 _bad_tol = st.one_of(
@@ -490,6 +511,11 @@ def _assert_exits_2(argv, files):
     _bad_symbol.map(lambda obj: (["certify", "--pair", "pair.json", "--psi", "in.json"], obj)),
     _bad_recipe.map(lambda obj: (["certify", "--recipe", "in.json"], obj)),
 ))
+@example((["certify", "--pair", "in.json"], {"t1": [], "t2": []}))
+@example((["variety", "in.json"],
+          {**_SYMBOL, "zeros": [{"point": [0.5, 0.0], "multiplicity": 1.5}]}))
+@example((["certify", "--recipe", "in.json"],
+          {**_RECIPE, "theta_zeros": [{"point": [0.0, 0.0], "multiplicity": 1.5}]}))
 def test_malformed_input_file_exits_2(case):
     argv, obj = case
     _assert_exits_2(["--boundary-samples=128", "--disc-samples=8x32"] + argv,
@@ -500,10 +526,13 @@ def test_malformed_input_file_exits_2(case):
 @given(st.one_of(
     st.tuples(_bad_boundary, st.sampled_from(
         [["demo"], ["certify", "--recipe", "recipe.json"], ["variety", "psi.json"]])),
-    st.tuples(_bad_disc, st.sampled_from([["demo"], ["certify", "--recipe", "recipe.json"]])),
+    st.tuples(_bad_disc, st.sampled_from(
+        [["demo"], ["certify", "--recipe", "recipe.json"], ["variety", "psi.json"]])),
     st.tuples(_bad_tol.map(lambda t: ["--tol", t]), st.sampled_from(
         [["demo"], ["certify", "--batch", "1"], ["variety", "psi.json"]])),
 ))
+@example((["--boundary-samples=128", "--disc-samples=-8x-32"], ["variety", "psi.json"]))
+@example((["--boundary-samples=128", "--disc-samples=0x5"], ["variety", "psi.json"]))
 def test_invalid_option_value_exits_2(case):
     flags, command = case
     _assert_exits_2(flags + command, _FILES)

@@ -326,7 +326,7 @@ def test_distinguished_certificate_matches_pointwise_loop(name):
 def test_mesh_matches_matching_distance_loop(name):
     psi = _grid_symbols()[name]
     variety = dv.variety_polynomial(psi)
-    samples = VarietySamples(variety, 128, (4, 16))
+    samples = VarietySamples(variety, 128)
     d = variety.degw
     z = samples.boundary_z.reshape(-1, d)
     w = samples.boundary_w.reshape(-1, d)

@@ -54,6 +54,11 @@ def test_validate_pair_not_pure():
         dv.validate_pair(np.eye(2), 0.5 * np.eye(2), require_pure=True)
 
 
+def test_validate_pair_empty():
+    with pytest.raises(ValueError, match="t1 and t2 are empty"):
+        dv.validate_pair(np.zeros((0, 0)), np.zeros((0, 0)))
+
+
 def test_defect_examples():
     droot, rank, basis = dv.defect(J2)
     assert np.allclose(droot, np.diag([1.0, 0.0]))

@@ -119,17 +119,12 @@ def z_ann(basis, pair, tol=DEFAULT):
     Candidates are the joint-spectrum points of the pair; a candidate is kept
     iff every generator vanishes on it.  The result is deduplicated as a set.
     """
-    taylor = joint_spectrum_taylor(pair, tol=tol)
-    kept = []
-    for lam, mu in taylor.points:
-        ok = True
-        for g in basis.generators:
-            if abs(g(lam, mu)) > tol.tol_zset * max(1.0, g.scale):
-                ok = False
-                break
-        if ok:
-            kept.append((lam, mu))
-    return tuple(dedupe_points(kept, tol=tol))
+    points = joint_spectrum_taylor(pair, tol=tol).points
+    lams, mus = np.array(points, dtype=complex).reshape(-1, 2).T
+    off = np.zeros(len(points), dtype=bool)
+    for g in basis.generators:
+        off |= np.abs(g(lams, mus)) > tol.tol_zset * max(1.0, g.scale)
+    return tuple(dedupe_points([pt for pt, o in zip(points, off) if not o], tol=tol))
 
 
 def omega_psi(bundle, tol=DEFAULT):

@@ -207,8 +207,16 @@ def cmd_demo(args, tol):
     return report.exit_code()
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError where argparse would print usage and exit, so that
+    main reports a rejected flag as a JSON error; subcommands use it too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="distvar",
         description="distinguished-variety certificates for commuting matrix pairs",
     )
@@ -244,7 +252,10 @@ def build_parser():
 def main(argv=None):
     """Run one command.  Invalid input, including a file or value that a
     library check rejects, prints a JSON error and returns 2."""
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ValueError as exc:
+        return _fail_invalid(str(exc))
     try:
         tol = _tolerances(args.tol)
     except ValueError as exc:

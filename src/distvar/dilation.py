@@ -63,22 +63,48 @@ def embed_J(pair, tol=DEFAULT, cap=5000):
     droot, rank, w = defect(t1, tol=tol)
     n = t1.shape[0]
     wd = w.conj().T @ droot  # d x n
-    t1s = t1.conj().T
-    blocks = [wd]
+    # the powers T1^m are normed a chunk at a time, as one stacked 2-norm
     power = np.eye(n, dtype=complex)
-    n_trunc = 0
-    for m in range(1, cap + 1):
-        power = power @ t1
-        if opnorm(power) ** 2 <= tol.tol_trunc:
-            n_trunc = m - 1
+    for start in range(1, cap + 1, 16):
+        chunk = []
+        for _ in range(min(16, cap + 1 - start)):
+            power = power @ t1
+            chunk.append(power)
+        norms = np.linalg.norm(np.array(chunk), 2, axis=(1, 2)).tolist()
+        hit = next((i for i, v in enumerate(norms) if v ** 2 <= tol.tol_trunc), None)
+        if hit is not None:
+            n_trunc = start + hit - 1
             break
-        blocks.append(blocks[-1] @ t1s)
     else:
         raise TruncationNotConverged(
             f"||T1^m||^2 did not reach {tol.tol_trunc:.1e} within {cap} powers"
         )
-    j = np.vstack(blocks)
-    return j, n_trunc, w
+    t1s = t1.conj().T
+    blocks = [wd]
+    for _ in range(n_trunc):
+        blocks.append(blocks[-1] @ t1s)
+    return np.vstack(blocks), n_trunc, w
+
+
+def _kron_stack(a, b):
+    """np.kron(a[m], b[m]) for every m as one stack, by one broadcast outer
+    product; ``b`` may also be a single matrix, shared by every m."""
+    a = np.ascontiguousarray(a)
+    (m, p, q), (r, s) = a.shape, b.shape[-2:]
+    return (a[:, :, None, :, None] * b[..., None, :, None, :]).reshape(m, p * r, q * s)
+
+
+def _alignment_system(blocks, t2s, coeffs):
+    """Linear system in vec(W) of the alignment unitary: row block m is
+    kron((R_m T2*)^T, I) - sum_k kron(R_(m+k)^T, Psi_k*), each term formed
+    for all m at once and subtracted in series order."""
+    kk, d = coeffs.shape[:2]
+    m_eq = len(blocks) - kk + 1
+    system = _kron_stack(np.swapaxes(blocks[:m_eq] @ t2s, 1, 2), np.eye(d))
+    blocks_t = np.swapaxes(blocks, 1, 2)
+    for k in range(kk):
+        system = system - _kron_stack(blocks_t[k : k + m_eq], coeffs[k].conj().T)
+    return system.reshape(-1, d * d)
 
 
 def _unvec(x, d):
@@ -158,33 +184,31 @@ def _unitary_in_subspace(basis, rng):
 
 
 def coextension_embedding(pair, psi, tol=DEFAULT, seed=0):
-    """Embed the pair against a given symbol: returns (J, n_trunc, residuals).
+    """Embed the pair against a given symbol: returns (J, n_trunc, W, residuals).
 
     The defect coordinates of embed_J are only fixed up to a constant unitary,
-    so the unitary aligning J with the symbol is recovered from the linear
+    so the unitary W aligning J with the symbol is recovered from the linear
     intertwining identity   W R_m T2* = sum_k Psi_k* W R_(m+k)   and J is
     rotated accordingly before the residuals are measured.
+
+    The blocks R_m are stacked: each Kronecker term of the alignment system
+    is one broadcast outer product over the stack (see _alignment_system),
+    and each residual is one stacked 2-norm of batched block products.
     """
     coeffs = taylor_until(psi, 1e-15)
     kk = coeffs.shape[0]
     j0, n_trunc, w = embed_J(pair, tol)
     d = psi.d
     n = pair.n
-    blocks = [j0[m * d : (m + 1) * d] for m in range(n_trunc + 1)]
+    blocks = list(j0[: (n_trunc + 1) * d].reshape(n_trunc + 1, d, n))
     t1s = pair.t1.conj().T
     # extend exactly: R_(m+1) = R_m T1*, so alignment always has equations
     while len(blocks) < kk + 2:
         blocks.append(blocks[-1] @ t1s)
+    blocks = np.array(blocks)
     m_eq = len(blocks) - kk + 1
-    rows = []
     t2s = pair.t2.conj().T
-    eyed = np.eye(d)
-    for m in range(m_eq):
-        op = np.kron((blocks[m] @ t2s).T, eyed)
-        for k in range(kk):
-            op = op - np.kron(blocks[m + k].T, coeffs[k].conj().T)
-        rows.append(op)
-    system = np.vstack(rows)
+    system = _alignment_system(blocks, t2s, coeffs)
     # the left factor is unused, and forming it square costs O(rows^2); only a
     # wide system needs the full vh, whose extra rows span part of the kernel
     _, svals, vh = np.linalg.svd(system, full_matrices=system.shape[0] < system.shape[1])
@@ -202,19 +226,15 @@ def coextension_embedding(pair, psi, tol=DEFAULT, seed=0):
         w_align = _unitary_in_subspace(basis, np.random.default_rng(seed))
         if w_align is None:
             raise NoInnerSolution("no unitary alignment found in the null space")
-    aligned = [w_align @ b for b in blocks]
+    aligned = w_align @ blocks
     n_trunc = len(blocks) - 1
-    j = np.vstack(aligned)
+    j = aligned.reshape(-1, n)
     res_iso = opnorm(j.conj().T @ j - np.eye(n))
-    res_shift = 0.0
-    for m in range(n_trunc):
-        res_shift = max(res_shift, opnorm(aligned[m] @ pair.t1.conj().T - aligned[m + 1]))
-    res_symbol = 0.0
-    for m in range(m_eq):
-        lhs = aligned[m] @ t2s
-        for k in range(kk):
-            lhs = lhs - coeffs[k].conj().T @ aligned[m + k]
-        res_symbol = max(res_symbol, opnorm(lhs))
+    res_shift = np.linalg.norm(aligned[:-1] @ t1s - aligned[1:], 2, axis=(1, 2)).max()
+    lhs = aligned[:m_eq] @ t2s
+    for k in range(kk):
+        lhs = lhs - coeffs[k].conj().T @ aligned[k : k + m_eq]
+    res_symbol = np.linalg.norm(lhs, 2, axis=(1, 2)).max()
     residuals = {
         "isometry": float(res_iso),
         "intertwine_shift": float(res_shift),
@@ -320,11 +340,12 @@ def compress_pair(psi, theta, tol=DEFAULT):
         m = length - k
         return rows[:, k:].conj() @ rows[:, :m].T
 
-    d = psi.d
-    t1 = np.kron(shift_corr(1), np.eye(d))
-    t2 = np.zeros((rows.shape[0] * d, rows.shape[0] * d), dtype=complex)
-    for k in range(kk):
-        t2 += np.kron(shift_corr(k), coeffs[k])
+    t1 = np.kron(shift_corr(1), np.eye(psi.d))
+    # sum_k kron(shift_corr(k), Psi_k) in series order; a sum over the stack
+    # axis may add pairwise and round differently
+    t2 = np.zeros((rows.shape[0] * psi.d,) * 2, dtype=complex)
+    for term in _kron_stack(np.array([shift_corr(k) for k in range(kk)]), coeffs):
+        t2 += term
     return validate_pair(t1, t2, require_pure=True, strict=True, tol=tol)
 
 
@@ -394,16 +415,22 @@ def jet_kernel_basis(m1, d):
                           gram=gram, chol=chol)
 
 
-def _compose_taylor(f, lam, taylor):
-    """Taylor coefficients at lam of z -> f(z, Psi(z)), as many as ``taylor``
-    holds; ``taylor`` holds those of Psi at lam."""
+def _series_powers(taylor, count):
+    """Series of Psi^0, ..., Psi^(count-1) from the Taylor series of Psi."""
     n, d, _ = taylor.shape
-    c = f.coeffs
-    pw = np.zeros((c.shape[1], n, d, d), dtype=complex)
+    pw = np.zeros((count, n, d, d), dtype=complex)
     pw[0, 0] = np.eye(d)
-    for j in range(1, c.shape[1]):
+    for j in range(1, count):
         pw[j] = series_mul(pw[j - 1], taylor)
-    out = np.zeros((n, d, d), dtype=complex)
+    return pw
+
+
+def _compose_taylor(f, lam, pw):
+    """Taylor coefficients at lam of z -> f(z, Psi(z)), from the series
+    powers ``pw`` of Psi at lam (see _series_powers), as many as they hold."""
+    c = f.coeffs
+    pw = pw[: c.shape[1]]
+    out = np.zeros(pw.shape[1:], dtype=complex)
     # Horner in z; z is the series lam + t, so a step scales and shifts
     for row in np.tensordot(c, pw, axes=(1, 0))[::-1]:
         step = lam * out + row
@@ -429,10 +456,10 @@ def _adjoint_action(basis, taylor):
     return a
 
 
-def _to_onb(basis, a):
+def _to_onb(basis, mats):
+    """Each matrix of the stack ``mats`` in orthonormal jet-space coordinates."""
     lfac = np.kron(basis.chol, np.eye(basis.d))
-    linv = np.linalg.inv(lfac)
-    return lfac.conj().T @ a @ linv.conj().T
+    return lfac.conj().T @ mats @ np.linalg.inv(lfac).conj().T
 
 
 @dataclass(frozen=True)
@@ -478,15 +505,13 @@ def constrained_coextension(pair, psi, basis, tol=DEFAULT, seed=0):
         if mult > 1:
             arr[1] = np.eye(d)
         zvals[lam] = arr
-    a_z = _to_onb(jets, _adjoint_action(jets, zvals))
-    a_psi = _to_onb(jets, _adjoint_action(jets, psi_taylor))
-
-    stack = [
-        _to_onb(jets, _adjoint_action(jets, {
-            lam: _compose_taylor(f, lam, psi_taylor[lam]) for lam, _ in m1.zeros
-        }))
-        for f in ann_gens
-    ]
+    powers = {lam: _series_powers(psi_taylor[lam], max(f.coeffs.shape[1] for f in ann_gens))
+              for lam, _ in m1.zeros}
+    a_z, a_psi, *stack = _to_onb(jets, np.array(
+        [_adjoint_action(jets, zvals), _adjoint_action(jets, psi_taylor)]
+        + [_adjoint_action(jets, {lam: _compose_taylor(f, lam, powers[lam])
+                                  for lam, _ in m1.zeros}) for f in ann_gens]
+    ))
     # the generators always include the minimal polynomials, so the stack is
     # never empty
     dim = jets.dimension

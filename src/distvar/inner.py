@@ -9,6 +9,8 @@ Three interchangeable representations are supported:
 Each representation has one evaluation path, ``eval_psi_grid``, which takes
 a whole grid of points, and one Taylor path, ``taylor_at``, which returns
 Taylor coefficients (never derivatives) around an interior point.
+``taylor_until`` caches the series at 0, read-only, on the symbol, so every
+cut of it costs one expansion per symbol.
 
 The zero set {det(Psi(z) - wI) = 0} is produced as an honest bivariate
 polynomial by sampling the determinant of the linear pencil
@@ -105,7 +107,7 @@ class BPFactor:
 class MatrixInnerFunction:
     """Rational d x d inner function with a constructively verified representation."""
 
-    __slots__ = ("kind", "d", "data", "boundary_defect", "realization_radius")
+    __slots__ = ("kind", "d", "data", "boundary_defect", "realization_radius", "_series")
 
     def __init__(self, kind, d, data, boundary_defect, realization_radius):
         object.__setattr__(self, "kind", kind)
@@ -113,6 +115,8 @@ class MatrixInnerFunction:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "boundary_defect", float(boundary_defect))
         object.__setattr__(self, "realization_radius", float(realization_radius))
+        # (coefficients, norms) of the Taylor series at 0, see taylor_until
+        object.__setattr__(self, "_series", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixInnerFunction is immutable")
@@ -335,17 +339,26 @@ def taylor_at(psi, lam, n):
 
 
 def taylor_until(psi, cut):
-    """Taylor coefficients at 0 until three consecutive ones fall below cut."""
+    """Taylor coefficients at 0 until three consecutive ones fall below cut.
+
+    The series is read at lengths 8, 16, 32, ...  The longest one expanded is
+    cached, read-only, on the symbol, so later cuts read or extend it; as
+    taylor_at gives each coefficient independently of the length, a cut
+    returns the same bits as a fresh expansion.
+    """
     if psi.kind == POLYNOMIAL:
         return taylor_at(psi, 0.0, psi.data["coeffs"].shape[0])
     n = 8
     while n <= 4096:
-        coeffs = taylor_at(psi, 0.0, n)
-        norms = np.linalg.norm(coeffs, 2, axis=(1, 2))
-        small = norms <= cut
-        if n >= 4 and small[-3:].all():
+        if psi._series is None or psi._series[0].shape[0] < n:
+            coeffs = taylor_at(psi, 0.0, n)
+            norms = np.linalg.norm(coeffs, 2, axis=(1, 2))
+            coeffs.flags.writeable = norms.flags.writeable = False
+            object.__setattr__(psi, "_series", (coeffs, norms))
+        small = psi._series[1][:n] <= cut
+        if small[-3:].all():
             last = int(np.max(np.nonzero(~small)[0])) if (~small).any() else 0
-            return coeffs[: last + 1]
+            return psi._series[0][: last + 1]
         n *= 2
     raise TruncationNotConverged(
         f"Taylor series of the symbol did not reach {cut:.1e} within 4096 terms"

@@ -533,6 +533,8 @@ def test_malformed_input_file_exits_2(case):
 ))
 @example((["--boundary-samples=128", "--disc-samples=-8x-32"], ["variety", "psi.json"]))
 @example((["--boundary-samples=128", "--disc-samples=0x5"], ["variety", "psi.json"]))
+@example((["--disc-samples", "8y32"], ["demo"]))
+@example((["--boundary-samples", "abc"], ["certify", "--recipe", "recipe.json"]))
 def test_invalid_option_value_exits_2(case):
     flags, command = case
     _assert_exits_2(flags + command, _FILES)

@@ -3,10 +3,17 @@ import numpy as np
 import pytest
 
 import distvar as dv
-from distvar.dilation import _gram_entry
+from distvar import dilation, inner
+from distvar.dilation import (
+    _alignment_system,
+    _gram_entry,
+    _hardy_coeff_length,
+    _model_basis_coeffs,
+)
 from distvar.errors import NoInnerSolution
-from distvar.inner import circle_grid, eval_psi_grid
-from distvar.instances import make_instance, random_recipe
+from distvar.inner import circle_grid, eval_psi_grid, taylor_until
+from distvar.instances import build_theta, make_instance, random_recipe, run_certification
+from distvar.opcore import defect, opnorm
 from conftest import J2, w2z_poly
 
 
@@ -102,6 +109,103 @@ def test_construct_psi_rejects_mismatched_symbol(j2_pair):
     psi = dv.from_polynomial(np.array([[[0.0]], [[0.0]], [[1.0]]], dtype=complex))
     with pytest.raises(NoInnerSolution):
         dv.coextension_embedding(j2_pair, psi)
+
+
+# ---------------------------------------------------------------------------
+# stacked builds against their loop references
+
+
+@pytest.mark.parametrize("kind", ["colligation", "scalar_blaschke_times_identity"])
+def test_one_taylor_expansion_per_instance(monkeypatch, kind):
+    # compress_pair and coextension_embedding cut the series at 0 at 1e-16
+    # and 1e-15; only the first taylor_until call expands it
+    calls, inside, expansions = [], [], []
+
+    def until(psi, cut):
+        calls.append(cut)
+        inside.append(len(calls))
+        try:
+            return taylor_until(psi, cut)
+        finally:
+            inside.pop()
+
+    def at(psi, lam, n, orig=inner.taylor_at):
+        if inside and lam == 0:
+            expansions.append(inside[-1])
+        return orig(psi, lam, n)
+
+    monkeypatch.setattr(dilation, "taylor_until", until)
+    monkeypatch.setattr(inner, "taylor_at", at)
+    spec = random_recipe(1, repeated=True, kinds=(kind,))
+    run_certification(make_instance(spec))
+    assert calls == [1e-16, 1e-15]
+    assert set(expansions) == {1}
+
+
+def _loop_embed_J(pair, tol=dv.DEFAULT):
+    """embed_J with one opnorm per power."""
+    droot, _, w = defect(pair.t1, tol=tol)
+    blocks, power = [w.conj().T @ droot], np.eye(pair.n, dtype=complex)
+    for m in range(1, 5001):
+        power = power @ pair.t1
+        if opnorm(power) ** 2 <= tol.tol_trunc:
+            return np.vstack(blocks), m - 1
+        blocks.append(blocks[-1] @ pair.t1.conj().T)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 4, 7, 12])
+def test_stacked_coextension_matches_loop_reference(seed):
+    # repeated theta zeros: companion (0, 4), colligation (1, 2, 7) and
+    # scalar Blaschke (12) symbols with d = 1 to 3; at seed 12 the alignment
+    # null space has dimension > 1
+    spec = random_recipe(seed, repeated=True)
+    inst = make_instance(spec)
+    pair, psi, d, n = inst.pair, inst.psi, inst.psi.d, inst.pair.n
+
+    # compress_pair: sum_k kron(shift_corr(k), Psi_k), one kron per term
+    coeffs = taylor_until(psi, 1e-16)
+    theta = build_theta(spec)
+    zmax = max(abs(a) for a in theta.zero_list())
+    length = _hardy_coeff_length(zmax, theta.degree + len(coeffs))
+    rows = _model_basis_coeffs(theta, length)
+    t2 = np.zeros_like(pair.t2)
+    for k in range(len(coeffs)):
+        t2 += np.kron(rows[:, k:].conj() @ rows[:, : length - k].T, coeffs[k])
+    assert np.array_equal(pair.t2, t2)
+
+    j0, n_trunc, _ = dv.embed_J(pair)
+    j_ref, n_ref = _loop_embed_J(pair)
+    assert n_trunc == n_ref and j0.tobytes() == j_ref.tobytes()
+
+    # the alignment system, one kron per block and term
+    coeffs = taylor_until(psi, 1e-15)
+    kk = len(coeffs)
+    t1s, t2s = pair.t1.conj().T, pair.t2.conj().T
+    blocks = [j0[m * d : (m + 1) * d] for m in range(n_trunc + 1)]
+    while len(blocks) < kk + 2:
+        blocks.append(blocks[-1] @ t1s)
+    m_eq = len(blocks) - kk + 1
+    system = []
+    for m in range(m_eq):
+        op = np.kron((blocks[m] @ t2s).T, np.eye(d))
+        for k in range(kk):
+            op = op - np.kron(blocks[m + k].T, coeffs[k].conj().T)
+        system.append(op)
+    assert np.array_equal(_alignment_system(np.array(blocks), t2s, coeffs), np.vstack(system))
+
+    # the residuals, one opnorm per block
+    j, _, w, res = dv.coextension_embedding(pair, psi)
+    aligned = [w @ b for b in blocks]
+    assert np.array_equal(j, np.vstack(aligned))
+    shift = max(opnorm(aligned[m] @ t1s - aligned[m + 1]) for m in range(len(blocks) - 1))
+    symbol = 0.0
+    for m in range(m_eq):
+        lhs = aligned[m] @ t2s
+        for k in range(kk):
+            lhs = lhs - coeffs[k].conj().T @ aligned[m + k]
+        symbol = max(symbol, opnorm(lhs))
+    assert (res["intertwine_shift"], res["intertwine_symbol"]) == (shift, symbol)
+    assert res["isometry"] == opnorm(j.conj().T @ j - np.eye(n))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .certify import (
 from .dilation import (
     CoextensionBundle,
     JetKernelBasis,
-    calculus_residual,
     coextension_embedding,
     compress_pair,
     construct_psi,
@@ -62,10 +61,8 @@ from .instances import (
     run_certification,
 )
 from .opcore import (
-    AnalyticHandle,
     CommutingPair,
     JointSpectrum,
-    analytic_apply,
     blaschke_apply,
     defect,
     joint_point_spectrum,
@@ -80,12 +77,9 @@ from .poly import (
     Poly1,
     Poly2,
     blaschke_eval,
-    eval2,
-    fit_tensor_grid,
     fit_tensor_nodes,
     has_simple_roots,
     normalize_unit,
-    roots,
     unit_distance,
 )
 from .report import CertEntry, CertificateReport

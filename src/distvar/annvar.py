@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnnTrivial, DegenerateCluster, NotPure
+from .inner import eval_psi
 from .opcore import (
+    cluster_points,
     dedupe_points,
     joint_point_spectrum,
     joint_spectrum_taylor,
@@ -23,7 +25,7 @@ from .opcore import (
     poly_apply,
     validate_pair,
 )
-from .poly import Poly2
+from .poly import Poly2, has_simple_roots
 from .report import FAIL, INCONCLUSIVE, PASS, CertEntry, inconclusive
 from .tolerances import DEFAULT
 
@@ -134,7 +136,7 @@ def omega_psi(bundle, tol=DEFAULT):
     witness in the model coordinates.
     """
     adj = validate_pair(
-        bundle.s1.conj().T, bundle.s2.conj().T, require_pure=True, strict=True, tol=tol
+        bundle.s1.conj().T, bundle.s2.conj().T, require_pure=True, tol=tol
     )
     spec = joint_point_spectrum(adj, tol=tol)
     pts = [(np.conj(lam), np.conj(mu)) for lam, mu in spec.points]
@@ -212,7 +214,7 @@ def support_bounds(zset, bundle, variety, tol=DEFAULT):
     point must also lie on the variety.
     """
     zset = _settled(zset)
-    spair = validate_pair(bundle.s1, bundle.s2, require_pure=True, strict=True, tol=tol)
+    spair = validate_pair(bundle.s1, bundle.s2, require_pure=True, tol=tol)
     staylor = joint_spectrum_taylor(spair, tol=tol)
     lower = tuple(dedupe_points(list(staylor.points), tol=tol))
     return SupportBounds(inner_set=zset, lower_boundary=lower, variety=variety)
@@ -298,14 +300,10 @@ def _require_conclusive_fibers(psi, m1, tol):
     deficient eigenspace (or distinct ones inside the warning gap) make that
     reading unstable, so such instances are routed to DegenerateCluster.
     """
-    from .inner import eval_psi
-
     for lam, _ in m1.zeros:
         mat = np.asarray(eval_psi(psi, lam))
         vals = np.linalg.eigvals(mat)
         n = vals.size
-        from .opcore import cluster_points
-
         for group in cluster_points(list(vals), tol.cluster_warn):
             if len(group) < 2:
                 continue
@@ -337,8 +335,6 @@ def synthesis_report(omega, bundle, basis, tol=DEFAULT):
     ``omega`` is the result of omega_psi (see settle).  Fiber clusters below
     the warning gap make the instance inconclusive.
     """
-    from .poly import has_simple_roots
-
     m1 = bundle.m1
     if m1.degree == 0:
         raise AnnTrivial("synthesis conditions require a nonconstant m1")

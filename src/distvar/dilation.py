@@ -35,6 +35,7 @@ from .inner import (
 from .opcore import (
     CommutingPair,
     defect,
+    joint_point_spectrum,
     matching_distance,
     minimal_blaschke,
     opnorm,
@@ -46,11 +47,13 @@ from .poly import BlaschkeProduct
 from .report import FAIL, PASS, CertEntry, inconclusive
 from .tolerances import DEFAULT
 
+_EMBED_CAP = 5000  # powers of T1 normed before embed_J gives up
+
 # ---------------------------------------------------------------------------
 # minimal isometric co-extension
 
 
-def embed_J(pair, tol=DEFAULT, cap=5000):
+def embed_J(pair, tol=DEFAULT):
     """Truncated minimal isometric co-extension of T1.
 
     Returns ``(J, n_trunc, w)`` where J has row blocks  w* D T1*^m  for
@@ -65,9 +68,9 @@ def embed_J(pair, tol=DEFAULT, cap=5000):
     wd = w.conj().T @ droot  # d x n
     # the powers T1^m are normed a chunk at a time, as one stacked 2-norm
     power = np.eye(n, dtype=complex)
-    for start in range(1, cap + 1, 16):
+    for start in range(1, _EMBED_CAP + 1, 16):
         chunk = []
-        for _ in range(min(16, cap + 1 - start)):
+        for _ in range(min(16, _EMBED_CAP + 1 - start)):
             power = power @ t1
             chunk.append(power)
         norms = np.linalg.norm(np.array(chunk), 2, axis=(1, 2)).tolist()
@@ -77,7 +80,7 @@ def embed_J(pair, tol=DEFAULT, cap=5000):
             break
     else:
         raise TruncationNotConverged(
-            f"||T1^m||^2 did not reach {tol.tol_trunc:.1e} within {cap} powers"
+            f"||T1^m||^2 did not reach {tol.tol_trunc:.1e} within {_EMBED_CAP} powers"
         )
     t1s = t1.conj().T
     blocks = [wd]
@@ -189,7 +192,9 @@ def coextension_embedding(pair, psi, tol=DEFAULT, seed=0):
     The defect coordinates of embed_J are only fixed up to a constant unitary,
     so the unitary W aligning J with the symbol is recovered from the linear
     intertwining identity   W R_m T2* = sum_k Psi_k* W R_(m+k)   and J is
-    rotated accordingly before the residuals are measured.
+    rotated accordingly before the residuals are measured.  The blocks have
+    as many rows as the defect rank of T1, so a pair whose defect rank is not
+    the symbol's d raises NoInnerSolution.
 
     The blocks R_m are stacked: each Kronecker term of the alignment system
     is one broadcast outer product over the stack (see _alignment_system),
@@ -199,6 +204,11 @@ def coextension_embedding(pair, psi, tol=DEFAULT, seed=0):
     kk = coeffs.shape[0]
     j0, n_trunc, w = embed_J(pair, tol)
     d = psi.d
+    if w.shape[1] != d:
+        raise NoInnerSolution(
+            f"the pair's defect rank {w.shape[1]} differs from the symbol's "
+            f"dimension d = {d}"
+        )
     n = pair.n
     blocks = list(j0[: (n_trunc + 1) * d].reshape(n_trunc + 1, d, n))
     t1s = pair.t1.conj().T
@@ -346,7 +356,7 @@ def compress_pair(psi, theta, tol=DEFAULT):
     t2 = np.zeros((rows.shape[0] * psi.d,) * 2, dtype=complex)
     for term in _kron_stack(np.array([shift_corr(k) for k in range(kk)]), coeffs):
         t2 += term
-    return validate_pair(t1, t2, require_pure=True, strict=True, tol=tol)
+    return validate_pair(t1, t2, require_pure=True, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +566,7 @@ def constrained_coextension(pair, psi, basis, tol=DEFAULT, seed=0):
 
 def s_pair(bundle, tol=DEFAULT):
     """The constrained pair as a validated CommutingPair."""
-    return validate_pair(bundle.s1, bundle.s2, require_pure=True, strict=True, tol=tol)
+    return validate_pair(bundle.s1, bundle.s2, require_pure=True, tol=tol)
 
 
 def verify_coextension(bundle, variety, tol=DEFAULT):
@@ -566,8 +576,6 @@ def verify_coextension(bundle, variety, tol=DEFAULT):
     pair, (b) joint point-spectrum points of the pair lie on the variety,
     (c) the minimal Blaschke product of S1 matches m1.
     """
-    from .opcore import joint_point_spectrum
-
     entries = []
     p = variety.p
     norm_pair = opnorm(poly_apply(p, bundle.pair))
@@ -612,39 +620,3 @@ def verify_coextension(bundle, variety, tol=DEFAULT):
             "constrained-annihilator-generator", "minimal-blaschke-of-s1-equals-m1", exc
         ))
     return entries
-
-
-# ---------------------------------------------------------------------------
-# truncated model operators (for calculus consistency checks)
-
-
-def truncated_model_operators(psi, n_trunc):
-    """Shift and symbol multiplier on the truncated coefficient model."""
-    coeffs = taylor_until(psi, 1e-15)
-    d = psi.d
-    nb = n_trunc + 1
-    size = nb * d
-    mz = np.zeros((size, size), dtype=complex)
-    for m in range(n_trunc):
-        mz[(m + 1) * d : (m + 2) * d, m * d : (m + 1) * d] = np.eye(d)
-    mpsi = np.zeros((size, size), dtype=complex)
-    for m in range(nb):
-        for k in range(min(coeffs.shape[0], nb - m)):
-            mpsi[(m + k) * d : (m + k + 1) * d, m * d : (m + 1) * d] = coeffs[k]
-    return mz, mpsi
-
-
-def calculus_residual(pair, psi, p, tol=DEFAULT, seed=0):
-    """|| p(T1,T2) - J* p(shift, M_psi) J || on a padded truncation.
-
-    The embedding is re-cut at a deeper tail tolerance so that truncation
-    edge effects stay below the comparison level; the defect basis of embed_J
-    is deterministic, so the alignment unitary carries over.
-    """
-    _, _, w_align, _ = coextension_embedding(pair, psi, tol=tol, seed=seed)
-    j2, n2, _ = embed_J(pair, tol.override(tol_trunc=tol.tol_trunc * 1e-4), cap=20000)
-    d = psi.d
-    aligned = np.vstack([w_align @ j2[m * d : (m + 1) * d] for m in range(n2 + 1)])
-    mz, mpsi = truncated_model_operators(psi, n2)
-    model = poly_apply(p, (mz, mpsi))
-    return float(opnorm(poly_apply(p, pair) - aligned.conj().T @ model @ aligned))

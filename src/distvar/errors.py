@@ -21,10 +21,6 @@ class DistvarError(Exception):
     """Base class for all library errors."""
 
 
-class ZeroPolynomial(DistvarError):
-    """Root extraction requested for the zero polynomial."""
-
-
 class SingularInterpolation(DistvarError):
     """Interpolation nodes coincide or the tensor Vandermonde is singular."""
 

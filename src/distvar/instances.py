@@ -30,6 +30,7 @@ from .inner import (
     from_colligation,
     from_polynomial,
     from_scalar_blaschke_identity,
+    interior_pureness,
     variety_polynomial,
 )
 from .certify import vn_report
@@ -109,8 +110,6 @@ def _draw_separated_points(rng, count, rmax=0.7, sep=0.2):
 
 
 def _haar_colligation_spec(rng, n_state, d):
-    from .inner import interior_pureness
-
     for _ in range(50):
         u = unitary_group.rvs(n_state + d, random_state=int(rng.integers(2 ** 31)))
         a = u[:n_state, :n_state]

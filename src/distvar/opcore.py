@@ -1,4 +1,5 @@
-"""Commuting contractive matrix pairs: validation, functional calculus, spectra.
+"""Commuting contractive matrix pairs: validation, polynomial and Blaschke
+calculus, joint spectra.
 
 Point-set semantics used throughout: eigenvalue clusters are merged
 agglomeratively, cluster means are the reported locations (the mean of a
@@ -20,7 +21,6 @@ from .errors import (
     NotContractive,
     NotPure,
     TriangularizationFailed,
-    TruncationNotConverged,
 )
 from .poly import BlaschkeProduct, Poly2
 from .tolerances import DEFAULT
@@ -121,11 +121,11 @@ class CommutingPair:
         return self.t1.shape[0]
 
 
-def validate_pair(t1, t2, require_pure=False, strict=True, tol=DEFAULT):
+def validate_pair(t1, t2, require_pure=False, tol=DEFAULT):
     """Validate a pair of commuting contractive matrices and attach metadata.
 
-    With ``strict`` the spec invariants raise (NonCommuting, NotContractive,
-    NotPure); otherwise they are only recorded in the metadata.
+    The spec invariants raise: NonCommuting, NotContractive, and NotPure when
+    ``require_pure`` is set.
     """
     t1 = np.asarray(t1, dtype=complex)
     t2 = np.asarray(t2, dtype=complex)
@@ -136,20 +136,16 @@ def validate_pair(t1, t2, require_pure=False, strict=True, tol=DEFAULT):
     comm = opnorm(t1 @ t2 - t2 @ t1)
     norms = (opnorm(t1), opnorm(t2))
     margins = (1.0 - spectral_radius(t1), 1.0 - spectral_radius(t2))
-    if strict:
-        if comm > tol.tol_commute * max(1.0, norms[0] * norms[1]):
-            raise NonCommuting(f"commutator norm {comm:.3e}")
-        for k, nm in enumerate(norms):
-            if nm > 1.0 + tol.tol_norm:
-                raise NotContractive(f"||T{k + 1}|| = {nm:.12f} exceeds 1")
-        if require_pure and min(margins) <= 0.0:
-            raise NotPure(
-                f"spectral radii {1 - margins[0]:.12f}, {1 - margins[1]:.12f}"
-            )
-    if max(norms) <= 1.0 + tol.tol_norm:
-        ranks = (defect(t1, tol=tol)[1], defect(t2, tol=tol)[1])
-    else:
-        ranks = (-1, -1)
+    if comm > tol.tol_commute * max(1.0, norms[0] * norms[1]):
+        raise NonCommuting(f"commutator norm {comm:.3e}")
+    for k, nm in enumerate(norms):
+        if nm > 1.0 + tol.tol_norm:
+            raise NotContractive(f"||T{k + 1}|| = {nm:.12f} exceeds 1")
+    if require_pure and min(margins) <= 0.0:
+        raise NotPure(
+            f"spectral radii {1 - margins[0]:.12f}, {1 - margins[1]:.12f}"
+        )
+    ranks = (defect(t1, tol=tol)[1], defect(t2, tol=tol)[1])
     t1 = t1.copy()
     t2 = t2.copy()
     t1.setflags(write=False)
@@ -202,95 +198,6 @@ def poly_apply(p, pair):
     return out
 
 
-@dataclass(frozen=True)
-class AnalyticHandle:
-    """Taylor-coefficient stream of a function analytic on the bidisc.
-
-    ``coeff(i, j)`` returns the coefficient of z^i w^j and ``coeff_bound``
-    is a uniform bound on their moduli (used in the geometric tail estimate).
-    """
-
-    coeff: object
-    coeff_bound: float = 1.0
-    name: str = "analytic"
-
-    @staticmethod
-    def from_poly2(p):
-        c = p.coeffs
-
-        def cf(i, j):
-            if i < c.shape[0] and j < c.shape[1]:
-                return complex(c[i, j])
-            return 0.0
-
-        return AnalyticHandle(cf, float(max(p.scale, 1e-300)), "polynomial")
-
-
-def _power_envelope(t, rate):
-    """sup_k ||T^k|| / rate^k, computed until the tail is provably below it."""
-    n = t.shape[0]
-    best = 1.0
-    x = np.eye(n, dtype=complex)
-    for k in range(1, 2001):
-        x = x @ t
-        r = opnorm(x) / rate ** k
-        best = max(best, r)
-        if opnorm(x) < 1e-18 or (k > n and r < 1e-6 * best):
-            return best
-    raise TruncationNotConverged("power envelope did not settle")
-
-
-def analytic_apply(f, pair, tol=DEFAULT):
-    """Apply an analytic function to a pure pair through its Taylor series.
-
-    The truncation box is chosen so that the geometric tail bound derived
-    from the purity margins is below ``tol.tol_calc``.
-    """
-    if isinstance(f, Poly2):
-        f = AnalyticHandle.from_poly2(f)
-    if min(pair.purity_margins) <= 0.0:
-        raise NotPure("analytic calculus requires spectral radii < 1")
-    rho1 = 1.0 - pair.purity_margins[0]
-    rho2 = 1.0 - pair.purity_margins[1]
-    r1 = (1.0 + rho1) / 2.0
-    r2 = (1.0 + rho2) / 2.0
-    m1 = _power_envelope(pair.t1, r1)
-    m2 = _power_envelope(pair.t2, r2)
-    head = f.coeff_bound * m1 * m2 / ((1.0 - r1) * (1.0 - r2))
-
-    def box_edge(r, label):
-        if head <= tol.tol_calc / 2:
-            return 0
-        need = np.log(tol.tol_calc / (2.0 * head)) / np.log(r)
-        n = int(np.ceil(need))
-        if n > 10000:
-            raise TruncationNotConverged(
-                f"{label}-truncation at {n} terms; purity margin too small"
-            )
-        return max(n, 0)
-
-    nz = box_edge(r1, "z")
-    nw = box_edge(r2, "w")
-
-    n = pair.n
-    pow1 = [np.eye(n, dtype=complex)]
-    for _ in range(nz):
-        pow1.append(pow1[-1] @ pair.t1)
-    pow2 = [np.eye(n, dtype=complex)]
-    for _ in range(nw):
-        pow2.append(pow2[-1] @ pair.t2)
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(nz + 1):
-        acc = np.zeros((n, n), dtype=complex)
-        for j in range(nw + 1):
-            c = complex(f.coeff(i, j))
-            if c != 0.0:
-                acc += c * pow2[j]
-        if np.any(acc):
-            out += pow1[i] @ acc
-    return out
-
-
 def blaschke_apply(b, t):
     """Evaluate a finite Blaschke product on a matrix via its rational form."""
     t = np.asarray(t, dtype=complex)
@@ -311,25 +218,23 @@ def blaschke_apply(b, t):
 
 @dataclass(frozen=True)
 class JointSpectrum:
-    points: tuple          # ((lambda, mu), ...) with multiplicity for taylor kind
-    kind: str              # "taylor" | "point"
-    witnesses: tuple = ()  # common eigenvectors for the point kind
-    meta: dict = None
+    points: tuple          # ((lambda, mu), ...); the Taylor spectrum keeps multiplicity
+    witnesses: tuple = ()  # common eigenvectors of the joint point spectrum
 
 
-def joint_spectrum_taylor(pair, seed=0, attempts=5, tol=DEFAULT):
+def joint_spectrum_taylor(pair, tol=DEFAULT):
     """Joint (Taylor-style) spectrum via simultaneous unitary triangularization.
 
     A seeded generic real combination a*T1 + b*T2 is Schur-triangularized and
     the same basis is verified to triangularize both matrices; the diagonal
     pairs are the joint spectrum.  Fresh combinations cross-check the
-    eigenvalue sets.
+    eigenvalue sets.  Up to five combinations are tried.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     t1, t2 = pair.t1, pair.t2
     scale = max(1.0, pair.norms[0], pair.norms[1])
     last_defect = None
-    for attempt in range(attempts):
+    for _ in range(5):
         a, b = rng.normal(size=2)
         _, q = schur(a * t1 + b * t2, output="complex")
         u1 = q.conj().T @ t1 @ q
@@ -348,10 +253,7 @@ def joint_spectrum_taylor(pair, seed=0, attempts=5, tol=DEFAULT):
                 ):
                     break
             else:
-                return JointSpectrum(
-                    points=pts, kind="taylor",
-                    meta={"seed": seed, "attempt": attempt, "lower_defect": low},
-                )
+                return JointSpectrum(points=pts)
         last_defect = low
     raise TriangularizationFailed(
         f"no generic combination triangularized the pair (defect {last_defect})"
@@ -404,9 +306,7 @@ def joint_point_spectrum(pair, tol=DEFAULT):
     )
     return JointSpectrum(
         points=tuple(points[i] for i in order),
-        kind="point",
         witnesses=tuple(witnesses[i] for i in order),
-        meta={},
     )
 
 

@@ -9,7 +9,7 @@ Coefficient conventions:
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .errors import PoleHit, SingularInterpolation, ZeroPolynomial
+from .errors import PoleHit, SingularInterpolation
 from .tolerances import DEFAULT
 
 _TRIM_REL = 1e-14
@@ -49,9 +49,6 @@ class Poly1:
     def scale(self):
         return float(np.max(np.abs(self.coeffs)))
 
-    def is_zero(self):
-        return self.coeffs.size == 1 and self.coeffs[0] == 0.0
-
     def __call__(self, z):
         return npoly.polyval(z, self.coeffs)
 
@@ -74,36 +71,8 @@ class Poly1:
         return f"Poly1({list(self.coeffs)})"
 
     @staticmethod
-    def from_roots(rts):
-        c = npoly.polyfromroots(rts) if len(rts) else np.ones(1, dtype=complex)
-        return Poly1(c)
-
-    @staticmethod
     def identity():
         return Poly1([0.0, 1.0])
-
-
-def roots(p, tol=DEFAULT):
-    """Roots of ``p`` via companion-matrix eigenvalues.
-
-    The returned multiset has exactly ``p.degree`` elements and each root
-    ``r`` satisfies ``|p(r)| <= tol.tol_root * scale``.
-    """
-    if not isinstance(p, Poly1):
-        p = Poly1(p)
-    if p.is_zero():
-        raise ZeroPolynomial("cannot extract roots of the zero polynomial")
-    if p.degree == 0:
-        return []
-    rts = npoly.polyroots(p.coeffs)
-    scale = p.scale * max(1.0, float(np.max(np.abs(rts))) ** p.degree)
-    bad = [r for r in rts if abs(p(r)) > tol.tol_root * scale]
-    if bad:
-        raise ZeroPolynomial(
-            f"root residual {max(abs(p(r)) for r in bad):.3e} exceeds "
-            f"{tol.tol_root:.1e} * {scale:.3e}"
-        )
-    return [complex(r) for r in rts]
 
 
 def _trim2(c):
@@ -138,9 +107,6 @@ class Poly2:
     @property
     def scale(self):
         return float(np.max(np.abs(self.coeffs)))
-
-    def is_zero(self):
-        return self.coeffs.shape == (1, 1) and self.coeffs[0, 0] == 0.0
 
     def __call__(self, z, w):
         return npoly.polyval2d(z, w, self.coeffs)
@@ -194,11 +160,6 @@ class Poly2:
     @staticmethod
     def from_poly1_in_w(p):
         return Poly2(np.asarray(p.coeffs, dtype=complex).reshape(1, -1))
-
-
-def eval2(p, z, w):
-    """Bivariate Horner evaluation of ``p`` at ``(z, w)``."""
-    return complex(p(complex(z), complex(w)))
 
 
 def normalize_unit(p, rel=1e-8):
@@ -275,30 +236,6 @@ def fit_tensor_nodes(z_nodes, w_nodes, values, tol=DEFAULT):
     return Poly2(coeffs), residual
 
 
-def fit_tensor_grid(samples, degz, degw, tol=DEFAULT):
-    """Fit a Poly2 of bidegree (degz, degw) through a tensor grid of samples.
-
-    ``samples`` maps (z, w) points to complex values; the keys must form a
-    tensor product of ``degz + 1`` distinct z-nodes and ``degw + 1`` distinct
-    w-nodes.
-    """
-    zs = sorted({z for z, _ in samples}, key=lambda t: (t.real, t.imag))
-    ws = sorted({w for _, w in samples}, key=lambda t: (t.real, t.imag))
-    if len(zs) != degz + 1 or len(ws) != degw + 1:
-        raise SingularInterpolation(
-            f"expected ({degz + 1} x {degw + 1}) tensor grid, "
-            f"got {len(zs)} x {len(ws)} distinct nodes"
-        )
-    values = np.empty((len(zs), len(ws)), dtype=complex)
-    for i, z in enumerate(zs):
-        for j, w in enumerate(ws):
-            if (z, w) not in samples:
-                raise SingularInterpolation("sample grid is not a tensor product")
-            values[i, j] = samples[(z, w)]
-    p, _ = fit_tensor_nodes(zs, ws, values, tol=tol)
-    return p
-
-
 class BlaschkeProduct:
     """Finite Blaschke product: unimodular constant times factors (a-z)/(1-conj(a)z)."""
 
@@ -342,10 +279,6 @@ class BlaschkeProduct:
                 p = p * Poly1([a, -1.0])
         return p
 
-    def taylor(self, z0, n):
-        """First n Taylor coefficients of the product around an interior point."""
-        return _blaschke_taylor_jet(self, complex(z0), n)
-
     def __repr__(self):
         return f"BlaschkeProduct(zeros={list(self.zeros)}, constant={self.constant})"
 
@@ -373,16 +306,6 @@ def _factor_taylor(a, z0, n):
     for k in range(1, n):
         out[k] = (abs(a) ** 2 - 1.0) * np.conj(a) ** (k - 1) / den ** (k + 1)
     return out
-
-
-def _blaschke_taylor_jet(b, z0, n):
-    jet = np.zeros(n, dtype=complex)
-    jet[0] = b.constant
-    for a, m in b.zeros:
-        f = _factor_taylor(a, z0, n)
-        for _ in range(m):
-            jet = np.convolve(jet, f)[:n]
-    return jet
 
 
 def has_simple_roots(b, sep):

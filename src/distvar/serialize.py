@@ -154,7 +154,7 @@ def pair_from_json(obj, tol=DEFAULT):
     with malformed("pair"):
         t1, t2 = matrix_from_json(obj["t1"]), matrix_from_json(obj["t2"])
         require_pure = bool(obj.get("require_pure", False))
-    return validate_pair(t1, t2, require_pure=require_pure, strict=True, tol=tol)
+    return validate_pair(t1, t2, require_pure=require_pure, tol=tol)
 
 
 def variety_to_json(variety):

@@ -2,9 +2,11 @@
 
 Every threshold a caller can override lives here and reaches its checks
 only as this table, passed as ``tol``, so that a report records the exact
-table it was produced under.  Other thresholds (node spacings, SVD floors,
-the eigenvalue merge radius and others) are still fixed literals in the
-modules that use them: no override moves them.
+table it was produced under.  Every field is read by at least one check on
+the certification path; an override of the table therefore always moves a
+decision.  Other thresholds (node spacings, SVD floors, the eigenvalue merge
+radius and others) are fixed literals in the modules that use them: no
+override moves them.
 """
 
 from dataclasses import dataclass, asdict, replace
@@ -12,8 +14,7 @@ from dataclasses import dataclass, asdict, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    # polynomial arithmetic
-    tol_root: float = 1e-8          # residual bound for accepted roots
+    # polynomial interpolation
     tol_fit: float = 1e-10          # relative interpolation residual
     # inner functions
     tol_unitary: float = 1e-8       # boundary / block unitarity defect
@@ -24,7 +25,6 @@ class Tolerances:
     tol_rank: float = 1e-7          # relative numerical-rank threshold
     tol_eig: float = 1e-8           # eigenvector witness residual
     tol_ann: float = 1e-8           # annihilation norm for ideal membership
-    tol_calc: float = 1e-10         # truncation target for analytic calculus
     # dilation machinery
     tol_trunc: float = 1e-10        # ||J*J - I|| after truncation
     tol_intertwine: float = 1e-7    # intertwining residuals

@@ -278,6 +278,28 @@ def test_invalid_tolerance_override_exits_2(tmp_path, capsys, command, override)
     assert not (tmp_path / "o").exists()
 
 
+def test_removed_tolerance_is_unknown(tmp_path, capsys):
+    # tol_calc and tol_root had no reader left on the certification path
+    for name in ("tol_calc", "tol_root"):
+        code = main(["--out", str(tmp_path / "o"), "--tol", f"{name}=1e-10", "demo"])
+        assert code == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == f"invalid --tol: unknown tolerance {name!r}"
+
+
+def test_cmd_certify_pair_symbol_dimension_mismatch_exits_2(tmp_path, capsys, j2_pair,
+                                                            companion_psi_2):
+    # the Jordan pair has defect rank 1; the companion symbol has d = 2
+    dump_json(pair_to_json(j2_pair), tmp_path / "pair.json")
+    code = main(["--out", str(tmp_path / "o"), "--boundary-samples", "128",
+                 "--disc-samples", "8x32", "certify", "--pair", str(tmp_path / "pair.json"),
+                 "--psi", _psi_file(tmp_path, companion_psi_2)])
+    assert code == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error.startswith("NoInnerSolution:")
+    assert "defect rank 1" in error and "d = 2" in error
+
+
 @pytest.mark.parametrize("argv", [
     ["--boundary-samples", "10", "demo"],
     ["--disc-samples", "0x0", "demo"],

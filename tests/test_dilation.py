@@ -111,6 +111,19 @@ def test_construct_psi_rejects_mismatched_symbol(j2_pair):
         dv.coextension_embedding(j2_pair, psi)
 
 
+@pytest.mark.parametrize("t, symbol, rank, d", [
+    (J2, "companion_psi_2", 1, 2),
+    (np.zeros((3, 3)), "scalar_shift_psi", 3, 1),
+], ids=["jordan-rank1-d2", "zero-rank3-d1"])
+def test_coextension_rejects_defect_rank_other_than_d(request, t, symbol, rank, d):
+    # J has one block per power of T1*, of as many rows as the defect rank
+    # of T1; the symbol's Taylor coefficients are d x d
+    pair = dv.validate_pair(t, t, require_pure=True)
+    assert pair.defect_ranks[0] == rank
+    with pytest.raises(NoInnerSolution, match=f"defect rank {rank} .* d = {d}"):
+        dv.coextension_embedding(pair, request.getfixturevalue(symbol))
+
+
 # ---------------------------------------------------------------------------
 # stacked builds against their loop references
 
@@ -339,7 +352,8 @@ def test_verify_coextension_detects_corruption(companion_psi_2):
     variety = dv.variety_polynomial(companion_psi_2)
     bad_t2 = np.asarray(pair.t2).copy()
     bad_t2[0, 1] += 1e-3
-    bad_pair = dv.validate_pair(pair.t1, bad_t2, strict=False)
+    # the corrupted pair no longer commutes, so validate_pair would reject it
+    bad_pair = dataclasses.replace(pair, t2=bad_t2)
     corrupted = dataclasses.replace(bundle, pair=bad_pair)
     entries = dv.verify_coextension(corrupted, variety)
     annih = [e for e in entries if e.name == "variety-annihilates"][0]
@@ -347,12 +361,31 @@ def test_verify_coextension_detects_corruption(companion_psi_2):
     assert 1e-4 < annih.data["pair_norm"] < 1e-2
 
 
+def _dilation_residual(pair, psi, p):
+    """|| p(T1, T2) - J* p(M_z, M_Psi) J || on the truncated coefficient model.
+
+    J is re-cut at tol_trunc = 1e-14, so that truncation edge effects stay
+    below the comparison level, and rotated by the alignment unitary of
+    coextension_embedding (the defect basis of embed_J is deterministic).
+    """
+    _, _, w_align, _ = dv.coextension_embedding(pair, psi)
+    j, n, _ = dv.embed_J(pair, dv.DEFAULT.override(tol_trunc=1e-14))
+    d = psi.d
+    aligned = (w_align @ j.reshape(n + 1, d, -1)).reshape(j.shape)
+    mz = np.kron(np.eye(n + 1, k=-1), np.eye(d))
+    mpsi = sum(np.kron(np.eye(n + 1, k=-k), c)
+               for k, c in enumerate(dv.taylor_at(psi, 0.0, n + 1)))
+    model = dv.poly_apply(p, (mz, mpsi))
+    return opnorm(dv.poly_apply(p, pair) - aligned.conj().T @ model @ aligned)
+
+
 def test_calculus_consistency():
+    # the dilation identity p(T) = J* p(M_z, M_Psi) J
     rng = np.random.default_rng(21)
     for seed in (0, 2, 4):
         inst = make_instance(random_recipe(seed))
         p = dv.Poly2(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        res = dv.calculus_residual(inst.pair, inst.psi, p)
+        res = _dilation_residual(inst.pair, inst.psi, p)
         assert res <= 1e-7 * p.scale
 
 

@@ -94,30 +94,6 @@ def test_poly_apply_nilpotent_square(j2_pair):
     assert np.linalg.norm(got, 2) < 1e-15
 
 
-def test_analytic_apply_geometric_on_nilpotent(j2_pair):
-    f = dv.AnalyticHandle(
-        lambda i, j: 0.25 ** i if i == j else 0.0, 1.0, "1/(1-zw/4)"
-    )
-    got = dv.analytic_apply(f, j2_pair)
-    assert np.allclose(got, np.eye(2), atol=1e-12)
-
-
-def test_analytic_apply_agrees_with_poly():
-    pair = _random_commuting_pair(4)
-    rng = np.random.default_rng(0)
-    p = dv.Poly2(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    a = dv.analytic_apply(dv.AnalyticHandle.from_poly2(p), pair)
-    b = dv.poly_apply(p, pair)
-    assert np.linalg.norm(a - b, 2) <= 1e-12 * p.scale * 10
-
-
-def test_analytic_apply_coordinate():
-    pair = dv.validate_pair(np.diag([0.1, 0.2]), np.diag([0.3, 0.4]),
-                            require_pure=True)
-    f = dv.AnalyticHandle(lambda i, j: 1.0 if (i, j) == (1, 0) else 0.0, 1.0, "z")
-    assert np.allclose(dv.analytic_apply(f, pair), np.diag([0.1, 0.2]), atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # joint spectra
 
@@ -202,15 +178,17 @@ def test_minimal_blaschke_zero_matrix():
 
 
 def test_minimal_blaschke_annihilates_through_taylor_route():
-    # the rational evaluation and the Taylor-series calculus must agree
+    # the rational evaluation and the Taylor series at 0, summed against the
+    # powers of T, must agree; the coefficients of b are at most 1 in modulus
+    # and ||T|| = 0.5, so the tail past 41 terms is below 0.5^40 < 1e-12
     t = np.diag([0.2, -0.35 + 0.1j, 0.5j])
     b = dv.minimal_blaschke(t)
-    coeffs = b.taylor(0.0, 41)
-    f = dv.AnalyticHandle(
-        lambda i, j: coeffs[i] if j == 0 and i <= 40 else 0.0, 1.0, "m1"
-    )
-    pair = dv.validate_pair(t, np.zeros((3, 3)), require_pure=True)
-    via_series = dv.analytic_apply(f, pair)
+    coeffs = dv.taylor_at(dv.from_scalar_blaschke_identity(b, 1), 0.0, 41)[:, 0, 0]
+    via_series = np.zeros((3, 3), dtype=complex)
+    power = np.eye(3, dtype=complex)
+    for c in coeffs:
+        via_series += c * power
+        power = power @ t
     assert np.linalg.norm(via_series, 2) < 1e-8
     assert np.linalg.norm(via_series - dv.blaschke_apply(b, t), 2) < 1e-8
 

@@ -35,3 +35,14 @@ def test_every_tol_parameter_defaults_to_the_table():
            if name == "tol" and default is not None
            and not (isinstance(default, ast.Name) and default.id == "DEFAULT")]
     assert bad == []
+
+
+def test_every_field_is_read_by_a_check():
+    # a field that no ``tol.<field>`` reads is an override that moves nothing
+    read = set()
+    for path in Path(dv.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "tol"):
+                read.add(node.attr)
+    assert sorted(FIELDS - read) == []

@@ -24,13 +24,12 @@ from .certify import (
 )
 from .dilation import (
     CoextensionBundle,
-    JetKernelBasis,
     coextension_embedding,
     compress_pair,
     construct_psi,
     constrained_coextension,
     embed_J,
-    jet_kernel_basis,
+    model_shift,
     s_pair,
     verify_coextension,
 )
@@ -49,6 +48,7 @@ from .inner import (
     from_polynomial,
     from_scalar_blaschke_identity,
     interior_pureness,
+    psi_of_matrix,
     taylor_at,
     variety_polynomial,
 )

@@ -121,7 +121,7 @@ def z_ann(basis, pair, tol=DEFAULT):
     Candidates are the joint-spectrum points of the pair; a candidate is kept
     iff every generator vanishes on it.  The result is deduplicated as a set.
     """
-    points = joint_spectrum_taylor(pair, tol=tol).points
+    points = joint_spectrum_taylor(pair).points
     lams, mus = np.array(points, dtype=complex).reshape(-1, 2).T
     off = np.zeros(len(points), dtype=bool)
     for g in basis.generators:
@@ -215,7 +215,7 @@ def support_bounds(zset, bundle, variety, tol=DEFAULT):
     """
     zset = _settled(zset)
     spair = validate_pair(bundle.s1, bundle.s2, require_pure=True, tol=tol)
-    staylor = joint_spectrum_taylor(spair, tol=tol)
+    staylor = joint_spectrum_taylor(spair)
     lower = tuple(dedupe_points(list(staylor.points), tol=tol))
     return SupportBounds(inner_set=zset, lower_boundary=lower, variety=variety)
 

@@ -5,14 +5,15 @@ row block m holds the defect-coordinate vector of D T1*^m, so that
 J T1* = (shift*) J holds exactly block-wise and ||J*J - I|| equals
 ||T1^(N+1)||^2, which fixes the truncation degree.
 
-The constrained model space is computed inside the jet-kernel span of the
-minimal Blaschke product of T1: derivative kernels are closed under adjoint
-multipliers, so every operator acts exactly (Leibniz rule) and only the Gram
-matrix carries analytic formulas.
+Every model operator is built in closed form.  The compression of
+(M_z tensor I, M_Psi) to a co-invariant model space K_b tensor C^d is
+multiplicative (Sarason 1967), so it equals (S tensor I, Psi(S)) for the
+compressed shift S of K_b (``model_shift``) and the functional calculus
+``psi_of_matrix``.  The instance pairs live on K_theta, the constrained
+pair on a subspace of K_(m1); no Taylor series is read.
 """
 
 from dataclasses import dataclass
-from math import comb, factorial, perm
 
 import numpy as np
 
@@ -25,13 +26,7 @@ from .errors import (
     NotUnitaryColligation,
     TruncationNotConverged,
 )
-from .inner import (
-    from_colligation,
-    interior_pureness,
-    series_mul,
-    taylor_at,
-    taylor_until,
-)
+from .inner import from_colligation, interior_pureness, psi_of_matrix
 from .opcore import (
     CommutingPair,
     defect,
@@ -89,29 +84,8 @@ def embed_J(pair, tol=DEFAULT):
     return np.vstack(blocks), n_trunc, w
 
 
-def _kron_stack(a, b):
-    """np.kron(a[m], b[m]) for every m as one stack, by one broadcast outer
-    product; ``b`` may also be a single matrix, shared by every m."""
-    a = np.ascontiguousarray(a)
-    (m, p, q), (r, s) = a.shape, b.shape[-2:]
-    return (a[:, :, None, :, None] * b[..., None, :, None, :]).reshape(m, p * r, q * s)
-
-
-def _alignment_system(blocks, t2s, coeffs):
-    """Linear system in vec(W) of the alignment unitary: row block m is
-    kron((R_m T2*)^T, I) - sum_k kron(R_(m+k)^T, Psi_k*), each term formed
-    for all m at once and subtracted in series order."""
-    kk, d = coeffs.shape[:2]
-    m_eq = len(blocks) - kk + 1
-    system = _kron_stack(np.swapaxes(blocks[:m_eq] @ t2s, 1, 2), np.eye(d))
-    blocks_t = np.swapaxes(blocks, 1, 2)
-    for k in range(kk):
-        system = system - _kron_stack(blocks_t[k : k + m_eq], coeffs[k].conj().T)
-    return system.reshape(-1, d * d)
-
-
 def _unvec(x, d):
-    return x.reshape(d, d, order="F")
+    return x.reshape(d, -1, order="F")
 
 
 def _vec(m):
@@ -191,17 +165,13 @@ def coextension_embedding(pair, psi, tol=DEFAULT, seed=0):
 
     The defect coordinates of embed_J are only fixed up to a constant unitary,
     so the unitary W aligning J with the symbol is recovered from the linear
-    intertwining identity   W R_m T2* = sum_k Psi_k* W R_(m+k)   and J is
-    rotated accordingly before the residuals are measured.  The blocks have
-    as many rows as the defect rank of T1, so a pair whose defect rank is not
-    the symbol's d raises NoInnerSolution.
-
-    The blocks R_m are stacked: each Kronecker term of the alignment system
-    is one broadcast outer product over the stack (see _alignment_system),
-    and each residual is one stacked 2-norm of batched block products.
+    intertwining identity   W R_0 T2* = Phi(W R_0),  Phi(X) = sum_k Psi_k* X T1*^k,
+    and J is rotated accordingly before the residuals are measured.  As
+    R_m = R_0 T1*^m and T1, T2 commute, the identity for every block R_m
+    follows from this one.  vec Phi is Psi(T1^T)*, in closed form.  The blocks
+    have as many rows as the defect rank of T1, so a pair whose defect rank is
+    not the symbol's d raises NoInnerSolution.
     """
-    coeffs = taylor_until(psi, 1e-15)
-    kk = coeffs.shape[0]
     j0, n_trunc, w = embed_J(pair, tol)
     d = psi.d
     if w.shape[1] != d:
@@ -210,21 +180,16 @@ def coextension_embedding(pair, psi, tol=DEFAULT, seed=0):
             f"dimension d = {d}"
         )
     n = pair.n
-    blocks = list(j0[: (n_trunc + 1) * d].reshape(n_trunc + 1, d, n))
-    t1s = pair.t1.conj().T
-    # extend exactly: R_(m+1) = R_m T1*, so alignment always has equations
-    while len(blocks) < kk + 2:
-        blocks.append(blocks[-1] @ t1s)
-    blocks = np.array(blocks)
-    m_eq = len(blocks) - kk + 1
-    t2s = pair.t2.conj().T
-    system = _alignment_system(blocks, t2s, coeffs)
-    # the left factor is unused, and forming it square costs O(rows^2); only a
-    # wide system needs the full vh, whose extra rows span part of the kernel
-    _, svals, vh = np.linalg.svd(system, full_matrices=system.shape[0] < system.shape[1])
-    smax = svals[0] if svals.size else 0.0
-    null_mask = svals <= max(1e-10, 1e-8 * smax)
-    nullity = int(np.count_nonzero(null_mask)) + (vh.shape[0] - svals.size)
+    blocks = j0.reshape(n_trunc + 1, d, n)
+    t1s, t2s = pair.t1.conj().T, pair.t2.conj().T
+    phi = psi_of_matrix(psi, pair.t1.T).conj().T
+    # vec(W R) = kron(R^T, I) vec(W)
+    eye = np.eye(d)
+    system = np.kron((blocks[0] @ t2s).T, eye) - phi @ np.kron(blocks[0].T, eye)
+    # n d rows and d^2 columns, and the defect rank d is at most n: the
+    # system is never wide, so the thin vh spans the whole kernel
+    _, svals, vh = np.linalg.svd(system, full_matrices=False)
+    nullity = int(np.count_nonzero(svals <= max(1e-10, 1e-8 * svals[0])))
     if nullity == 0:
         raise NoInnerSolution(
             "the symbol does not intertwine any co-extension of the pair"
@@ -237,14 +202,12 @@ def coextension_embedding(pair, psi, tol=DEFAULT, seed=0):
         if w_align is None:
             raise NoInnerSolution("no unitary alignment found in the null space")
     aligned = w_align @ blocks
-    n_trunc = len(blocks) - 1
     j = aligned.reshape(-1, n)
     res_iso = opnorm(j.conj().T @ j - np.eye(n))
-    res_shift = np.linalg.norm(aligned[:-1] @ t1s - aligned[1:], 2, axis=(1, 2)).max()
-    lhs = aligned[:m_eq] @ t2s
-    for k in range(kk):
-        lhs = lhs - coeffs[k].conj().T @ aligned[k : k + m_eq]
-    res_symbol = np.linalg.norm(lhs, 2, axis=(1, 2)).max()
+    shift_gaps = np.linalg.norm(aligned[:-1] @ t1s - aligned[1:], 2, axis=(1, 2))
+    res_shift = shift_gaps.max(initial=0.0)  # J has a single block when T1 = 0
+    x = aligned[0]
+    res_symbol = opnorm(x @ t2s - _unvec(phi @ _vec(x), d))
     residuals = {
         "isometry": float(res_iso),
         "intertwine_shift": float(res_shift),
@@ -300,176 +263,38 @@ def construct_psi(pair, tol=DEFAULT, seed=0):
 # model-space compression (instance generator)
 
 
-def _hardy_coeff_length(max_mod, extra):
-    if max_mod < 1e-12:
-        return extra + 8
-    return int(np.ceil(np.log(1e-18) / np.log(max_mod))) + extra + 8
+def model_shift(b):
+    """Compressed shift P M_z | K_b in the Malmquist-Takenaka basis of K_b.
 
-
-def _model_basis_coeffs(theta, length):
-    """Coefficient rows of the shifted-kernel orthonormal basis of K_theta.
-
-    Basis function r (zeros a_1..a_D listed with multiplicity) is
+    Basis function r (zeros a_1..a_D of b listed with multiplicity) is
     prod_{j<r} (z - a_j)/(1 - conj(a_j) z) * sqrt(1-|a_r|^2)/(1 - conj(a_r) z).
+    The matrix is lower triangular with the zeros on its diagonal; entry
+    (r, c), r > c, is sqrt(1-|a_r|^2) sqrt(1-|a_c|^2) prod_{c<k<r} (-conj a_k).
     """
-    zs = theta.zero_list()
-    dd = len(zs)
-    rows = np.zeros((dd, length), dtype=complex)
-    lead = np.zeros(length, dtype=complex)
-    lead[0] = 1.0
-    for r, a in enumerate(zs):
-        kernel = np.sqrt(1.0 - abs(a) ** 2) * np.conj(a) ** np.arange(length)
-        rows[r] = np.convolve(lead, kernel)[:length]
-        # multiply the running product by (z - a)/(1 - conj(a) z)
-        factor = np.zeros(length, dtype=complex)
-        factor[0] = -a
-        factor[1:] = (1.0 - abs(a) ** 2) * np.conj(a) ** np.arange(length - 1)
-        lead = np.convolve(lead, factor)[:length]
-    return rows
+    zs = np.array(b.zero_list(), dtype=complex)
+    weights = np.sqrt(1.0 - np.abs(zs) ** 2)
+    s = np.diag(zs)
+    for c in range(zs.size):
+        prod = 1.0
+        for r in range(c + 1, zs.size):
+            s[r, c] = weights[r] * weights[c] * prod
+            prod *= -np.conj(zs[r])
+    return s
 
 
 def compress_pair(psi, theta, tol=DEFAULT):
     """Compress (M_z tensor I, M_Psi) to the model space K_theta tensor C^d.
 
     theta is a nonconstant scalar finite Blaschke product, so the space is
-    jointly co-invariant and the compressed pair is a pure commuting pair of
-    size deg(theta) * d.  Basis order: function-major, then C^d coordinate.
+    jointly co-invariant and the compressed pair is the pure commuting pair
+    (S tensor I, Psi(S)) of size deg(theta) * d, S = model_shift(theta).
+    Basis order: function-major, then C^d coordinate.
     """
     if theta.degree == 0:
         raise ValueError("theta must be nonconstant")
-    coeffs = taylor_until(psi, 1e-16)
-    kk = coeffs.shape[0]
-    zmax = max((abs(a) for a in theta.zero_list()), default=0.0)
-    length = _hardy_coeff_length(zmax, theta.degree + kk)
-    rows = _model_basis_coeffs(theta, length)
-    gram = rows.conj() @ rows.T
-    if opnorm(gram - np.eye(rows.shape[0])) > 1e-10:
-        raise TruncationNotConverged("model basis lost orthonormality; raise length")
-
-    def shift_corr(k):
-        m = length - k
-        return rows[:, k:].conj() @ rows[:, :m].T
-
-    t1 = np.kron(shift_corr(1), np.eye(psi.d))
-    # sum_k kron(shift_corr(k), Psi_k) in series order; a sum over the stack
-    # axis may add pairwise and round differently
-    t2 = np.zeros((rows.shape[0] * psi.d,) * 2, dtype=complex)
-    for term in _kron_stack(np.array([shift_corr(k) for k in range(kk)]), coeffs):
-        t2 += term
-    return validate_pair(t1, t2, require_pure=True, tol=tol)
-
-
-# ---------------------------------------------------------------------------
-# jet-kernel machinery
-
-
-def _gram_entry(lam, j, mu, i):
-    """Inner product < k_lam^(j), k_mu^(i) > of derivative kernels in H^2.
-
-    k_lam^(j)(z) = j! z^j (1 - conj(lam) z)^(-(j+1)); the inner product is its
-    i-th derivative at mu, expanded by the Leibniz rule.
-    """
-    c = np.conj(lam)
-    den = 1.0 - c * mu
-    total = 0.0 + 0.0j
-    for l in range(min(i, j) + 1):
-        falling = factorial(j) // factorial(j - l)
-        rising = factorial(j + i - l) // factorial(j)
-        total += (
-            comb(i, l)
-            * falling
-            * rising
-            * mu ** (j - l)
-            * c ** (i - l)
-            * den ** (-(j + 1 + i - l))
-        )
-    return factorial(j) * total
-
-
-@dataclass(frozen=True)
-class JetKernelBasis:
-    """Derivative-kernel basis of K_(m1) tensor C^d at the zeros of m1."""
-
-    points: tuple        # ((lambda, multiplicity), ...)
-    jets: tuple          # ((lambda, order), ...) scalar jet index list
-    d: int
-    gram: np.ndarray     # scalar Gram, shape (S, S)
-    chol: np.ndarray     # lower Cholesky factor of gram
-
-    @property
-    def scalar_dim(self):
-        return len(self.jets)
-
-    @property
-    def dimension(self):
-        return len(self.jets) * self.d
-
-
-def jet_kernel_basis(m1, d):
-    jets = []
-    for lam, mult in m1.zeros:
-        for j in range(mult):
-            jets.append((lam, j))
-    s = len(jets)
-    gram = np.empty((s, s), dtype=complex)
-    # gram[a, b] = < b_b, b_a >
-    for a, (mu, i) in enumerate(jets):
-        for b, (lam, j) in enumerate(jets):
-            gram[a, b] = _gram_entry(lam, j, mu, i)
-    gram = 0.5 * (gram + gram.conj().T)
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateCluster("jet-kernel Gram matrix is not positive definite") from exc
-    return JetKernelBasis(points=tuple(m1.zeros), jets=tuple(jets), d=d,
-                          gram=gram, chol=chol)
-
-
-def _series_powers(taylor, count):
-    """Series of Psi^0, ..., Psi^(count-1) from the Taylor series of Psi."""
-    n, d, _ = taylor.shape
-    pw = np.zeros((count, n, d, d), dtype=complex)
-    pw[0, 0] = np.eye(d)
-    for j in range(1, count):
-        pw[j] = series_mul(pw[j - 1], taylor)
-    return pw
-
-
-def _compose_taylor(f, lam, pw):
-    """Taylor coefficients at lam of z -> f(z, Psi(z)), from the series
-    powers ``pw`` of Psi at lam (see _series_powers), as many as they hold."""
-    c = f.coeffs
-    pw = pw[: c.shape[1]]
-    out = np.zeros(pw.shape[1:], dtype=complex)
-    # Horner in z; z is the series lam + t, so a step scales and shifts
-    for row in np.tensordot(c, pw, axes=(1, 0))[::-1]:
-        step = lam * out + row
-        step[1:] += out[:-1]
-        out = step
-    return out
-
-
-def _adjoint_action(basis, taylor):
-    """Matrix of M_Phi* on the jet basis, from the Taylor coefficients
-    ``taylor[lam]`` of the symbol Phi at each zero (Leibniz rule)."""
-    d = basis.d
-    s = basis.scalar_dim
-    a = np.zeros((s * d, s * d), dtype=complex)
-    base = 0
-    for lam, mult in basis.points:
-        for j in range(mult):
-            for l in range(j + 1):
-                row, col = base + j - l, base + j
-                blk = perm(j, l) * taylor[lam][l].conj().T
-                a[row * d : (row + 1) * d, col * d : (col + 1) * d] += blk
-        base += mult
-    return a
-
-
-def _to_onb(basis, mats):
-    """Each matrix of the stack ``mats`` in orthonormal jet-space coordinates."""
-    lfac = np.kron(basis.chol, np.eye(basis.d))
-    return lfac.conj().T @ mats @ np.linalg.inv(lfac).conj().T
+    s = model_shift(theta)
+    return validate_pair(np.kron(s, np.eye(psi.d)), psi_of_matrix(psi, s),
+                         require_pure=True, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -480,8 +305,7 @@ class CoextensionBundle:
     n_trunc: int
     align_unitary: np.ndarray
     m1: BlaschkeProduct
-    jet_basis: JetKernelBasis
-    kpsi_basis: np.ndarray   # ONB coordinates inside the jet space
+    kpsi_basis: np.ndarray   # ONB coordinates inside the model space of m1
     s1: np.ndarray
     s2: np.ndarray
     residuals: dict
@@ -495,36 +319,20 @@ def constrained_coextension(pair, psi, basis, tol=DEFAULT, seed=0):
     """Constrained isometric co-extension of the pair for the given symbol.
 
     ``basis`` is the AnnihilatorBasis of the pair.  The intersection of the
-    adjoint kernels of its generators is computed inside the jet space
-    K_(m1) tensor C^d (legitimate because m1 annihilates T1); the compressions
-    of the shift and the symbol multiplier to that intersection form the
-    constrained pair (S1, S2).
+    adjoint kernels of its generators is computed inside the model space
+    K_(m1) tensor C^d (legitimate because m1 annihilates T1), where the
+    model pair is compress_pair(psi, m1) and a generator f acts adjointly as
+    f(model pair)*; the compressions of the model pair to that intersection
+    form the constrained pair (S1, S2).
     """
     m1, ann_gens = basis.m1, basis.generators
     if m1.degree == 0:
         raise AnnTrivial("the univariate annihilator of T1 is trivial")
-    d = psi.d
-    jets = jet_kernel_basis(m1, d)
-    psi_taylor = {lam: taylor_at(psi, lam, mult) for lam, mult in m1.zeros}
-
-    # adjoint shift action: symbol z
-    zvals = {}
-    for lam, mult in m1.zeros:
-        arr = np.zeros((mult, d, d), dtype=complex)
-        arr[0] = lam * np.eye(d)
-        if mult > 1:
-            arr[1] = np.eye(d)
-        zvals[lam] = arr
-    powers = {lam: _series_powers(psi_taylor[lam], max(f.coeffs.shape[1] for f in ann_gens))
-              for lam, _ in m1.zeros}
-    a_z, a_psi, *stack = _to_onb(jets, np.array(
-        [_adjoint_action(jets, zvals), _adjoint_action(jets, psi_taylor)]
-        + [_adjoint_action(jets, {lam: _compose_taylor(f, lam, powers[lam])
-                                  for lam, _ in m1.zeros}) for f in ann_gens]
-    ))
+    model = compress_pair(psi, m1, tol=tol)
+    stack = [poly_apply(f, model).conj().T for f in ann_gens]
     # the generators always include the minimal polynomials, so the stack is
     # never empty
-    dim = jets.dimension
+    dim = model.n
     _, svals, vh = np.linalg.svd(np.vstack(stack))
     smax = svals[0] if svals.size else 0.0
     if smax <= 1e-12:
@@ -536,10 +344,8 @@ def constrained_coextension(pair, psi, basis, tol=DEFAULT, seed=0):
             raise DegenerateCluster("kernel-cut singular value inside the guard band")
         nullity = dim - int(np.count_nonzero(svals > thresh))
         q = vh.conj().T[:, dim - nullity :] if nullity else np.zeros((dim, 0))
-    s1_adj = q.conj().T @ a_z @ q
-    s2_adj = q.conj().T @ a_psi @ q
-    s1 = s1_adj.conj().T
-    s2 = s2_adj.conj().T
+    s1 = q.conj().T @ model.t1 @ q
+    s2 = q.conj().T @ model.t2 @ q
     residuals = {
         "s_commutator": opnorm(s1 @ s2 - s2 @ s1),
         "s1_radius": spectral_radius(s1),
@@ -556,7 +362,6 @@ def constrained_coextension(pair, psi, basis, tol=DEFAULT, seed=0):
         n_trunc=n_trunc,
         align_unitary=w_align,
         m1=m1,
-        jet_basis=jets,
         kpsi_basis=q,
         s1=s1,
         s2=s2,

@@ -7,10 +7,11 @@ Three interchangeable representations are supported:
   * polynomial:   Psi(z) = sum_k coeffs[k] z^k with matrix coefficients.
 
 Each representation has one evaluation path, ``eval_psi_grid``, which takes
-a whole grid of points, and one Taylor path, ``taylor_at``, which returns
-Taylor coefficients (never derivatives) around an interior point.
-``taylor_until`` caches the series at 0, read-only, on the symbol, so every
-cut of it costs one expansion per symbol.
+a whole grid of points, and one matrix functional calculus, ``psi_of_matrix``,
+which gives Psi(S) = sum_k kron(S^k, Psi_k) in closed form; the model
+operators of the co-extension are built from it.  ``taylor_at`` returns
+Taylor coefficients (never derivatives) around an interior point; no
+certification step reads them.
 
 The zero set {det(Psi(z) - wI) = 0} is produced as an honest bivariate
 polynomial by sampling the determinant of the linear pencil
@@ -107,7 +108,7 @@ class BPFactor:
 class MatrixInnerFunction:
     """Rational d x d inner function with a constructively verified representation."""
 
-    __slots__ = ("kind", "d", "data", "boundary_defect", "realization_radius", "_series")
+    __slots__ = ("kind", "d", "data", "boundary_defect", "realization_radius")
 
     def __init__(self, kind, d, data, boundary_defect, realization_radius):
         object.__setattr__(self, "kind", kind)
@@ -115,8 +116,6 @@ class MatrixInnerFunction:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "boundary_defect", float(boundary_defect))
         object.__setattr__(self, "realization_radius", float(realization_radius))
-        # (coefficients, norms) of the Taylor series at 0, see taylor_until
-        object.__setattr__(self, "_series", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixInnerFunction is immutable")
@@ -339,30 +338,56 @@ def taylor_at(psi, lam, n):
 
 
 def taylor_until(psi, cut):
-    """Taylor coefficients at 0 until three consecutive ones fall below cut.
-
-    The series is read at lengths 8, 16, 32, ...  The longest one expanded is
-    cached, read-only, on the symbol, so later cuts read or extend it; as
-    taylor_at gives each coefficient independently of the length, a cut
-    returns the same bits as a fresh expansion.
-    """
+    """Taylor coefficients at 0 until three consecutive ones fall below cut,
+    reading the series at lengths 8, 16, 32, ...  No certification step
+    calls it; the benchmark's call tracer (perfbench/tracer.py) wraps it by
+    name."""
     if psi.kind == POLYNOMIAL:
         return taylor_at(psi, 0.0, psi.data["coeffs"].shape[0])
     n = 8
     while n <= 4096:
-        if psi._series is None or psi._series[0].shape[0] < n:
-            coeffs = taylor_at(psi, 0.0, n)
-            norms = np.linalg.norm(coeffs, 2, axis=(1, 2))
-            coeffs.flags.writeable = norms.flags.writeable = False
-            object.__setattr__(psi, "_series", (coeffs, norms))
-        small = psi._series[1][:n] <= cut
+        coeffs = taylor_at(psi, 0.0, n)
+        small = np.linalg.norm(coeffs, 2, axis=(1, 2)) <= cut
         if small[-3:].all():
             last = int(np.max(np.nonzero(~small)[0])) if (~small).any() else 0
-            return psi._series[0][: last + 1]
+            return coeffs[: last + 1]
         n *= 2
     raise TruncationNotConverged(
         f"Taylor series of the symbol did not reach {cut:.1e} within 4096 terms"
     )
+
+
+def psi_of_matrix(psi, s):
+    """Psi(S) = sum_k kron(S^k, Psi_k) for a square S of spectral radius < 1.
+
+    The map is multiplicative, so each representation has a closed form:
+    I(x)D + (S(x)C)(I - S(x)A)^(-1)(I(x)B) for colligations, the product of
+    (I(x)U)(I(x)(I - P) + b_a(S)(x)P) for Blaschke-Potapov products, and
+    Horner in S(x)I for polynomials.
+    """
+    s = np.asarray(s, dtype=complex)
+    eye = np.eye(s.shape[0])
+    if psi.kind == COLLIGATION:
+        A, B, C, D = (psi.data[k] for k in ("A", "B", "C", "D"))
+        out = np.kron(eye, D)
+        if A.shape[0]:
+            x = np.linalg.solve(np.eye(s.shape[0] * A.shape[0]) - np.kron(s, A),
+                                np.kron(eye, B))
+            out = out + np.kron(s, C) @ x
+        return out
+    if psi.kind == BP_PRODUCT:
+        out = np.kron(eye, psi.data["leading"])
+        for f in psi.data["factors"]:
+            b = np.linalg.solve(eye - np.conj(f.zero) * s, f.zero * eye - s)
+            out = out @ np.kron(eye, f.unitary) @ (
+                np.kron(eye, np.eye(psi.d) - f.projection) + np.kron(b, f.projection))
+        return out
+    coeffs = psi.data["coeffs"]
+    shift = np.kron(s, np.eye(psi.d))
+    out = np.kron(eye, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out = shift @ out + np.kron(eye, c)
+    return out
 
 
 def boundary_unitarity_defect(psi, n=2048):

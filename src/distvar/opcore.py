@@ -222,13 +222,14 @@ class JointSpectrum:
     witnesses: tuple = ()  # common eigenvectors of the joint point spectrum
 
 
-def joint_spectrum_taylor(pair, tol=DEFAULT):
+def joint_spectrum_taylor(pair):
     """Joint (Taylor-style) spectrum via simultaneous unitary triangularization.
 
     A seeded generic real combination a*T1 + b*T2 is Schur-triangularized and
     the same basis is verified to triangularize both matrices; the diagonal
     pairs are the joint spectrum.  Fresh combinations cross-check the
-    eigenvalue sets.  Up to five combinations are tried.
+    eigenvalue sets.  Up to five combinations are tried.  The triangularity
+    cut (1e-8 * scale) and the cross-check cap (1e-3) are fixed literals.
     """
     rng = np.random.default_rng(0)
     t1, t2 = pair.t1, pair.t2

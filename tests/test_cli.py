@@ -210,6 +210,26 @@ def test_cmd_certify_recipe_symbol_zero_past_factorial_range(tmp_path, capsys):
     assert summary["pass"] == 1 and summary["fail"] == 0
 
 
+def test_cmd_certify_recipe_state_radius_near_one(tmp_path, capsys):
+    # Psi = (z - a)/(1 - a z) as a colligation with state matrix [[a]]: its
+    # Taylor series at 0 falls below 1e-16 only after about 7350 terms, and
+    # the model pair is built without one
+    a = 0.995
+    s = float(np.sqrt(1.0 - a * a))
+    recipe = {
+        "theta_zeros": [{"point": [0.3, 0.0], "multiplicity": 2}],
+        "psi": {"kind": "colligation", "A": [[a]], "B": [[s]], "C": [[s]], "D": [[-a]]},
+    }
+    rp = tmp_path / "recipe.json"
+    dump_json(recipe, rp)
+    out = tmp_path / "out"
+    code = main(["--out", str(out), "--boundary-samples", "128",
+                 "--disc-samples", "8x32", "certify", "--recipe", str(rp)])
+    assert code == 0, capsys.readouterr().out
+    summary = load_json(out / "summary.json")
+    assert summary["pass"] == 1 and summary["fail"] == 0
+
+
 def test_cmd_certify_recipe_all_true_instance(tmp_path, capsys):
     recipe = {
         "theta_zeros": [

@@ -3,15 +3,9 @@ import numpy as np
 import pytest
 
 import distvar as dv
-from distvar import dilation, inner
-from distvar.dilation import (
-    _alignment_system,
-    _gram_entry,
-    _hardy_coeff_length,
-    _model_basis_coeffs,
-)
+from distvar import inner
 from distvar.errors import NoInnerSolution
-from distvar.inner import circle_grid, eval_psi_grid, taylor_until
+from distvar.inner import circle_grid, eval_psi_grid
 from distvar.instances import build_theta, make_instance, random_recipe, run_certification
 from distvar.opcore import defect, opnorm
 from conftest import J2, w2z_poly
@@ -125,34 +119,93 @@ def test_coextension_rejects_defect_rank_other_than_d(request, t, symbol, rank, 
 
 
 # ---------------------------------------------------------------------------
-# stacked builds against their loop references
+# closed-form model operators against series references
 
 
-@pytest.mark.parametrize("kind", ["colligation", "scalar_blaschke_times_identity"])
-def test_one_taylor_expansion_per_instance(monkeypatch, kind):
-    # compress_pair and coextension_embedding cut the series at 0 at 1e-16
-    # and 1e-15; only the first taylor_until call expands it
-    calls, inside, expansions = [], [], []
+KINDS = ["companion", "colligation", "scalar_blaschke_times_identity"]
 
-    def until(psi, cut):
-        calls.append(cut)
-        inside.append(len(calls))
-        try:
-            return taylor_until(psi, cut)
-        finally:
-            inside.pop()
 
-    def at(psi, lam, n, orig=inner.taylor_at):
-        if inside and lam == 0:
-            expansions.append(inside[-1])
-        return orig(psi, lam, n)
+def _series_at_zero(psi, cut=1e-18):
+    """Taylor coefficients of Psi at 0, long enough that the tail is below cut."""
+    n = 64
+    while True:
+        coeffs = dv.taylor_at(psi, 0.0, n)
+        if psi.kind == "polynomial" or np.linalg.norm(coeffs[-1], 2) < cut:
+            return coeffs
+        n *= 2
 
-    monkeypatch.setattr(dilation, "taylor_until", until)
-    monkeypatch.setattr(inner, "taylor_at", at)
-    spec = random_recipe(1, repeated=True, kinds=(kind,))
-    run_certification(make_instance(spec))
-    assert calls == [1e-16, 1e-15]
-    assert set(expansions) == {1}
+
+def _hardy_model(theta, coeffs):
+    """(T1, T2) of theta from the truncated Hardy coefficients of the
+    Malmquist-Takenaka basis of K_theta: T2 = sum_k kron(<z^k e_c, e_r>, Psi_k)."""
+    zs = theta.zero_list()
+    decay = np.log(max(0.1, *np.abs(zs)))
+    length = int(np.ceil(np.log(1e-18) / decay)) + len(zs) + len(coeffs) + 8
+    rows = np.zeros((len(zs), length), dtype=complex)
+    lead = np.zeros(length, dtype=complex)
+    lead[0] = 1.0
+    for r, a in enumerate(zs):
+        kernel = np.sqrt(1.0 - abs(a) ** 2) * np.conj(a) ** np.arange(length)
+        rows[r] = np.convolve(lead, kernel)[:length]
+        factor = np.zeros(length, dtype=complex)
+        factor[0] = -a
+        factor[1:] = (1.0 - abs(a) ** 2) * np.conj(a) ** np.arange(length - 1)
+        lead = np.convolve(lead, factor)[:length]
+    assert np.linalg.norm(rows.conj() @ rows.T - np.eye(len(zs)), 2) < 1e-14
+
+    def shift_corr(k):
+        return rows[:, k:].conj() @ rows[:, : length - k].T
+
+    d = coeffs.shape[1]
+    t2 = sum(np.kron(shift_corr(k), c) for k, c in enumerate(coeffs))
+    return np.kron(shift_corr(1), np.eye(d)), t2
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+@pytest.mark.parametrize("kind", KINDS)
+def test_model_pair_matches_hardy_coefficient_model(kind, repeated):
+    # model_shift and psi_of_matrix against the truncated coefficient model,
+    # and psi_of_matrix of a general matrix against sum_k kron(S^k, Psi_k)
+    rng = np.random.default_rng(5)
+    for seed in range(4):
+        spec = random_recipe(seed, repeated=repeated, kinds=(kind,))
+        theta, psi = build_theta(spec), make_instance(spec).psi
+        coeffs = _series_at_zero(psi)
+        t1, t2 = _hardy_model(theta, coeffs)
+        s = dv.model_shift(theta)
+        assert np.abs(np.kron(s, np.eye(psi.d)) - t1).max() < 1e-14
+        assert np.abs(dv.psi_of_matrix(psi, s) - t2).max() < 1e-14
+
+        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        m *= 0.5 / np.max(np.abs(np.linalg.eigvals(m)))
+        series = sum(np.kron(np.linalg.matrix_power(m, k), c) for k, c in enumerate(coeffs))
+        scale = max(1.0, np.abs(series).max())
+        assert np.abs(dv.psi_of_matrix(psi, m) - series).max() < 1e-12 * scale
+
+
+def test_model_shift_is_triangular_with_theta_zeros():
+    # the diagonal holds the zeros exactly, so the eigenvalues of T1 are exact
+    for seed in range(10):
+        inst = make_instance(random_recipe(seed, repeated=True))
+        d, t1 = inst.psi.d, inst.pair.t1
+        assert np.array_equal(np.diag(t1), np.repeat(inst.theta.zero_list(), d))
+        assert np.array_equal(np.triu(t1, 1), np.zeros_like(t1))
+
+
+@pytest.mark.parametrize("kind", KINDS + ["constructed"])
+def test_certification_reads_no_taylor_series(monkeypatch, kind):
+    def no_series(*args, **kwargs):
+        raise AssertionError("a Taylor series was read")
+
+    monkeypatch.setattr(inner, "taylor_at", no_series)
+    monkeypatch.setattr(dv, "taylor_at", no_series)
+    if kind == "constructed":
+        inst = make_instance(random_recipe(3, repeated=True))
+        inst = dataclasses.replace(inst, psi=dv.construct_psi(inst.pair))
+    else:
+        inst = make_instance(random_recipe(1, repeated=True, kinds=(kind,)))
+    report = run_certification(inst)
+    assert any(e.name == "coextension-intertwining" for e in report.entries)
 
 
 def _loop_embed_J(pair, tol=dv.DEFAULT):
@@ -166,59 +219,59 @@ def _loop_embed_J(pair, tol=dv.DEFAULT):
         blocks.append(blocks[-1] @ pair.t1.conj().T)
 
 
+def _null_projector(system):
+    _, svals, vh = np.linalg.svd(system)
+    keep = np.count_nonzero(svals > max(1e-10, 1e-8 * svals[0]))
+    basis = vh[keep:].conj().T
+    return basis @ basis.conj().T
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 4, 7, 12])
-def test_stacked_coextension_matches_loop_reference(seed):
+def test_alignment_equation_matches_block_system(seed):
     # repeated theta zeros: companion (0, 4), colligation (1, 2, 7) and
     # scalar Blaschke (12) symbols with d = 1 to 3; at seed 12 the alignment
     # null space has dimension > 1
-    spec = random_recipe(seed, repeated=True)
-    inst = make_instance(spec)
+    inst = make_instance(random_recipe(seed, repeated=True))
     pair, psi, d, n = inst.pair, inst.psi, inst.psi.d, inst.pair.n
-
-    # compress_pair: sum_k kron(shift_corr(k), Psi_k), one kron per term
-    coeffs = taylor_until(psi, 1e-16)
-    theta = build_theta(spec)
-    zmax = max(abs(a) for a in theta.zero_list())
-    length = _hardy_coeff_length(zmax, theta.degree + len(coeffs))
-    rows = _model_basis_coeffs(theta, length)
-    t2 = np.zeros_like(pair.t2)
-    for k in range(len(coeffs)):
-        t2 += np.kron(rows[:, k:].conj() @ rows[:, : length - k].T, coeffs[k])
-    assert np.array_equal(pair.t2, t2)
-
     j0, n_trunc, _ = dv.embed_J(pair)
     j_ref, n_ref = _loop_embed_J(pair)
     assert n_trunc == n_ref and j0.tobytes() == j_ref.tobytes()
 
-    # the alignment system, one kron per block and term
-    coeffs = taylor_until(psi, 1e-15)
+    # the block system  W R_m T2* = sum_k Psi_k* W R_(m+k)  for every m, from
+    # a long series and blocks extended past it
+    coeffs = _series_at_zero(psi)
     kk = len(coeffs)
     t1s, t2s = pair.t1.conj().T, pair.t2.conj().T
-    blocks = [j0[m * d : (m + 1) * d] for m in range(n_trunc + 1)]
-    while len(blocks) < kk + 2:
+    blocks = [j0[:d]]
+    while len(blocks) < kk + n_trunc + 1:
         blocks.append(blocks[-1] @ t1s)
-    m_eq = len(blocks) - kk + 1
-    system = []
-    for m in range(m_eq):
-        op = np.kron((blocks[m] @ t2s).T, np.eye(d))
+    eye = np.eye(d)
+    rows = []
+    for m in range(n_trunc + 1):
+        op = np.kron((blocks[m] @ t2s).T, eye)
         for k in range(kk):
             op = op - np.kron(blocks[m + k].T, coeffs[k].conj().T)
-        system.append(op)
-    assert np.array_equal(_alignment_system(np.array(blocks), t2s, coeffs), np.vstack(system))
+        rows.append(op)
+    block_system = np.vstack(rows)
 
-    # the residuals, one opnorm per block
+    # the single equation  W R_0 T2* = Phi(W R_0),  vec Phi = Psi(T1^T)*
+    phi = dv.psi_of_matrix(psi, pair.t1.T).conj().T
+    system = np.kron((blocks[0] @ t2s).T, eye) - phi @ np.kron(blocks[0].T, eye)
+    p_phi, p_block = _null_projector(system), _null_projector(block_system)
+    assert round(np.trace(p_phi).real) == round(np.trace(p_block).real) >= 1
+    assert np.linalg.norm(p_phi - p_block, 2) < 1e-6
+
     j, _, w, res = dv.coextension_embedding(pair, psi)
     aligned = [w @ b for b in blocks]
-    assert np.array_equal(j, np.vstack(aligned))
-    shift = max(opnorm(aligned[m] @ t1s - aligned[m + 1]) for m in range(len(blocks) - 1))
-    symbol = 0.0
-    for m in range(m_eq):
-        lhs = aligned[m] @ t2s
-        for k in range(kk):
-            lhs = lhs - coeffs[k].conj().T @ aligned[m + k]
-        symbol = max(symbol, opnorm(lhs))
-    assert (res["intertwine_shift"], res["intertwine_symbol"]) == (shift, symbol)
+    assert np.array_equal(j, np.vstack(aligned[: n_trunc + 1]))
     assert res["isometry"] == opnorm(j.conj().T @ j - np.eye(n))
+    x = aligned[0]
+    assert res["intertwine_symbol"] == opnorm(
+        x @ t2s - (phi @ x.reshape(-1, order="F")).reshape(d, n, order="F"))
+    block_res = max(
+        opnorm(aligned[m] @ t2s - sum(c.conj().T @ aligned[m + k] for k, c in enumerate(coeffs)))
+        for m in range(n_trunc + 1))
+    assert abs(res["intertwine_symbol"] - block_res) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -243,50 +296,6 @@ def test_compress_companion_satisfies_curve(companion_psi_2):
     assert np.linalg.norm(dv.poly_apply(w2z_poly(), pair), 2) < 1e-12
     # T2^2 = T1 exactly on this instance
     assert np.linalg.norm(pair.t2 @ pair.t2 - pair.t1, 2) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# jet kernels
-
-
-def _gram_series_oracle(lam, j, mu, i, n=600):
-    ns = np.arange(n, dtype=float)
-
-    def coeffs(a, order):
-        fall = np.ones(n)
-        for k in range(order):
-            fall *= ns - k
-        with np.errstate(invalid="ignore"):
-            pows = np.where(
-                ns - order >= 0, np.conj(a) ** np.clip(ns - order, 0, None), 0.0
-            )
-        return fall * pows
-
-    ca = coeffs(lam, j)
-    cb = coeffs(mu, i)
-    return complex(np.sum(ca * np.conj(cb)))
-
-
-@pytest.mark.parametrize("lam,j,mu,i", [
-    (0.3 + 0.1j, 0, 0.3 + 0.1j, 0),
-    (0.3 + 0.1j, 1, 0.3 + 0.1j, 0),
-    (0.3 + 0.1j, 2, 0.3 + 0.1j, 1),
-    (0.5j, 1, -0.4, 2),
-    (0.0, 1, 0.2, 0),
-])
-def test_gram_entry_matches_series(lam, j, mu, i):
-    got = _gram_entry(lam, j, mu, i)
-    want = _gram_series_oracle(lam, j, mu, i)
-    assert abs(got - want) < 1e-9 * max(1.0, abs(want))
-
-
-def test_jet_basis_gram_positive_definite():
-    basis = dv.jet_kernel_basis(
-        dv.BlaschkeProduct([(0.2 + 0.1j, 2), (-0.5, 1)]), 2
-    )
-    vals = np.linalg.eigvalsh(basis.gram)
-    assert vals.min() > 0
-    assert basis.dimension == 6
 
 
 # ---------------------------------------------------------------------------

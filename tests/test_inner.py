@@ -5,7 +5,6 @@ import distvar as dv
 from distvar.certify import VarietySamples
 from distvar.errors import NotPureRealization, NotUnitaryColligation, ResolventSingular
 from distvar.inner import COLLIGATION, MatrixInnerFunction, interior_disc_grid, taylor_until
-from distvar.instances import build_psi, random_recipe
 from conftest import random_unitary, w2z_poly
 
 
@@ -100,42 +99,6 @@ def test_bp_product_jet_matches_finite_differences():
     fd1 = (f(lam + h) - f(lam - h)) / (2 * h)
     assert np.linalg.norm(taylor[1] - fd1, 2) < 1e-9
     assert np.allclose(taylor[0], f(lam))
-
-
-def _fresh_taylor_until(psi, cut):
-    """taylor_until without its cache: the doubling loop on fresh expansions."""
-    if psi.kind == "polynomial":
-        return dv.taylor_at(psi, 0.0, psi.data["coeffs"].shape[0])
-    n = 8
-    while True:
-        coeffs = dv.taylor_at(psi, 0.0, n)
-        small = np.linalg.norm(coeffs, 2, axis=(1, 2)) <= cut
-        if small[-3:].all():
-            last = int(np.max(np.nonzero(~small)[0])) if (~small).any() else 0
-            return coeffs[: last + 1]
-        n *= 2
-
-
-@pytest.mark.parametrize("kind", ["companion", "colligation", "scalar_blaschke_times_identity"])
-@pytest.mark.parametrize("cuts", [(1e-16, 1e-15), (1e-15, 1e-16)])
-def test_taylor_until_cache_is_bit_exact(kind, cuts):
-    # every cut equals a fresh expansion bit for bit, whichever cut comes
-    # first; seeds 0 and 1 need a longer series at 1e-16 than at 1e-15, so
-    # the second order also extends the cache
-    extended = 0
-    for seed in range(6):
-        psi = build_psi(random_recipe(seed, kinds=(kind,)))
-        for cut in cuts:
-            held = 0 if psi._series is None else psi._series[0].shape[0]
-            got, ref = taylor_until(psi, cut), _fresh_taylor_until(psi, cut)
-            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-            if kind != "companion":
-                extended += 0 < held < psi._series[0].shape[0]
-                assert not got.flags.writeable
-                with pytest.raises(ValueError):
-                    got[0, 0, 0] = 1.0
-    if kind != "companion" and cuts[0] > cuts[1]:
-        assert extended
 
 
 def test_taylor_until_past_171_terms():

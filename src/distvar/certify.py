@@ -3,19 +3,20 @@
 By the maximum principle on a distinguished variety, the sup of |q| over its
 closure is attained on the boundary fibers, the only ones sampled.  Sampling
 can only under-estimate a supremum, so every inequality entry carries a slack
-C_lip * h, with C_lip a sampled gradient bound of q on the closed bidisc and h
-the resolution of the boundary sample net; entries inside the slack band are
+C_lip * h, with h the resolution of the boundary sample net and C_lip the
+largest |grad q| seen on a 24 x 24 torus grid.  C_lip is a sampled estimate,
+not a proven bound: a finer grid finds a larger gradient for most random q,
+so the slack is a heuristic margin.  Entries inside the slack band are
 inconclusive rather than failed.
 """
 
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConstantSymbol, DenominatorVanishes
 from .inner import circle_grid, distinguished_certificate, fibers_grid
-from .opcore import blaschke_apply, opnorm, poly_apply, spectral_radius
+from .opcore import assignment_max, blaschke_apply, opnorm, poly_apply, spectral_radius
 from .poly import BlaschkeProduct, Poly1
 from .report import FAIL, INCONCLUSIVE, PASS, CertEntry
 from .tolerances import DEFAULT
@@ -50,7 +51,13 @@ class VarietySamples:
         """Max distance between consecutive boundary samples in (z, w).
 
         Fibers of consecutive base points are compared by optimal matching,
-        so branch reorderings do not inflate the estimate.
+        so branch reorderings do not inflate the estimate.  The matchings
+        run as one stacked pass (``assignment_max``).  The sum of a cost
+        matrix's row minima bounds every assignment from below (LP duality;
+        Kuhn 1955), so when each fiber point can take its own nearest
+        neighbour (distinct nearest columns, or a diagonal of row minima as
+        for repeated fibers) the matching is settled without a solver; any
+        other pair of fibers goes to ``linear_sum_assignment``.
         """
         if self._mesh is None:
             d = self.variety.degw
@@ -59,7 +66,7 @@ class VarietySamples:
             dz = float(np.abs(np.roll(z[:, 0], -1) - z[:, 0]).max())
             # cost[k, i, j] = |w_k[i] - w_{k+1}[j]|, the last row wrapping round
             cost = np.abs(w[:, :, None] - np.roll(w, -1, axis=0)[:, None, :])
-            dw = max(float(c[linear_sum_assignment(c)].max()) for c in cost)
+            dw = float(assignment_max(cost).max())
             self._mesh = dz + dw
         return self._mesh
 
@@ -79,8 +86,8 @@ def sup_on_variety(variety, q, boundary_n=512, samples=None):
 
 
 def gradient_bound(q):
-    """Sampled bound for |grad q| on the closed bidisc, from a 24 x 24 torus
-    grid."""
+    """Sampled estimate of max |grad q| on the closed bidisc, from a 24 x 24
+    torus grid; a finer grid can exceed it, so it is not a proven bound."""
     qz, qw = q.dz(), q.dw()
     ts = np.exp(2j * np.pi * np.arange(24) / 24)
     zz, ww = np.meshgrid(ts, ts)

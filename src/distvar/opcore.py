@@ -88,6 +88,33 @@ def dedupe_points(points, tol=DEFAULT):
             for m, _ in means]
 
 
+def assignment_max(cost):
+    """Largest cost in an optimal (min-sum) assignment, for each matrix of a
+    (k, m, m) stack.
+
+    Row-minimum certificate: the sum of the row minima bounds every
+    assignment's sum from below.  When some permutation picks a minimum in
+    every row, every optimal assignment picks only row minima, and its
+    largest cost is the largest row minimum.  A matrix is certified when its
+    first row argmins are distinct columns, or when its diagonal attains
+    every row minimum (repeated points, whose rows are constant).  Only the
+    other matrices, and those with a non-finite cost, go to
+    ``linear_sum_assignment``, one call each.
+    """
+    cost = np.asarray(cost, dtype=float)
+    rowmin = cost.min(axis=2)
+    cols = np.sort(cost.argmin(axis=2), axis=1)
+    certified = (
+        np.all(cols[:, 1:] != cols[:, :-1], axis=1)
+        | np.all(np.diagonal(cost, axis1=1, axis2=2) == rowmin, axis=1)
+    ) & np.isfinite(cost).all(axis=(1, 2))
+    out = rowmin.max(axis=1)
+    for k in np.flatnonzero(~certified):
+        c = cost[k]
+        out[k] = c[linear_sum_assignment(c)].max()
+    return out
+
+
 def matching_distance(a, b):
     """Optimal-assignment max distance between equal-size point lists;
     returns inf when the cardinalities differ."""
@@ -95,11 +122,10 @@ def matching_distance(a, b):
         return float("inf")
     if not a:
         return 0.0
-    av = [np.atleast_1d(np.asarray(p, dtype=complex)) for p in a]
-    bv = [np.atleast_1d(np.asarray(p, dtype=complex)) for p in b]
-    cost = np.array([[float(np.max(np.abs(x - y))) for y in bv] for x in av])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    av = np.asarray(a, dtype=complex).reshape(len(a), -1)
+    bv = np.asarray(b, dtype=complex).reshape(len(b), -1)
+    cost = np.abs(av[:, None, :] - bv[None, :, :]).max(axis=2)
+    return float(assignment_max(cost[None])[0])
 
 
 # ---------------------------------------------------------------------------

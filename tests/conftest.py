@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import distvar as dv
 
@@ -19,6 +20,22 @@ def companion_psi_2():
 def scalar_shift_psi():
     """Psi(z) = [z]."""
     return dv.from_polynomial(np.array([[[0.0]], [[1.0]]], dtype=complex))
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Shapes of the cost matrices handed to the assignment solver, recorded
+    while the test runs.  ``certify`` is patched too, so that a solver import
+    coming back there is counted."""
+    calls = []
+
+    def counting(cost):
+        calls.append(cost.shape)
+        return linear_sum_assignment(cost)
+
+    for module in (dv.opcore, dv.certify):
+        monkeypatch.setattr(module, "linear_sum_assignment", counting, raising=False)
+    return calls
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import distvar as dv
 from distvar.certify import VarietySamples
@@ -324,17 +325,31 @@ def test_distinguished_certificate_matches_pointwise_loop(name):
 
 @pytest.mark.parametrize("name", ["companion", "colligation", "scalar-identity"])
 def test_mesh_matches_matching_distance_loop(name):
+    # reference: one linear_sum_assignment call per pair of consecutive fibers
     psi = _grid_symbols()[name]
     variety = dv.variety_polynomial(psi)
-    samples = VarietySamples(variety, 128)
-    d = variety.degw
-    z = samples.boundary_z.reshape(-1, d)
-    w = samples.boundary_w.reshape(-1, d)
-    rows = w.shape[0]
-    dz = float(np.abs(np.roll(z[:, 0], -1) - z[:, 0]).max())
-    dw = max(dv.matching_distance(list(w[k]), list(w[(k + 1) % rows]))
-             for k in range(rows))
-    assert samples.mesh() == dz + dw
+    for boundary_n in (128, 2048):
+        samples = VarietySamples(variety, boundary_n)
+        d = variety.degw
+        z = samples.boundary_z.reshape(-1, d)
+        w = samples.boundary_w.reshape(-1, d)
+        rows = w.shape[0]
+        dz = float(np.abs(np.roll(z[:, 0], -1) - z[:, 0]).max())
+        dw = 0.0
+        for k in range(rows):
+            cost = np.abs(w[k][:, None] - w[(k + 1) % rows][None, :])
+            dw = max(dw, float(cost[linear_sum_assignment(cost)].max()))
+        assert samples.mesh() == dz + dw
+
+
+@pytest.mark.parametrize("name", ["companion", "colligation", "scalar-identity"])
+def test_mesh_makes_no_assignment_solver_call(name, solver_calls):
+    variety = dv.variety_polynomial(_grid_symbols()[name])
+    VarietySamples(variety, 2048).mesh()
+    assert solver_calls == []
+    # the patch is live: a stack with tied row minima still reaches the solver
+    dv.opcore.assignment_max(np.array([[[0.0, 1.0], [0.0, 1.0]]]))
+    assert solver_calls == [(2, 2)]
 
 
 def test_colligation_grid_as_long_as_the_state():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import distvar as dv
 from distvar.errors import NonCommuting, NotContractive, NotPure
@@ -249,3 +250,73 @@ def test_spectral_mapping(seed):
     expected = [p(l, m) for l, m in spec.points]
     got = list(np.linalg.eigvals(dv.poly_apply(p, pair)))
     assert dv.matching_distance(expected, got) < 1e-6
+
+
+def _solver_max(cost):
+    """Reference: one linear_sum_assignment call per matrix."""
+    return np.array([c[linear_sum_assignment(c)].max() for c in cost], dtype=float)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_assignment_max_matches_solver_on_tied_costs(m, solver_calls):
+    # few distinct integer values make ties in row minima and in optimal sums
+    rng = np.random.default_rng(100 + m)
+    rows = fallback = 0
+    for alphabet in (2, 3, 5, 50):
+        cost = rng.integers(0, alphabet, size=(1000, m, m))
+        before = len(solver_calls)
+        got = dv.opcore.assignment_max(cost)
+        fallback += len(solver_calls) - before
+        rows += cost.shape[0]
+        assert np.array_equal(got, _solver_max(cost))
+    assert fallback < rows
+    assert (fallback > 0) == (m > 1)
+
+
+def test_assignment_max_single_matrix(solver_calls):
+    certified = np.array([[[0.3, 0.1, 0.9], [0.2, 0.8, 0.7], [0.6, 0.5, 0.4]]])
+    got = dv.opcore.assignment_max(certified)
+    assert got.tolist() == _solver_max(certified).tolist() == [0.4]
+    assert solver_calls == []
+    # every row's minimum is in column 0: the solver must pay 2 in some row
+    tied = np.array([[[0.0, 2.0, 3.0], [0.0, 2.0, 5.0], [0.0, 4.0, 4.0]]])
+    assert dv.opcore.assignment_max(tied).tolist() == _solver_max(tied).tolist() == [3.0]
+    assert solver_calls == [(3, 3)]
+    # a non-finite cost goes to the solver even where the row minima settle it
+    blocked = certified.copy()
+    blocked[0, 0, 2] = np.inf
+    assert dv.opcore.assignment_max(blocked).tolist() == _solver_max(blocked).tolist()
+    assert solver_calls == [(3, 3), (3, 3)]
+
+
+def test_assignment_max_repeated_points_use_the_diagonal(solver_calls):
+    # repeated fibers give constant cost rows, whose first argmins all coincide
+    w = np.array([[0.5, 0.5, 0.5], [0.25j, 0.25j, 0.25j]])
+    cost = np.abs(w[:, :, None] - np.roll(w, -1, axis=0)[:, None, :])
+    got = dv.opcore.assignment_max(cost)
+    assert solver_calls == []
+    assert np.array_equal(got, _solver_max(cost))
+
+
+def test_assignment_max_rejects_nan_like_the_solver():
+    cost = np.zeros((3, 2, 2))
+    cost[1, 0, 1] = np.nan
+    with pytest.raises(ValueError):
+        linear_sum_assignment(cost[1])
+    with pytest.raises(ValueError):
+        dv.opcore.assignment_max(cost)
+
+
+def test_matching_distance_matches_pairwise_loop():
+    rng = np.random.default_rng(5)
+    for dim in (1, 2):
+        for n in (1, 3, 6):
+            a = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
+            b = a[rng.permutation(n)] + 1e-3 * rng.normal(size=(n, dim))
+            pa = [complex(p[0]) if dim == 1 else tuple(p) for p in a]
+            pb = [complex(p[0]) if dim == 1 else tuple(p) for p in b]
+            cost = np.array([[float(np.max(np.abs(x - y))) for y in b] for x in a])
+            rows, cols = linear_sum_assignment(cost)
+            assert dv.matching_distance(pa, pb) == float(cost[rows, cols].max())
+    assert dv.matching_distance([0.1, 0.2], [0.1]) == float("inf")
+    assert dv.matching_distance([], []) == 0.0

@@ -19,6 +19,7 @@ from .opcore import (
     dedupe_points,
     joint_point_spectrum,
     joint_spectrum_taylor,
+    kernel,
     matching_distance,
     minimal_blaschke,
     opnorm,
@@ -58,33 +59,17 @@ def _box_monomials(d1, d2):
 def _evaluation_kernel(pair, d1, d2, tol):
     """Kernel basis of p -> p(T1, T2) on the monomial box, as Poly2 list."""
     n = pair.n
-    monos = _box_monomials(d1, d2)
-    cols = []
     pow1 = [np.eye(n, dtype=complex)]
     for _ in range(d1 - 1):
         pow1.append(pow1[-1] @ pair.t1)
     pow2 = [np.eye(n, dtype=complex)]
     for _ in range(d2 - 1):
         pow2.append(pow2[-1] @ pair.t2)
-    for i, j in monos:
-        cols.append((pow1[i] @ pow2[j]).reshape(-1))
-    emat = np.array(cols).T  # n^2 x (d1 d2)
-    _, svals, vh = np.linalg.svd(emat)
-    smax = svals[0] if svals.size else 0.0
-    thresh = max(1e-12, tol.kernel_rel * smax)
-    guard = (svals > thresh / tol.rank_guard) & (svals < thresh * tol.rank_guard)
-    if np.any(guard):
-        raise DegenerateCluster("evaluation-map singular value inside the guard band")
-    rank = int(np.count_nonzero(svals > thresh))
-    nullity = len(monos) - rank
-    gens = []
-    for t in range(nullity):
-        vec = vh.conj().T[:, len(monos) - nullity + t]
-        coeffs = np.zeros((d1, d2), dtype=complex)
-        for (i, j), c in zip(monos, vec):
-            coeffs[i, j] = c
-        gens.append(Poly2(coeffs))
-    return gens
+    emat = np.array([(pow1[i] @ pow2[j]).reshape(-1)
+                     for i, j in _box_monomials(d1, d2)]).T  # n^2 x (d1 d2)
+    # the box monomials run row-major over (i, j), as a (d1, d2) array does
+    return [Poly2(vec.reshape(d1, d2))
+            for vec in kernel(emat, tol.kernel_rel, 1e-12, "evaluation-map", tol=tol).T]
 
 
 def ann_generators(pair, tol=DEFAULT):
@@ -254,18 +239,10 @@ def check_support(zset, bundle, variety, tol=DEFAULT):
 def _vanishing_space_dim_and_basis(points, d1, d2):
     """Box polynomials vanishing at the given points: (dim, orthonormal basis)."""
     monos = _box_monomials(d1, d2)
-    if not points:
-        return len(monos), np.eye(len(monos), dtype=complex)
-    rows = []
-    for lam, mu in points:
-        rows.append([lam ** i * mu ** j for i, j in monos])
-    vmat = np.array(rows, dtype=complex)
-    _, svals, vh = np.linalg.svd(vmat)
-    smax = svals[0] if svals.size else 0.0
-    rank = int(np.count_nonzero(svals > max(1e-12, 1e-10 * smax)))
-    nullity = len(monos) - rank
-    basis = vh.conj().T[:, len(monos) - nullity :]
-    return nullity, basis
+    vmat = np.array([[lam ** i * mu ** j for i, j in monos] for lam, mu in points],
+                    dtype=complex).reshape(len(points), len(monos))
+    basis = kernel(vmat, 1e-10, 1e-12)
+    return basis.shape[1], basis
 
 
 def _span_matrix(polys, d1, d2):
@@ -315,8 +292,7 @@ def _require_conclusive_fibers(psi, m1, tol):
                     f"inside the warning gap"
                 )
             mu = complex(np.mean(pts))
-            svals = np.linalg.svd(mat - mu * np.eye(n), compute_uv=False)
-            geo = int(np.count_nonzero(svals <= 1e-7 * max(1.0, svals[0])))
+            geo = kernel(mat - mu * np.eye(n), 1e-7, 1e-7).shape[1]
             if geo < len(group):
                 raise DegenerateCluster(
                     f"defective symbol fiber at {lam}: eigenvalue {mu} has "
@@ -352,11 +328,7 @@ def synthesis_report(omega, bundle, basis, tol=DEFAULT):
             if witnesses
             else np.zeros((bundle.kpsi_dim, 0), dtype=complex)
         )
-        if wmat.shape[1]:
-            svals = np.linalg.svd(wmat, compute_uv=False)
-            span_dim = int(np.count_nonzero(svals > 1e-8 * svals[0]))
-        else:
-            span_dim = 0
+        span_dim = wmat.shape[1] - kernel(wmat, 1e-8, 0.0).shape[1]
         cond_i = span_dim == bundle.kpsi_dim
     except DegenerateCluster as exc:
         reason = exc

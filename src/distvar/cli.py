@@ -41,11 +41,18 @@ from .tolerances import DEFAULT
 
 
 def _parse_grid(text):
-    if "x" in text:
-        a, b = text.split("x", 1)
+    try:
+        a, b = text.split("x")
         return (int(a), int(b))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected RxA, got {text!r}") from None
+
+
+def _count(text):
     n = int(text)
-    return (max(8, int(np.sqrt(n / 4))), max(32, 4 * int(np.sqrt(n / 4))))
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"needs N >= 0, got {n}")
+    return n
 
 
 def _tolerances(items):
@@ -241,7 +248,7 @@ def build_parser():
     c.add_argument("--pair", help="pair JSON file")
     c.add_argument("--psi", help="symbol JSON file to accept (otherwise constructed)")
     c.add_argument("--recipe", help="instance recipe JSON file")
-    c.add_argument("--batch", type=int, default=0, help="run N seeded random recipes")
+    c.add_argument("--batch", type=_count, default=0, help="run N seeded random recipes")
     c.set_defaults(func=cmd_certify)
 
     d = sub.add_parser("demo", help="worked walkthrough on the curve w^2 = z")

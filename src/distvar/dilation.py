@@ -31,6 +31,7 @@ from .opcore import (
     CommutingPair,
     defect,
     joint_point_spectrum,
+    kernel,
     matching_distance,
     minimal_blaschke,
     opnorm,
@@ -186,16 +187,12 @@ def coextension_embedding(pair, psi, tol=DEFAULT, seed=0):
     # vec(W R) = kron(R^T, I) vec(W)
     eye = np.eye(d)
     system = np.kron((blocks[0] @ t2s).T, eye) - phi @ np.kron(blocks[0].T, eye)
-    # n d rows and d^2 columns, and the defect rank d is at most n: the
-    # system is never wide, so the thin vh spans the whole kernel
-    _, svals, vh = np.linalg.svd(system, full_matrices=False)
-    nullity = int(np.count_nonzero(svals <= max(1e-10, 1e-8 * svals[0])))
-    if nullity == 0:
+    basis = kernel(system, 1e-8, 1e-10)
+    if basis.shape[1] == 0:
         raise NoInnerSolution(
             "the symbol does not intertwine any co-extension of the pair"
         )
-    basis = vh.conj().T[:, vh.shape[0] - nullity :]
-    if nullity == 1:
+    if basis.shape[1] == 1:
         w_align = _polar_unitary(_unvec(basis[:, 0], d))
     else:
         w_align = _unitary_in_subspace(basis, np.random.default_rng(seed))
@@ -329,21 +326,14 @@ def constrained_coextension(pair, psi, basis, tol=DEFAULT, seed=0):
     if m1.degree == 0:
         raise AnnTrivial("the univariate annihilator of T1 is trivial")
     model = compress_pair(psi, m1, tol=tol)
-    stack = [poly_apply(f, model).conj().T for f in ann_gens]
     # the generators always include the minimal polynomials, so the stack is
-    # never empty
-    dim = model.n
-    _, svals, vh = np.linalg.svd(np.vstack(stack))
-    smax = svals[0] if svals.size else 0.0
-    if smax <= 1e-12:
-        q = np.eye(dim, dtype=complex)
+    # never empty; when they all vanish on the model pair the kernel is the
+    # whole space, kept in the model's own basis
+    stack = np.vstack([poly_apply(f, model).conj().T for f in ann_gens])
+    if opnorm(stack) <= 1e-12:
+        q = np.eye(model.n, dtype=complex)
     else:
-        thresh = tol.kernel_rel * smax
-        guard = (svals > thresh / tol.rank_guard) & (svals < thresh * tol.rank_guard)
-        if np.any(guard):
-            raise DegenerateCluster("kernel-cut singular value inside the guard band")
-        nullity = dim - int(np.count_nonzero(svals > thresh))
-        q = vh.conj().T[:, dim - nullity :] if nullity else np.zeros((dim, 0))
+        q = kernel(stack, tol.kernel_rel, 0.0, "kernel-cut", tol=tol)
     s1 = q.conj().T @ model.t1 @ q
     s2 = q.conj().T @ model.t2 @ q
     residuals = {

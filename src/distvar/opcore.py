@@ -7,6 +7,13 @@ split Jordan cluster is accurate to machine order), and set comparisons use
 optimal assignment with an explicit distance cap.  Distinct clusters closer
 than the warning gap route the computation to DegenerateCluster rather than
 silently deciding.
+
+Numerical kernels and ranks are decided in one place, ``kernel``: a singular
+value counts as zero when it is at most the cut max(floor, rel * s_max), and
+a guarded call raises DegenerateCluster on a singular value inside the band
+(cut / rank_guard, cut * rank_guard) instead of deciding (Golub-Van Loan,
+Matrix Computations, 5.4).  The rank of m is its column count less the
+kernel's dimension.
 """
 
 from dataclasses import dataclass
@@ -36,37 +43,58 @@ def spectral_radius(m):
     return float(np.max(np.abs(np.linalg.eigvals(m)))) if m.size else 0.0
 
 
+def kernel(m, rel, floor, guard=None, tol=DEFAULT):
+    """Orthonormal basis, as columns, of the numerical kernel of ``m``.
+
+    Singular values at most the cut max(floor, rel * s_max) count as zero.
+    When ``guard`` names the matrix, a singular value inside
+    (cut / tol.rank_guard, cut * tol.rank_guard) raises DegenerateCluster,
+    whose reason starts with that name.  A tall matrix takes the thin SVD,
+    whose vh is square and spans the whole kernel; only a wide one needs the
+    full vh.
+    """
+    rows, cols = m.shape
+    _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
+    cut = max(floor, rel * s[0]) if s.size else floor
+    if guard and np.any((s > cut / tol.rank_guard) & (s < cut * tol.rank_guard)):
+        raise DegenerateCluster(f"{guard} singular value inside the guard band")
+    return vh[int(np.count_nonzero(s > cut)):].conj().T
+
+
 # ---------------------------------------------------------------------------
 # clustering and matching
 
 
+def _as_points(points):
+    """A nonempty list of complex scalars or tuples as a (k, dim) array."""
+    return np.asarray(points, dtype=complex).reshape(len(points), -1)
+
+
+def _distances(a, b):
+    """Max-abs distances between the rows of two (k, dim) point arrays."""
+    return np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+
+
 def cluster_points(points, radius):
-    """Agglomerative (chain) clustering of complex scalars or tuples."""
-    pts = [np.atleast_1d(np.asarray(p, dtype=complex)) for p in points]
-    n = len(pts)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.max(np.abs(pts[i] - pts[j])) <= radius:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [sorted(g) for g in groups.values()]
+    """Agglomerative (chain) clustering of complex scalars or tuples: the
+    connected components of the graph joining points at most ``radius``
+    apart, each a sorted index list, in the order of their first index."""
+    if not len(points):
+        return []
+    pts = _as_points(points)
+    reach = _distances(pts, pts) <= radius
+    # each boolean squaring doubles the path length the matrix spans; at the
+    # fixed point a row's first True is the least index of its component
+    grown = reach @ reach
+    while not np.array_equal(grown, reach):
+        reach, grown = grown, grown @ grown
+    first = reach.argmax(axis=1)
+    return [np.flatnonzero(first == f).tolist() for f in np.unique(first)]
 
 
 def _cluster_means(points, radius):
-    pts = [np.atleast_1d(np.asarray(p, dtype=complex)) for p in points]
-    out = []
-    for g in cluster_points(points, radius):
-        out.append((np.mean([pts[i] for i in g], axis=0), len(g)))
+    pts = _as_points(points)
+    out = [(pts[g].mean(axis=0), len(g)) for g in cluster_points(points, radius)]
     out.sort(key=lambda cm: tuple((v.real, v.imag) for v in cm[0]))
     return out
 
@@ -76,16 +104,16 @@ def dedupe_points(points, tol=DEFAULT):
     raises DegenerateCluster when two distinct clusters are closer than
     ``tol.cluster_warn``."""
     warn_gap = tol.cluster_warn
-    means = _cluster_means(points, tol.cluster_merge)
-    for i in range(len(means)):
-        for j in range(i + 1, len(means)):
-            gap = float(np.max(np.abs(means[i][0] - means[j][0])))
-            if gap < warn_gap:
-                raise DegenerateCluster(
-                    f"distinct clusters at distance {gap:.3e} < {warn_gap:.1e}"
-                )
-    return [tuple(complex(v) for v in m) if m.size > 1 else complex(m[0])
-            for m, _ in means]
+    means = [m for m, _ in _cluster_means(points, tol.cluster_merge)]
+    if means:
+        gaps = _distances(np.array(means), np.array(means))
+        close = np.argwhere(np.triu(gaps < warn_gap, 1))  # row-major: first pair first
+        if close.size:
+            gap = float(gaps[tuple(close[0])])
+            raise DegenerateCluster(
+                f"distinct clusters at distance {gap:.3e} < {warn_gap:.1e}"
+            )
+    return [tuple(complex(v) for v in m) if m.size > 1 else complex(m[0]) for m in means]
 
 
 def assignment_max(cost):
@@ -122,9 +150,7 @@ def matching_distance(a, b):
         return float("inf")
     if not a:
         return 0.0
-    av = np.asarray(a, dtype=complex).reshape(len(a), -1)
-    bv = np.asarray(b, dtype=complex).reshape(len(b), -1)
-    cost = np.abs(av[:, None, :] - bv[None, :, :]).max(axis=2)
+    cost = _distances(_as_points(a), _as_points(b))
     return float(assignment_max(cost[None])[0])
 
 
@@ -305,12 +331,11 @@ def joint_point_spectrum(pair, tol=DEFAULT):
     witnesses = []
     for center, count in _eigen_clusters(t1):
         lam = complex(center[0])
-        u, s, vh = np.linalg.svd(t1 - lam * np.eye(n))
-        thresh = max(1e-7, 1e3 * np.finfo(float).eps * n) * scale
-        kdim = int(np.count_nonzero(s <= thresh))
+        kbasis = kernel(t1 - lam * np.eye(n), 0.0,
+                        max(1e-7, 1e3 * np.finfo(float).eps * n) * scale)
+        kdim = kbasis.shape[1]
         if kdim == 0:
             continue
-        kbasis = vh.conj().T[:, n - kdim:]
         m = kbasis.conj().T @ t2 @ kbasis
         evals, evecs = np.linalg.eig(m)
         for idx in range(kdim):

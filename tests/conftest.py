@@ -39,6 +39,21 @@ def solver_calls(monkeypatch):
 
 
 @pytest.fixture
+def svd_calls(monkeypatch):
+    """(shape, full_matrices, compute_uv) of every ``np.linalg.svd`` call
+    made while the test runs."""
+    calls = []
+    svd = np.linalg.svd
+
+    def recording(a, full_matrices=True, compute_uv=True, **kwargs):
+        calls.append((np.shape(a), full_matrices, compute_uv))
+        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return calls
+
+
+@pytest.fixture
 def j2_pair():
     return dv.validate_pair(J2, J2, require_pure=True)
 

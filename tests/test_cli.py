@@ -323,6 +323,9 @@ def test_cmd_certify_pair_symbol_dimension_mismatch_exits_2(tmp_path, capsys, j2
 @pytest.mark.parametrize("argv", [
     ["--boundary-samples", "10", "demo"],
     ["--disc-samples", "0x0", "demo"],
+    # a grid is RxA only: a bare count is not a grid
+    ["--disc-samples", "0", "certify", "--batch", "1"],
+    ["--disc-samples", "2048", "demo"],
     ["--boundary-samples", "10", "variety", "psi.json"],
     ["--tol", "tol_unitary=1e-300", "demo"],
     ["--tol", "tol_fit=1e-30", "certify", "--batch", "2"],
@@ -340,6 +343,17 @@ def test_rejected_input_exits_2_on_every_command(tmp_path, capsys, companion_psi
     code = main(["--out", str(tmp_path / "o")] + argv)
     assert code == 2
     assert "error" in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_negative_batch_exits_2(tmp_path, capsys, existing):
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+    code = main(["--out", str(out), "certify", "--batch", "-3"])
+    assert code == 2
+    assert "--batch" in json.loads(capsys.readouterr().out)["error"]
+    assert not (out / "summary.json").exists()
 
 
 def test_cmd_certify_batch(tmp_path, capsys):

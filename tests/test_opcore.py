@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
 import distvar as dv
-from distvar.errors import NonCommuting, NotContractive, NotPure
+from distvar.errors import DegenerateCluster, NonCommuting, NotContractive, NotPure
 from conftest import J2, random_unitary
 
 
@@ -320,3 +322,127 @@ def test_matching_distance_matches_pairwise_loop():
             assert dv.matching_distance(pa, pb) == float(cost[rows, cols].max())
     assert dv.matching_distance([0.1, 0.2], [0.1]) == float("inf")
     assert dv.matching_distance([], []) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# numerical kernels and point clustering
+
+
+def _with_singular_values(rng, rows, cols, svals):
+    """A seeded complex rows x cols matrix with the given singular values."""
+    u = random_unitary(rng, rows)[:, :len(svals)]
+    v = random_unitary(rng, cols)[:, :len(svals)]
+    return (u * np.asarray(svals)) @ v.conj().T
+
+
+@pytest.mark.parametrize("rows, cols, rank", [(12, 5, 3), (5, 5, 2), (3, 7, 2), (0, 4, 0)])
+def test_kernel_finds_a_planted_kernel(rows, cols, rank):
+    rng = np.random.default_rng(rows * 100 + cols)
+    svals = np.logspace(0, -4, rank)
+    m = _with_singular_values(rng, rows, cols, svals) if rank else np.zeros((rows, cols))
+    # roundoff-level noise stays under the cut and does not move the kernel
+    m = m + 1e-14 * (rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape))
+    basis = dv.opcore.kernel(m, 1e-8, 1e-12)
+    assert basis.shape == (cols, cols - rank)
+    assert np.allclose(basis.conj().T @ basis, np.eye(cols - rank), atol=1e-12)
+    assert dv.opcore.opnorm(m @ basis) <= max(1e-12, 1e-8 * svals[0] if rank else 0.0)
+
+
+def test_kernel_guard_band_raises_only_when_guarded():
+    tol = dv.DEFAULT
+    rng = np.random.default_rng(7)
+    for ratio in (0.2, 3.0, 9.0):
+        # a singular value within a factor rank_guard of the cut
+        m = _with_singular_values(rng, 9, 4, [1.0, 0.5, ratio * tol.kernel_rel])
+        with pytest.raises(DegenerateCluster,
+                           match="^probe singular value inside the guard band$"):
+            dv.opcore.kernel(m, tol.kernel_rel, 0.0, "probe", tol=tol)
+        assert dv.opcore.kernel(m, tol.kernel_rel, 0.0).shape[1] == (2 if ratio < 1 else 1)
+    # the band's width is read from the table passed as tol
+    m = _with_singular_values(rng, 9, 4, [1.0, 0.5, 3.0 * tol.kernel_rel])
+    narrow = tol.override(rank_guard=2.0)
+    assert dv.opcore.kernel(m, tol.kernel_rel, 0.0, "probe", tol=narrow).shape[1] == 1
+
+
+def _reference_kernel(m, rel, floor):
+    """The cut each call site made before the routine: full SVD, rank by the
+    count of singular values above max(floor, rel * s_max), the trailing rows
+    of vh as the kernel."""
+    _, s, vh = np.linalg.svd(m)
+    cut = max(floor, rel * s[0]) if s.size else floor
+    return vh.conj().T[:, int(np.count_nonzero(s > cut)):]
+
+
+# (rel, floor) of each call site: evaluation map, vanishing space, fiber
+# geometric multiplicity, witness span, point spectrum, alignment system,
+# generator stack
+SITE_CUTS = [(1e-8, 1e-12), (1e-10, 1e-12), (1e-7, 1e-7), (1e-8, 0.0),
+             (0.0, 1e-7), (1e-8, 1e-10), (1e-8, 0.0)]
+
+
+@pytest.mark.parametrize("rel, floor", SITE_CUTS)
+def test_kernel_agrees_with_the_per_site_cut(rel, floor):
+    rng = np.random.default_rng(11)
+    for rows, cols in [(16, 6), (6, 6), (4, 9), (9, 4), (2, 2)]:
+        for scale in (1e-3, 1.0, 1e3):
+            k = min(rows, cols)
+            svals = scale * np.logspace(0, -14, k) * rng.uniform(0.5, 2.0, k)
+            m = _with_singular_values(rng, rows, cols, np.sort(svals)[::-1])
+            got = dv.opcore.kernel(m, rel, floor)
+            ref = _reference_kernel(m, rel, floor)
+            assert got.shape == ref.shape
+            assert np.allclose(got @ got.conj().T, ref @ ref.conj().T, atol=1e-12)
+
+
+def test_no_tall_matrix_gets_a_full_svd(svd_calls):
+    kinds = ("scalar_blaschke_times_identity", "companion", "colligation")
+    for seed, kind in enumerate(kinds):
+        spec = dv.random_recipe(20 + seed, kinds=(kind,), max_d=2)
+        spec = dataclasses.replace(spec, boundary_n=128, disc_grid=(8, 32))
+        dv.run_certification(dv.make_instance(spec))
+    with_uv = [(shape, full) for shape, full, uv in svd_calls if uv]
+    assert any(shape[-2] > shape[-1] for shape, _ in with_uv)
+    assert [c for c in with_uv if c[1] and c[0][-2] > c[0][-1]] == []
+
+
+def _reference_clusters(points, radius):
+    """Union-find over the pairwise loop."""
+    pts = [np.atleast_1d(np.asarray(p, dtype=complex)) for p in points]
+    parent = list(range(len(pts)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if np.max(np.abs(pts[i] - pts[j])) <= radius:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(len(pts)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cluster_points_matches_union_find(dim):
+    rng = np.random.default_rng(3 + dim)
+    for n in (0, 1, 2, 7, 15):
+        centers = rng.normal(size=(max(1, n // 3), dim)) + 0j
+        raw = centers[rng.integers(len(centers), size=n)]
+        raw = raw + 1e-3 * rng.normal(size=(n, dim))
+        pts = [complex(p[0]) if dim == 1 else tuple(p) for p in raw]
+        for radius in (1e-4, 2e-3, 5e-3, 1.0):
+            assert dv.opcore.cluster_points(pts, radius) == _reference_clusters(pts, radius)
+
+
+def test_dedupe_points_raises_on_the_first_close_pair():
+    tol = dv.DEFAULT
+    # sorted means 0, 2e-5, 0.5, 0.5 + 3e-5: the first close pair is (0, 2e-5)
+    pts = [0.5 + 3e-5, 0.0, 0.5, 2e-5]
+    with pytest.raises(DegenerateCluster,
+                       match=r"^distinct clusters at distance 2\.000e-05 < 1\.0e-04$"):
+        dv.opcore.dedupe_points(pts, tol=tol)
+    assert dv.opcore.dedupe_points([0.3, 0.1, 0.1 + 1e-9], tol=tol) == [
+        complex(np.mean([0.1, 0.1 + 1e-9])), complex(0.3)]

@@ -13,6 +13,7 @@ compressed shift S of K_b (``model_shift``) and the functional calculus
 pair on a subspace of K_(m1); no Taylor series is read.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,69 +100,46 @@ def _polar_unitary(m):
     return u @ vh
 
 
-def _unitary_in_subspace(basis, rng):
-    """Search a unitary matrix inside span(columns of basis).
+def _unitary_in_subspace(basis, d):
+    """Unitary d x d matrix inside span(columns of basis), deterministically.
 
-    Alternating projection between the subspace and the unitary group gives a
-    warm start; a Gauss-Newton iteration on the subspace coefficients then
-    drives X*X - I to zero quadratically.
+    Gauss-Newton on X*X = I over the complex coefficients of X.  The first
+    start is the projection of I onto the span, which does not depend on the
+    basis; it is skipped when it has under 1e-3 of the Frobenius norm sqrt(d)
+    of a unitary, as when the span is orthogonal to I (a signed permutation
+    that commutes with T1 can make it so).  Then, in order, the projection of
+    the polar factor of each basis matrix B_i, which never vanishes, since
+    its inner product with B_i is the nuclear norm of B_i.  B_i gives the real Jacobian columns
+    X*B_i + B_i*X and i(X*B_i - B_i*X).  The unitary solutions form a
+    manifold, so the Jacobian is rank-deficient and each step is a truncated
+    lstsq.  Each start gets at most 50 steps, stopping once
+    ||X*X - I||_F <= 1e-13; the first X with ||X*X - I|| <= 1e-10 gives its
+    polar factor, and if no start reaches one NoInnerSolution is raised.
     """
-    d = int(round(np.sqrt(basis.shape[0])))
     r = basis.shape[1]
-
-    def as_matrix(c):
-        return _unvec(basis @ c, d)
-
-    def residual(c):
-        x = as_matrix(c)
-        return _vec(x.conj().T @ x - np.eye(d))
-
-    def newton_polish(c):
-        # damped Gauss-Newton; the unitary solution set is a manifold, so the
-        # Jacobian is rank-deficient and the step needs a truncated lstsq
-        u = np.concatenate([c.real, c.imag])
-
-        def fval(uu):
-            f = residual(uu[:r] + 1j * uu[r:])
-            return np.concatenate([f.real, f.imag])
-
-        for _ in range(60):
-            fr = fval(u)
-            nrm = np.linalg.norm(fr)
-            if np.linalg.norm(fr, np.inf) <= 1e-13:
+    mats = basis.T.reshape(r, d, d).transpose(0, 2, 1)  # B_i = _unvec(basis[:, i])
+    eye = np.eye(d)
+    for start in itertools.chain([eye], map(_polar_unitary, mats)):
+        x = _unvec(basis @ (basis.conj().T @ _vec(start)), d)
+        if np.linalg.norm(x) < 1e-3 * np.sqrt(d):
+            continue
+        for _ in range(50):
+            f = x.conj().T @ x - eye
+            if np.linalg.norm(f) <= 1e-13:
                 break
-            jac = np.empty((fr.size, 2 * r))
-            h = 1e-7
-            for t in range(2 * r):
-                up = u.copy()
-                up[t] += h
-                jac[:, t] = (fval(up) - fr) / h
-            step, *_ = np.linalg.lstsq(jac, -fr, rcond=1e-6)
-            lam = 1.0
-            for _ in range(25):
-                if np.linalg.norm(fval(u + lam * step)) < nrm:
-                    break
-                lam *= 0.5
-            else:
-                break
-            u = u + lam * step
-        return u[:r] + 1j * u[r:]
-
-    for _ in range(8):
-        c = rng.normal(size=r) + 1j * rng.normal(size=r)
-        x = basis @ c
-        for _ in range(150):
-            w = _polar_unitary(_unvec(x, d))
-            x = basis @ (basis.conj().T @ _vec(w))
-        c = basis.conj().T @ x
-        c = newton_polish(c)
-        w = as_matrix(c)
-        if opnorm(w.conj().T @ w - np.eye(d)) <= 1e-10:
-            return _polar_unitary(w)
-    return None
+            xb = x.conj().T @ mats
+            bx = xb.conj().transpose(0, 2, 1)
+            cols = np.concatenate([xb + bx, 1j * (xb - bx)]).reshape(2 * r, -1).T
+            step, *_ = np.linalg.lstsq(np.vstack([cols.real, cols.imag]),
+                                       -np.concatenate([f.real.ravel(), f.imag.ravel()]),
+                                       rcond=1e-10)
+            x = x + np.tensordot(step[:r] + 1j * step[r:], mats, 1)
+        if opnorm(x.conj().T @ x - eye) <= 1e-10:
+            return _polar_unitary(x)
+    raise NoInnerSolution("no unitary alignment found in the null space")
 
 
-def coextension_embedding(pair, psi, tol=DEFAULT, seed=0):
+def coextension_embedding(pair, psi, tol=DEFAULT):
     """Embed the pair against a given symbol: returns (J, n_trunc, W, residuals).
 
     The defect coordinates of embed_J are only fixed up to a constant unitary,
@@ -171,7 +149,10 @@ def coextension_embedding(pair, psi, tol=DEFAULT, seed=0):
     R_m = R_0 T1*^m and T1, T2 commute, the identity for every block R_m
     follows from this one.  vec Phi is Psi(T1^T)*, in closed form.  The blocks
     have as many rows as the defect rank of T1, so a pair whose defect rank is
-    not the symbol's d raises NoInnerSolution.
+    not the symbol's d raises NoInnerSolution.  W is the polar factor of the
+    null vector when the null space is a line, and otherwise the unitary that
+    _unitary_in_subspace reaches from its fixed starts; no draw is made, so W
+    depends on the pair and the symbol only.
     """
     j0, n_trunc, w = embed_J(pair, tol)
     d = psi.d
@@ -195,9 +176,7 @@ def coextension_embedding(pair, psi, tol=DEFAULT, seed=0):
     if basis.shape[1] == 1:
         w_align = _polar_unitary(_unvec(basis[:, 0], d))
     else:
-        w_align = _unitary_in_subspace(basis, np.random.default_rng(seed))
-        if w_align is None:
-            raise NoInnerSolution("no unitary alignment found in the null space")
+        w_align = _unitary_in_subspace(basis, d)
     aligned = w_align @ blocks
     j = aligned.reshape(-1, n)
     res_iso = opnorm(j.conj().T @ j - np.eye(n))
@@ -300,7 +279,6 @@ class CoextensionBundle:
     psi: object
     j: np.ndarray
     n_trunc: int
-    align_unitary: np.ndarray
     m1: BlaschkeProduct
     kpsi_basis: np.ndarray   # ONB coordinates inside the model space of m1
     s1: np.ndarray
@@ -312,7 +290,7 @@ class CoextensionBundle:
         return self.kpsi_basis.shape[1]
 
 
-def constrained_coextension(pair, psi, basis, tol=DEFAULT, seed=0):
+def constrained_coextension(pair, psi, basis, tol=DEFAULT):
     """Constrained isometric co-extension of the pair for the given symbol.
 
     ``basis`` is the AnnihilatorBasis of the pair.  The intersection of the
@@ -320,7 +298,8 @@ def constrained_coextension(pair, psi, basis, tol=DEFAULT, seed=0):
     K_(m1) tensor C^d (legitimate because m1 annihilates T1), where the
     model pair is compress_pair(psi, m1) and a generator f acts adjointly as
     f(model pair)*; the compressions of the model pair to that intersection
-    form the constrained pair (S1, S2).
+    form the constrained pair (S1, S2).  J and its residuals come from
+    coextension_embedding, which is deterministic.
     """
     m1, ann_gens = basis.m1, basis.generators
     if m1.degree == 0:
@@ -343,14 +322,13 @@ def constrained_coextension(pair, psi, basis, tol=DEFAULT, seed=0):
         "kpsi_dim": q.shape[1],
         "deg_m1": m1.degree,
     }
-    j, n_trunc, w_align, emb_res = coextension_embedding(pair, psi, tol=tol, seed=seed)
+    j, n_trunc, _, emb_res = coextension_embedding(pair, psi, tol=tol)
     residuals.update(emb_res)
     return CoextensionBundle(
         pair=pair,
         psi=psi,
         j=j,
         n_trunc=n_trunc,
-        align_unitary=w_align,
         m1=m1,
         kpsi_basis=q,
         s1=s1,

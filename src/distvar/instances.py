@@ -276,7 +276,7 @@ def run_certification(instance, tol=DEFAULT, artifacts=None):
 
     try:
         basis = ann_generators(pair, tol=tol)
-        bundle = constrained_coextension(pair, psi, basis, tol=tol, seed=spec.seed)
+        bundle = constrained_coextension(pair, psi, basis, tol=tol)
         if artifacts is not None:
             artifacts["basis"] = basis
             artifacts["bundle"] = bundle

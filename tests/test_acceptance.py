@@ -20,9 +20,9 @@ def _verdict(num, ok, text):
     assert ok
 
 
-def _bundle_for(inst, seed):
+def _bundle_for(inst):
     basis = dv.ann_generators(inst.pair)
-    bundle = dv.constrained_coextension(inst.pair, inst.psi, basis, seed=seed)
+    bundle = dv.constrained_coextension(inst.pair, inst.psi, basis)
     return basis, bundle
 
 
@@ -35,7 +35,7 @@ def sweep200():
         inst = make_instance(spec)
         row = {"kind": spec.psi_spec["kind"], "d": inst.psi.d}
         try:
-            basis, bundle = _bundle_for(inst, spec.seed)
+            basis, bundle = _bundle_for(inst)
             row["residuals"] = bundle.residuals
             row["deg_m1"] = bundle.m1.degree
             row["kpsi_dim"] = bundle.kpsi_dim
@@ -142,7 +142,7 @@ def test_criterion_6_synthesis_agreement(scalar_shift_psi):
         spec = random_recipe(5000 + k, repeated=(k % 2 == 1))
         inst = make_instance(spec)
         try:
-            basis, bundle = _bundle_for(inst, spec.seed)
+            basis, bundle = _bundle_for(inst)
             entries = dv.synthesis_report(dv.settle(dv.omega_psi, bundle), bundle, basis)
         except DegenerateCluster:
             inconclusive += 1
@@ -158,7 +158,7 @@ def test_criterion_6_synthesis_agreement(scalar_shift_psi):
     def named_conditions(theta_zeros):
         pair = dv.compress_pair(scalar_shift_psi, dv.BlaschkeProduct(theta_zeros))
         basis = dv.ann_generators(pair)
-        bundle = dv.constrained_coextension(pair, scalar_shift_psi, basis, seed=0)
+        bundle = dv.constrained_coextension(pair, scalar_shift_psi, basis)
         entries = dv.synthesis_report(dv.settle(dv.omega_psi, bundle), bundle, basis)
         verdict = [e for e in entries if e.name == "synthesis-equivalence"][0]
         return verdict.data["conditions"]
@@ -188,7 +188,7 @@ def test_criterion_7_dilation_contracts(sweep200):
         spec = random_recipe(7000 + k, max_d=1)
         inst = make_instance(spec)
         try:
-            basis, bundle = _bundle_for(inst, spec.seed)
+            basis, bundle = _bundle_for(inst)
         except DegenerateCluster:
             continue
         checked += 1

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import distvar as dv
 from distvar.cli import main
-from distvar.instances import make_instance, random_recipe
+from distvar.instances import InstanceSpec, make_instance, random_recipe
 from distvar.serialize import (
     blaschke_from_json,
     blaschke_to_json,
@@ -417,6 +417,26 @@ def test_cmd_certify_writes_bundle_export(tmp_path, capsys):
     assert set(bundle) >= {"J", "n_trunc", "psi", "m1", "kpsi_basis",
                            "S1", "S2", "residuals"}
     assert matrix_from_json(bundle["S1"]).shape == (2, 2)
+
+
+def test_cmd_certify_pair_bundle_does_not_depend_on_seed(tmp_path, capsys):
+    # a scalar-Blaschke symbol with d = 2 has a 4-dimensional alignment null
+    # space, so the alignment unitary is chosen inside it
+    inst = make_instance(InstanceSpec(
+        theta_zeros=((0.3, 1), (-0.2 + 0.4j, 1)),
+        psi_spec={"kind": "scalar_blaschke_times_identity", "zeros": [0.5 + 0.1j], "d": 2},
+    ))
+    pp = tmp_path / "pair.json"
+    dump_json(pair_to_json(inst.pair), pp)
+    bundles = []
+    for seed in ("0", "1", "7"):
+        out = tmp_path / f"out{seed}"
+        main(["--out", str(out), "--seed", seed, "--boundary-samples", "128",
+              "--disc-samples", "8x32", "certify", "--pair", str(pp),
+              "--psi", _psi_file(tmp_path, inst.psi)])
+        [path] = out.glob("*-bundle.json")
+        bundles.append(path.read_text())
+    assert bundles[0] == bundles[1] == bundles[2]
 
 
 def test_cmd_certify_inconclusive_exit_code(tmp_path, capsys):

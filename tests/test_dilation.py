@@ -1,12 +1,15 @@
 import dataclasses
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
 import distvar as dv
-from distvar import inner
+from distvar import dilation, inner
 from distvar.errors import NoInnerSolution
 from distvar.inner import circle_grid, eval_psi_grid
-from distvar.instances import build_theta, make_instance, random_recipe, run_certification
+from distvar.instances import (
+    InstanceSpec, build_theta, make_instance, random_recipe, run_certification,
+)
 from distvar.opcore import defect, opnorm
 from conftest import J2, w2z_poly
 
@@ -272,6 +275,92 @@ def test_alignment_equation_matches_block_system(seed):
         opnorm(aligned[m] @ t2s - sum(c.conj().T @ aligned[m + k] for k, c in enumerate(coeffs)))
         for m in range(n_trunc + 1))
     assert abs(res["intertwine_symbol"] - block_res) < 1e-13
+
+
+def _companion(d, zero):
+    return make_instance(InstanceSpec(theta_zeros=(zero,), psi_spec={"kind": "companion", "d": d}))
+
+
+def _diag_z_minus_z(*zeros):
+    # Psi(z) = diag(z, -z): its alignment null space is orthogonal to I
+    psi = dv.from_polynomial(np.array([np.zeros((2, 2)), np.diag([1.0, -1.0])], dtype=complex))
+    return dv.compress_pair(psi, dv.BlaschkeProduct(list(zeros))), psi
+
+
+FLIP = np.diag([1.0, -1.0])
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+# (pair and symbol, conjugating unitary); "haar" draws
+# unitary_group.rvs(n, random_state=k), None leaves the pair as it is.
+# Recipes 14, 37, 38, 3 have null spaces of dimension > 1: colligation d = 2
+# and 3, companion d = 2 and scalar Blaschke d = 3.  A signed permutation
+# that commutes with T1 can leave a null space orthogonal to I (FLIP on the
+# companion pair, and the diag(z, -z) pair as it is), or one whose projected
+# identity does not lead to a unitary (SWAP on the companion pair).
+CONJUGATED = {
+    "companion2-0.3": (lambda: _companion(2, (0.3, 1)), "haar"),
+    "companion2-0.5+0.2j": (lambda: _companion(2, (0.5 + 0.2j, 1)), "haar"),
+    "companion3-0.3": (lambda: _companion(3, (0.3, 1)), "haar"),
+    "companion3-0.5+0.2j": (lambda: _companion(3, (0.5 + 0.2j, 1)), "haar"),
+    "recipe14": (lambda: make_instance(random_recipe(14)), "haar"),
+    "recipe37": (lambda: make_instance(random_recipe(37)), "haar"),
+    "recipe38": (lambda: make_instance(random_recipe(38)), "haar"),
+    "recipe3": (lambda: make_instance(random_recipe(3)), "haar"),
+    "companion2-0.3-flip": (lambda: _companion(2, (0.3, 1)), FLIP),
+    "companion2-0.3-swap": (lambda: _companion(2, (0.3, 1)), SWAP),
+    "diag-0.3-swap": (lambda: _diag_z_minus_z((0.3, 1)), SWAP),
+    "diag-0.3,-0.2+0.4j": (lambda: _diag_z_minus_z((0.3, 1), (-0.2 + 0.4j, 1)), None),
+}
+
+
+@pytest.mark.parametrize("k, case", enumerate(CONJUGATED), ids=list(CONJUGATED))
+def test_alignment_on_unitarily_conjugated_pairs(monkeypatch, k, case):
+    # conjugating the pair by a unitary moves the defect coordinates, so the
+    # projection of I onto an alignment null space of dimension > 1 is no
+    # longer unitary, or even zero, and the Gauss-Newton iteration has to
+    # reach a unitary from it or from a later start
+    build, u = CONJUGATED[case]
+    made = build()
+    pair, psi = made if isinstance(made, tuple) else (made.pair, made.psi)
+    if u is None:
+        u = np.eye(pair.n)
+    elif isinstance(u, str):
+        u = unitary_group.rvs(pair.n, random_state=k)
+    pair = dv.validate_pair(u.conj().T @ pair.t1 @ u, u.conj().T @ pair.t2 @ u,
+                            require_pure=True)
+    dims = []
+    search = dilation._unitary_in_subspace
+
+    def recording(basis, d):
+        dims.append(basis.shape[1])
+        return search(basis, d)
+
+    monkeypatch.setattr(dilation, "_unitary_in_subspace", recording)
+    _, _, w, res = dv.coextension_embedding(pair, psi)
+    assert len(dims) == 1 and dims[0] > 1
+    assert opnorm(w.conj().T @ w - np.eye(psi.d)) <= 1e-10
+    assert res["intertwine_symbol"] <= dv.DEFAULT.tol_intertwine
+    assert res["isometry"] <= dv.DEFAULT.tol_trunc
+
+
+def test_alignment_skips_a_projected_identity_that_vanishes(monkeypatch):
+    # span{diag(1, -1), [[0, 1], [1, 0]]} is orthogonal to I, so the projected
+    # identity carries rounding noise at most; iterating from it would spend
+    # all 50 steps before the basis starts are tried
+    basis = np.column_stack([FLIP.ravel(order="F"), SWAP.ravel(order="F")]) / np.sqrt(2)
+    steps = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        steps.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    w = dilation._unitary_in_subspace(basis, 2)
+    assert len(steps) < 50
+    assert opnorm(w.conj().T @ w - np.eye(2)) <= 1e-10
+    coeffs = basis.conj().T @ w.ravel(order="F")
+    assert np.linalg.norm(basis @ coeffs - w.ravel(order="F")) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

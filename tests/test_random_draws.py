@@ -1,0 +1,50 @@
+"""Every random draw in the library sits where a report can name its seed:
+the recipe and test-polynomial draws of ``instances``, and the fixed-seed
+combinations of ``opcore.joint_spectrum_taylor``.  The co-extension, the
+symbol construction and every check are deterministic."""
+
+import ast
+from pathlib import Path
+
+import distvar as dv
+
+ALLOWED = {("instances.py", None), ("opcore.py", "joint_spectrum_taylor")}
+
+
+def _is_draw(node):
+    """``default_rng``, ``np.random.<...>`` or ``<...>.rvs``."""
+    if isinstance(node, ast.Name):
+        return node.id == "default_rng"
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("default_rng", "rvs") or (
+            node.attr == "random" and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy"))
+    return False
+
+
+def _draws(node, function=None):
+    """(enclosing top-level function or None, line) of every draw under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = function
+        if function is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = child.name
+        if _is_draw(child):
+            yield inner, child.lineno
+        yield from _draws(child, inner)
+
+
+def _all_draws():
+    for path in sorted(Path(dv.__file__).parent.glob("*.py")):
+        for function, line in _draws(ast.parse(path.read_text(), str(path))):
+            yield path.name, function, line
+
+
+def test_random_draws_sit_in_instances_or_the_joint_spectrum():
+    draws = set(_all_draws())
+    bad = sorted(f"{name}:{line}:{function}" for name, function, line in draws
+                 if (name, None) not in ALLOWED and (name, function) not in ALLOWED)
+    assert bad == []
+    # the scan sees the draws it allows, so an empty list above is not vacuous
+    assert {(name, function) for name, function, _ in draws
+            if name == "opcore.py"} == {("opcore.py", "joint_spectrum_taylor")}
+    assert any(name == "instances.py" for name, _, _ in draws)

@@ -30,7 +30,7 @@ print("interpolation residual:", variety.fit_residual)
 target = dv.Poly2([[0, 0, 1], [-1, 0, 0]])
 print("unit-normalized distance to w^2 - z:", dv.unit_distance(variety.p, target))
 
-cert = dv.distinguished_certificate(psi, 512, 512)
+cert = dv.distinguished_certificate(psi)
 print("\ndistinguished-variety certificate:", cert.status)
 for key, val in cert.data["conditions"].items():
     print(f"  {key}: {val}")

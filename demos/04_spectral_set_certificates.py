@@ -48,8 +48,7 @@ print("\ntwo-variable hypothesis checker")
 shift = dv.from_polynomial(np.array([[[0.0]], [[1.0]]], dtype=complex))
 diag_variety = dv.variety_polynomial(shift)
 pair2 = dv.validate_pair(np.array([[0, 0], [1, 0]]), np.eye(2))
-for e in dv.min_conditions(pair2, diag_variety, dv.Poly1.identity(),
-                           dv.Poly1.identity(), boundary_n=256, disc_n=256):
+for e in dv.min_conditions(pair2, diag_variety, dv.Poly1.identity(), dv.Poly1.identity()):
     print(f"  {e.name:<26} {e.status}")
 
 print("\nisometry-commutant variant")

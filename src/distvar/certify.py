@@ -224,13 +224,13 @@ def _symbol_disc_sup(sym, n=2048):
     return float((np.abs(num(ts)) / dv).max())
 
 
-def min_conditions(pair, variety, phi1, phi2, tol=DEFAULT,
-                   boundary_n=512, disc_n=512):
+def min_conditions(pair, variety, phi1, phi2, tol=DEFAULT):
     """Hypothesis checks for minimality of the variety closure as a spectral set.
 
     Entry 1: the spectrum of T1 is inside the disc with margin; entry 2: both
     symbols have disc sup-norm 1 and the product attains norm 1 on the pair.
-    The minimality verdict is conditional on the distinguished certificate.
+    The minimality verdict is conditional on the distinguished certificate,
+    which is decided in closed form from the variety's symbol.
     """
     if _symbol_is_constant(phi1) or _symbol_is_constant(phi2):
         raise ConstantSymbol("both symbols must be non-constant")
@@ -263,7 +263,7 @@ def min_conditions(pair, variety, phi1, phi2, tol=DEFAULT,
         data={"sup_phi1": sup1, "sup_phi2": sup2, "attained_norm": attain},
     ))
 
-    dist = distinguished_certificate(variety.psi, boundary_n, disc_n, tol=tol)
+    dist = distinguished_certificate(variety.psi, tol=tol)
     entries.append(dist)
 
     hyp = [entries[0].status, entries[1].status, dist.status]

@@ -19,7 +19,6 @@ from .inner import distinguished_certificate, variety_polynomial
 from .instances import (
     Instance,
     InstanceSpec,
-    distinguished_grids,
     make_instance,
     random_recipe,
     run_certification,
@@ -38,14 +37,6 @@ from .serialize import (
     write_variety_svg,
 )
 from .tolerances import DEFAULT
-
-
-def _parse_grid(text):
-    try:
-        a, b = text.split("x")
-        return (int(a), int(b))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected RxA, got {text!r}") from None
 
 
 def _count(text):
@@ -89,12 +80,9 @@ def _write_report(report, out_dir, fmt):
 
 
 def cmd_variety(args, tol):
-    psi = psi_from_json(load_json(args.psi), tol=tol,
-                        boundary_n=min(args.boundary_samples, 1024))
+    psi = psi_from_json(load_json(args.psi), tol=tol)
     variety = variety_polynomial(psi, tol=tol)
-    cert = distinguished_certificate(
-        psi, *distinguished_grids(args.boundary_samples, args.disc_grid), tol=tol
-    )
+    cert = distinguished_certificate(psi, tol=tol)
     os.makedirs(args.out, exist_ok=True)
     payload = variety_to_json(variety)
     payload["distinguished"] = cert.to_dict()
@@ -123,7 +111,6 @@ def _recipe_spec(obj, args):
         psi_spec=psi_spec,
         seed=seed,
         boundary_n=args.boundary_samples,
-        disc_grid=args.disc_grid,
     )
 
 
@@ -131,10 +118,7 @@ def _instances(args, tol):
     """The instances of one certify run, built one at a time in run order."""
     if args.batch:
         for k in range(args.batch):
-            spec = replace(
-                random_recipe(args.seed + k),
-                boundary_n=args.boundary_samples, disc_grid=args.disc_grid,
-            )
+            spec = replace(random_recipe(args.seed + k), boundary_n=args.boundary_samples)
             yield make_instance(spec, tol)
     elif args.recipe:
         yield make_instance(_recipe_spec(load_json(args.recipe), args), tol)
@@ -147,8 +131,7 @@ def _instances(args, tol):
         name = os.path.splitext(os.path.basename(args.pair))[0]
         spec = InstanceSpec(
             theta_zeros=(), psi_spec={"kind": "supplied"}, seed=args.seed,
-            boundary_n=args.boundary_samples, disc_grid=args.disc_grid,
-            label=f"pair[{name}]",
+            boundary_n=args.boundary_samples, label=f"pair[{name}]",
         )
         yield Instance(spec=spec, theta=None, psi=psi, pair=pair)
     else:
@@ -192,7 +175,6 @@ def cmd_demo(args, tol):
         psi_spec={"kind": "companion", "d": 2},
         seed=args.seed,
         boundary_n=args.boundary_samples,
-        disc_grid=args.disc_grid,
     )
     inst = make_instance(spec, tol)
     report = run_certification(inst, tol=tol)
@@ -233,8 +215,6 @@ def build_parser():
                          "the co-extension's defect cut")
     ap.add_argument("--boundary-samples", type=int, default=2048,
                     help="points of the boundary grids")
-    ap.add_argument("--disc-samples", type=_parse_grid, default=(64, 256), dest="disc_grid",
-                    metavar="RxA", help="interior grid of the distinguished certificate")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="out")
     ap.add_argument("--format", choices=["json", "csv"], default="json")
@@ -267,11 +247,9 @@ def main(argv=None):
         tol = _tolerances(args.tol)
     except ValueError as exc:
         return _fail_invalid(f"invalid --tol: {exc}")
-    r, a = args.disc_grid
-    if args.boundary_samples < 64 or min(r, a) < 1 or r * a < 64:
+    if args.boundary_samples < 64:
         return _fail_invalid(
-            f"invalid grids {args.boundary_samples} and {r}x{a}: --boundary-samples "
-            "needs N >= 64, --disc-samples RxA needs R, A >= 1 and R*A >= 64")
+            f"invalid --boundary-samples {args.boundary_samples}: needs N >= 64")
     try:
         return args.func(args, tol)
     except (OSError, ValueError, KeyError) as exc:

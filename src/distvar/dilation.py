@@ -229,9 +229,9 @@ def construct_psi(pair, tol=DEFAULT, seed=0):
         psi = from_colligation(d.conj().T, b.conj().T, c.conj().T, a.conj().T, tol=tol)
     except (NotUnitaryColligation, NotPureRealization) as exc:
         raise NoInnerSolution(f"lurking isometry gives no pure symbol: {exc}") from exc
-    rho, _ = interior_pureness(psi, n=128)
+    rho = interior_pureness(psi)
     if rho >= 1.0:
-        raise NoInnerSolution(f"symbol is not pure: interior spectral radius {rho:.12f}")
+        raise NoInnerSolution(f"symbol is not pure: spectral radius of Psi(0) {rho:.12f}")
     return psi
 
 

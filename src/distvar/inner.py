@@ -16,7 +16,9 @@ certification step reads them.
 The zero set {det(Psi(z) - wI) = 0} is produced as an honest bivariate
 polynomial by sampling the determinant of the linear pencil
 [[I - zA, zB], [-C, D - wI]] (or a denominator-cleared determinant) on a
-tensor grid and interpolating.
+tensor grid and interpolating.  Whether it is distinguished is decided in
+closed form from Psi(0) and the boundary unitarity defect the symbol
+records when it is built; no fiber is sampled for it.
 """
 
 from math import comb
@@ -412,13 +414,15 @@ def interior_disc_grid(n):
     return r * np.exp(1j * golden * k)
 
 
-def interior_pureness(psi, n=512):
-    """Largest spectral radius of Psi over a deterministic interior grid,
-    with the first grid point that attains it."""
-    grid = interior_disc_grid(n)
-    rho = np.abs(fibers_grid(psi, grid)).max(axis=1)
-    k = int(np.argmax(rho))
-    return float(rho[k]), complex(grid[k])
+def interior_pureness(psi):
+    """rho(Psi(0)), the spectral radius of Psi at the origin.
+
+    By the maximum principle it bounds every interior fiber: if Psi(z0) has
+    an eigenvalue w with |w| = 1 at an interior z0, with eigenvector v, then
+    <Psi(z)v, v> is constant, so Psi(0)v = wv.  A value below 1 therefore
+    proves that every interior fiber lies in the open disc.
+    """
+    return float(np.abs(np.linalg.eigvals(eval_psi(psi, 0.0))).max())
 
 
 def fiber(psi, z):
@@ -515,42 +519,34 @@ def variety_polynomial(psi, tol=DEFAULT, check_fibers=200):
     return VarietyDescription(psi, p, degz, degw, residual, worst)
 
 
-def distinguished_certificate(psi, boundary_n=512, disc_n=512, tol=DEFAULT):
-    """Certificate that the variety of Psi is distinguished.
+def distinguished_certificate(psi, tol=DEFAULT):
+    """Certificate that the variety of Psi is distinguished, in closed form.
 
-    Conditions: (a) boundary fibers are unimodular, (b) interior fibers stay in
-    the open disc, (c) the variety meets the open bidisc (witness recorded).
+    Conditions: (a) boundary fibers are unimodular: on the circle
+    |w|^2 - 1 = <(Psi*Psi - I)v, v> for a unit eigenvector v, so each
+    boundary fiber lies within the symbol's recorded boundary unitarity
+    defect of the circle; (a) is that defect <= ``tol.tol_unitary``.
+    (b) interior fibers stay in the open disc: rho(Psi(0)) bounds them
+    (``interior_pureness``), and (b) is rho(Psi(0)) <= 1 - ``tol.pure_margin``.
+    (c) the variety meets the open bidisc: when (b) holds, 0 with the
+    largest-modulus eigenvalue of Psi(0) is a witness, so (c) equals (b).
+    Psi is evaluated at the origin only; no fiber is sampled.
     """
-    if boundary_n < 64 or disc_n < 64:
-        raise ValueError("grid sizes must be at least 64")
-    vals = fibers_grid(psi, circle_grid(boundary_n))
-    # np.hypot rounds as abs() of a complex scalar does; np.abs may not
-    worst_boundary = float(np.abs(np.hypot(vals.real, vals.imag) - 1.0).max())
-    cond_a = worst_boundary <= tol.tol_unitary
-
-    grid = interior_disc_grid(disc_n)
-    vals = fibers_grid(psi, grid)
-    moduli = np.hypot(vals.real, vals.imag).max(axis=1)
-    worst_interior = float(moduli.max())
-    inside = np.flatnonzero(moduli < 1.0 - 1e-9)
-    witness = None
-    if inside.size:
-        k = inside[0]
-        witness = (complex(grid[k]), complex(vals[k, np.argmax(np.abs(vals[k]))]))
-    # no uniform interior gap exists, so only a pointwise margin is sensible
-    cond_b = worst_interior <= 1.0 - tol.pure_margin
-    cond_c = witness is not None
-
-    status = PASS if (cond_a and cond_b and cond_c) else FAIL
-    margin = min(tol.tol_unitary - worst_boundary, 1.0 - worst_interior)
+    vals = np.linalg.eigvals(eval_psi(psi, 0.0))
+    k = int(np.argmax(np.abs(vals)))
+    rho = float(np.abs(vals[k]))
+    cond_a = psi.boundary_defect <= tol.tol_unitary
+    cond_b = rho <= 1.0 - tol.pure_margin
+    status = PASS if (cond_a and cond_b) else FAIL
+    margin = min(tol.tol_unitary - psi.boundary_defect, 1.0 - rho)
     data = {
-        "boundary_defect": worst_boundary,
-        "interior_max_modulus": worst_interior,
+        "boundary_defect": psi.boundary_defect,
+        "interior_max_modulus": rho,
         "conditions": {"boundary_unimodular": cond_a, "interior_strict": cond_b,
-                       "meets_open_bidisc": cond_c},
+                       "meets_open_bidisc": cond_b},
     }
-    if witness is not None:
-        data["witness"] = [witness[0], witness[1]]
+    if cond_b:
+        data["witness"] = [0j, complex(vals[k])]
     return CertEntry(
         name="distinguished-variety",
         anchor="variety-exits-through-distinguished-boundary",

@@ -59,7 +59,7 @@ def sweep200():
 def test_criterion_1_w2z_end_to_end(companion_psi_2):
     variety = dv.variety_polynomial(companion_psi_2)
     dist = dv.unit_distance(variety.p, w2z_poly())
-    cert = dv.distinguished_certificate(companion_psi_2, 256, 256)
+    cert = dv.distinguished_certificate(companion_psi_2)
     pair = dv.compress_pair(companion_psi_2, dv.BlaschkeProduct([(0.0, 2)]))
     ann_norm = float(np.linalg.norm(dv.poly_apply(variety.p, pair), 2))
     ok = dist < 1e-8 and cert.passed and ann_norm < 1e-10
@@ -251,13 +251,13 @@ def test_criterion_8_colligation_certification():
             continue
         count += 1
         worst_defect = max(worst_defect, dv.boundary_unitarity_defect(psi, 512))
-        rho, _ = dv.interior_pureness(psi, n=256)
+        rho = dv.interior_pureness(psi)
         worst_rho = max(worst_rho, rho)
     ok = count == 100 and worst_defect < 1e-8 and worst_rho < 1.0
     _verdict(
         8, ok,
         f"100 colligations: max boundary defect {worst_defect:.2e}, "
-        f"max interior spectral radius {worst_rho:.6f}",
+        f"max spectral radius of Psi(0) {worst_rho:.6f}",
     )
 
 
@@ -274,13 +274,11 @@ def test_criterion_9_hypothesis_checkers(scalar_shift_psi):
     mc = dv.min_conditions(
         dv.validate_pair(J2, np.eye(2)), variety,
         dv.Poly1.identity(), dv.Poly1.identity(),
-        boundary_n=128, disc_n=128,
     )
     by_name = {e.name: e for e in mc}
     mc_margin = dv.min_conditions(
         dv.validate_pair(np.diag([0.999]), np.diag([0.5])), variety,
         dv.Poly1.identity(), dv.Poly1.identity(),
-        boundary_n=128, disc_n=128,
     )
     try:
         dv.min_conditions(dv.validate_pair(J2, np.eye(2)), variety,
@@ -308,8 +306,7 @@ def test_criterion_10_determinism(tmp_path):
     for name in ("r1", "r2"):
         out = tmp_path / name
         code = main(["--out", str(out), "--seed", "11",
-                     "--boundary-samples", "128", "--disc-samples", "8x32",
-                     "demo"])
+                     "--boundary-samples", "128", "demo"])
         assert code == 0
         report = sorted(out.glob("*-report.json"))[0].read_bytes()
         blobs.append(report)

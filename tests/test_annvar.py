@@ -280,7 +280,7 @@ def test_run_certification_computes_each_set_once(monkeypatch):
 
     # the curve w^2 = z over a double zero of theta at the branch point
     spec = InstanceSpec(theta_zeros=((0j, 2),), psi_spec={"kind": "companion", "d": 2},
-                        boundary_n=128, disc_grid=(8, 32))
+                        boundary_n=128)
     inst = make_instance(spec)
     counts.clear()
     run_certification(inst)

@@ -169,7 +169,7 @@ def test_min_conditions_pass(scalar_shift_psi):
     variety = dv.variety_polynomial(scalar_shift_psi)
     pair = dv.validate_pair(J2, np.eye(2))
     entries = dv.min_conditions(pair, variety, dv.Poly1.identity(),
-                                dv.Poly1.identity(), boundary_n=128, disc_n=128)
+                                dv.Poly1.identity())
     by_name = {e.name: e for e in entries}
     assert by_name["spectrum-inside-disc"].status == "pass"
     assert by_name["attainment"].status == "pass"
@@ -180,7 +180,7 @@ def test_min_conditions_margin_semantics(scalar_shift_psi):
     variety = dv.variety_polynomial(scalar_shift_psi)
     pair = dv.validate_pair(np.diag([0.999]), np.diag([0.5]))
     entries = dv.min_conditions(pair, variety, dv.Poly1.identity(),
-                                dv.Poly1.identity(), boundary_n=128, disc_n=128)
+                                dv.Poly1.identity())
     assert entries[0].status == "inconclusive"
 
 
@@ -196,8 +196,7 @@ def test_min_conditions_rational_second_symbol(scalar_shift_psi):
     variety = dv.variety_polynomial(scalar_shift_psi)
     pair = dv.validate_pair(J2, np.eye(2))
     phi2 = (dv.Poly1([-0.5, 1.0]), dv.Poly1([1.0, -0.5]))
-    entries = dv.min_conditions(pair, variety, dv.Poly1.identity(), phi2,
-                                boundary_n=256, disc_n=128)
+    entries = dv.min_conditions(pair, variety, dv.Poly1.identity(), phi2)
     by_name = {e.name: e for e in entries}
     assert by_name["attainment"].data["sup_phi2"] == pytest.approx(1.0, abs=1e-12)
 
@@ -254,7 +253,7 @@ def test_reports_are_deterministic(w2z_pair, w2z_variety):
 def test_spec_tolerances_are_applied_and_recorded():
     # w^2 = z annihilates its pair to about 1e-15, far above tol_ann = 1e-30
     spec = dv.InstanceSpec(theta_zeros=((0j, 2),), psi_spec={"kind": "companion", "d": 2},
-                           boundary_n=128, disc_grid=(8, 32), tolerances={"tol_ann": 1e-30})
+                           boundary_n=128, tolerances={"tol_ann": 1e-30})
     report = dv.run_certification(dv.make_instance(spec))
     assert report.tolerances["tol_ann"] == 1e-30
     assert not any(e.name == "defining-polynomial-annihilates" and e.passed

@@ -92,7 +92,6 @@ def _psi_file(tmp_path, companion_psi_2):
 def test_cmd_variety(tmp_path, companion_psi_2, capsys):
     out = tmp_path / "out"
     code = main(["--out", str(out), "--boundary-samples", "256",
-                 "--disc-samples", "8x32",
                  "variety", _psi_file(tmp_path, companion_psi_2)])
     assert code == 0
     assert (out / "variety.json").exists()
@@ -118,7 +117,7 @@ def test_cmd_variety_scalar_blaschke_square(tmp_path, capsys):
                "d": 1}, path)
     out = tmp_path / "o"
     code = main(["--out", str(out), "--boundary-samples", "128",
-                 "--disc-samples", "8x32", "variety", str(path)])
+                 "variety", str(path)])
     assert code == 0
     p = poly2_from_json(load_json(out / "variety.json")["p"])
     target = dv.Poly2([[0.0, 1.0], [0.0, 0.0], [-1.0, 0.0]])  # w - z^2
@@ -130,7 +129,7 @@ def test_cmd_variety_constant_unitary_fails(tmp_path, capsys):
     dump_json({"kind": "colligation", "A": [], "B": [], "C": [],
                "D": [[[1.0, 0.0]]]}, path)
     code = main(["--out", str(tmp_path / "o"), "--boundary-samples", "128",
-                 "--disc-samples", "8x32", "variety", str(path)])
+                 "variety", str(path)])
     assert code == 1
 
 
@@ -165,7 +164,7 @@ def test_cmd_certify_malformed_recipe_exits_2(tmp_path, capsys, recipe):
     rp = tmp_path / "recipe.json"
     dump_json(recipe, rp)
     code = main(["--out", str(tmp_path / "o"), "--boundary-samples", "128",
-                 "--disc-samples", "8x32", "certify", "--recipe", str(rp)])
+                 "certify", "--recipe", str(rp)])
     assert code == 2
     assert "malformed" in json.loads(capsys.readouterr().out)["error"]
 
@@ -188,7 +187,7 @@ def test_cmd_certify_recipe(tmp_path, capsys):
     dump_json(recipe, rp)
     out = tmp_path / "out"
     code = main(["--out", str(out), "--boundary-samples", "128",
-                 "--disc-samples", "8x32", "certify", "--recipe", str(rp)])
+                 "certify", "--recipe", str(rp)])
     assert code == 0
     summary = load_json(out / "summary.json")
     assert summary["pass"] == 1 and summary["fail"] == 0
@@ -204,7 +203,7 @@ def test_cmd_certify_recipe_symbol_zero_past_factorial_range(tmp_path, capsys):
     dump_json(recipe, rp)
     out = tmp_path / "out"
     code = main(["--out", str(out), "--boundary-samples", "128",
-                 "--disc-samples", "8x32", "certify", "--recipe", str(rp)])
+                 "certify", "--recipe", str(rp)])
     assert code == 0
     summary = load_json(out / "summary.json")
     assert summary["pass"] == 1 and summary["fail"] == 0
@@ -224,7 +223,7 @@ def test_cmd_certify_recipe_state_radius_near_one(tmp_path, capsys):
     dump_json(recipe, rp)
     out = tmp_path / "out"
     code = main(["--out", str(out), "--boundary-samples", "128",
-                 "--disc-samples", "8x32", "certify", "--recipe", str(rp)])
+                 "certify", "--recipe", str(rp)])
     assert code == 0, capsys.readouterr().out
     summary = load_json(out / "summary.json")
     assert summary["pass"] == 1 and summary["fail"] == 0
@@ -243,7 +242,7 @@ def test_cmd_certify_recipe_all_true_instance(tmp_path, capsys):
     dump_json(recipe, rp)
     out = tmp_path / "out"
     code = main(["--out", str(out), "--boundary-samples", "128",
-                 "--disc-samples", "8x32", "certify", "--recipe", str(rp)])
+                 "certify", "--recipe", str(rp)])
     assert code == 0
     rep = load_json(sorted(out.glob("*-report.json"))[0])
     verdict = [e for e in rep["entries"] if e["name"] == "synthesis-equivalence"][0]
@@ -264,9 +263,9 @@ def test_cmd_certify_recipe_uses_sample_flags(tmp_path, monkeypatch, capsys):
     dump_json({"theta_zeros": [{"point": [0.0, 0.0], "multiplicity": 2}],
                "psi": {"kind": "companion", "d": 2}, "seed": 3}, rp)
     code = main(["--out", str(tmp_path / "out"), "--boundary-samples", "96",
-                 "--disc-samples", "8x40", "certify", "--recipe", str(rp)])
+                 "certify", "--recipe", str(rp)])
     assert code == 0
-    assert [(s.boundary_n, s.disc_grid, s.seed) for s in specs] == [(96, (8, 40), 3)]
+    assert [(s.boundary_n, s.seed) for s in specs] == [(96, 3)]
 
 
 def test_variety_and_certify_share_the_distinguished_certificate(tmp_path, capsys):
@@ -276,7 +275,7 @@ def test_variety_and_certify_share_the_distinguished_certificate(tmp_path, capsy
     spec = dv.InstanceSpec(theta_zeros=((0.2 + 0.1j, 1), (-0.3 + 0j, 1)),
                            psi_spec=recipe["psi"])
     dump_json(psi_to_json(dv.instances.build_psi(spec)), tmp_path / "psi.json")
-    flags = ["--boundary-samples", "320", "--disc-samples", "8x40"]
+    flags = ["--boundary-samples", "320"]
     assert main(["--out", str(tmp_path / "v")] + flags
                 + ["variety", str(tmp_path / "psi.json")]) == 0
     assert main(["--out", str(tmp_path / "c")] + flags
@@ -312,7 +311,7 @@ def test_cmd_certify_pair_symbol_dimension_mismatch_exits_2(tmp_path, capsys, j2
     # the Jordan pair has defect rank 1; the companion symbol has d = 2
     dump_json(pair_to_json(j2_pair), tmp_path / "pair.json")
     code = main(["--out", str(tmp_path / "o"), "--boundary-samples", "128",
-                 "--disc-samples", "8x32", "certify", "--pair", str(tmp_path / "pair.json"),
+                 "certify", "--pair", str(tmp_path / "pair.json"),
                  "--psi", _psi_file(tmp_path, companion_psi_2)])
     assert code == 2
     error = json.loads(capsys.readouterr().out)["error"]
@@ -322,10 +321,10 @@ def test_cmd_certify_pair_symbol_dimension_mismatch_exits_2(tmp_path, capsys, j2
 
 @pytest.mark.parametrize("argv", [
     ["--boundary-samples", "10", "demo"],
-    ["--disc-samples", "0x0", "demo"],
-    # a grid is RxA only: a bare count is not a grid
-    ["--disc-samples", "0", "certify", "--batch", "1"],
-    ["--disc-samples", "2048", "demo"],
+    # the interior grid flag is gone: the distinguished certificate samples no fiber
+    ["--disc-samples", "8x32", "demo"],
+    ["--disc-samples", "8x32", "certify", "--batch", "1"],
+    ["--disc-samples", "8x32", "variety", "psi.json"],
     ["--boundary-samples", "10", "variety", "psi.json"],
     ["--tol", "tol_unitary=1e-300", "demo"],
     ["--tol", "tol_fit=1e-30", "certify", "--batch", "2"],
@@ -359,7 +358,7 @@ def test_negative_batch_exits_2(tmp_path, capsys, existing):
 def test_cmd_certify_batch(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["--out", str(out), "--boundary-samples", "128",
-                 "--disc-samples", "8x32", "--seed", "50",
+                 "--seed", "50",
                  "certify", "--batch", "2"])
     assert code == 0
     summary = load_json(out / "summary.json")
@@ -375,7 +374,7 @@ def test_cmd_certify_pair_with_supplied_symbol(tmp_path, j2_pair, scalar_shift_p
     dump_json(psi_to_json(scalar_shift_psi), sp)
     out = tmp_path / "out"
     code = main(["--out", str(out), "--boundary-samples", "128",
-                 "--disc-samples", "8x32", "certify",
+                 "certify",
                  "--pair", str(pp), "--psi", str(sp)])
     assert code == 0
 
@@ -385,7 +384,7 @@ def test_cmd_certify_pair_constructs_symbol(tmp_path, j2_pair):
     dump_json(pair_to_json(j2_pair), pp)
     out = tmp_path / "out"
     code = main(["--out", str(out), "--boundary-samples", "128",
-                 "--disc-samples", "8x32", "certify", "--pair", str(pp)])
+                 "certify", "--pair", str(pp)])
     assert code == 0
 
 
@@ -396,7 +395,7 @@ def test_cmd_certify_pair_constructs_symbol_for_d3(tmp_path, capsys):
     pp = tmp_path / "pair.json"
     dump_json(pair_to_json(inst.pair), pp)
     code = main(["--out", str(tmp_path / "out"), "--boundary-samples", "128",
-                 "--disc-samples", "8x32", "certify", "--pair", str(pp)])
+                 "certify", "--pair", str(pp)])
     summary = json.loads(capsys.readouterr().out)
     assert code == 0
     assert summary["pass"] == 1
@@ -412,7 +411,7 @@ def test_cmd_certify_writes_bundle_export(tmp_path, capsys):
     dump_json(recipe, rp)
     out = tmp_path / "out"
     assert main(["--out", str(out), "--boundary-samples", "128",
-                 "--disc-samples", "8x32", "certify", "--recipe", str(rp)]) == 0
+                 "certify", "--recipe", str(rp)]) == 0
     bundle = load_json(sorted(out.glob("*-bundle.json"))[0])
     assert set(bundle) >= {"J", "n_trunc", "psi", "m1", "kpsi_basis",
                            "S1", "S2", "residuals"}
@@ -432,7 +431,7 @@ def test_cmd_certify_pair_bundle_does_not_depend_on_seed(tmp_path, capsys):
     for seed in ("0", "1", "7"):
         out = tmp_path / f"out{seed}"
         main(["--out", str(out), "--seed", seed, "--boundary-samples", "128",
-              "--disc-samples", "8x32", "certify", "--pair", str(pp),
+              "certify", "--pair", str(pp),
               "--psi", _psi_file(tmp_path, inst.psi)])
         [path] = out.glob("*-bundle.json")
         bundles.append(path.read_text())
@@ -450,7 +449,7 @@ def test_cmd_certify_inconclusive_exit_code(tmp_path, capsys):
     dump_json(recipe, rp)
     out = tmp_path / "out"
     code = main(["--out", str(out), "--boundary-samples", "128",
-                 "--disc-samples", "8x32", "certify", "--recipe", str(rp)])
+                 "certify", "--recipe", str(rp)])
     assert code == 3
 
 
@@ -459,7 +458,7 @@ def test_cmd_demo_deterministic(tmp_path, capsys):
     for name in ("a", "b"):
         out = tmp_path / name
         code = main(["--out", str(out), "--seed", "7",
-                     "--boundary-samples", "128", "--disc-samples", "8x32",
+                     "--boundary-samples", "128",
                      "demo"])
         assert code == 0
         reports = sorted(out.glob("*-report.json"))
@@ -471,7 +470,7 @@ def test_cmd_demo_deterministic(tmp_path, capsys):
 def test_cmd_demo_records_seed(tmp_path, capsys):
     out = tmp_path / "o"
     main(["--out", str(out), "--seed", "7", "--boundary-samples", "128",
-          "--disc-samples", "8x32", "demo"])
+          "demo"])
     rep = load_json(sorted(out.glob("*-report.json"))[0])
     assert rep["seed"] == 7
 
@@ -479,7 +478,7 @@ def test_cmd_demo_records_seed(tmp_path, capsys):
 def test_report_json_schema(tmp_path):
     out = tmp_path / "o"
     main(["--out", str(out), "--seed", "1", "--boundary-samples", "128",
-          "--disc-samples", "8x32", "demo"])
+          "demo"])
     rep = load_json(sorted(out.glob("*-report.json"))[0])
     assert set(rep) >= {"instance_id", "seed", "tolerances", "entries"}
     for e in rep["entries"]:
@@ -561,9 +560,6 @@ _bad_tol = st.one_of(
     st.just("rank_guard=0"),
 )
 _bad_boundary = st.integers(-10 ** 4, 63).map(lambda n: [f"--boundary-samples={n}"])
-_bad_disc = (st.tuples(st.integers(-50, 50), st.integers(-50, 50))
-             .filter(lambda g: min(g) < 1 or g[0] * g[1] < 64)
-             .map(lambda g: ["--boundary-samples=128", f"--disc-samples={g[0]}x{g[1]}"]))
 
 
 def _assert_exits_2(argv, files):
@@ -594,22 +590,17 @@ def _assert_exits_2(argv, files):
           {**_RECIPE, "theta_zeros": [{"point": [0.0, 0.0], "multiplicity": 1.5}]}))
 def test_malformed_input_file_exits_2(case):
     argv, obj = case
-    _assert_exits_2(["--boundary-samples=128", "--disc-samples=8x32"] + argv,
-                    {**_FILES, "in.json": obj})
+    _assert_exits_2(["--boundary-samples=128"] + argv, {**_FILES, "in.json": obj})
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(
     st.tuples(_bad_boundary, st.sampled_from(
         [["demo"], ["certify", "--recipe", "recipe.json"], ["variety", "psi.json"]])),
-    st.tuples(_bad_disc, st.sampled_from(
-        [["demo"], ["certify", "--recipe", "recipe.json"], ["variety", "psi.json"]])),
     st.tuples(_bad_tol.map(lambda t: ["--tol", t]), st.sampled_from(
         [["demo"], ["certify", "--batch", "1"], ["variety", "psi.json"]])),
 ))
-@example((["--boundary-samples=128", "--disc-samples=-8x-32"], ["variety", "psi.json"]))
-@example((["--boundary-samples=128", "--disc-samples=0x5"], ["variety", "psi.json"]))
-@example((["--disc-samples", "8y32"], ["demo"]))
+@example((["--disc-samples", "8x32"], ["demo"]))
 @example((["--boundary-samples", "abc"], ["certify", "--recipe", "recipe.json"]))
 def test_invalid_option_value_exits_2(case):
     flags, command = case

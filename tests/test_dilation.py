@@ -94,7 +94,7 @@ def test_construct_psi_properties_on_random_pairs(repeated):
         pair = make_instance(random_recipe(seed, repeated=repeated)).pair
         psi = dv.construct_psi(pair)
         assert psi.boundary_defect <= tol.tol_unitary
-        assert dv.interior_pureness(psi)[0] < 1.0
+        assert dv.interior_pureness(psi) < 1.0
         _, _, _, res = dv.coextension_embedding(pair, psi)
         assert res["intertwine_symbol"] <= tol.tol_intertwine
         p = dv.variety_polynomial(psi).p

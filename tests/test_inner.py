@@ -174,13 +174,13 @@ def test_fiber_continuity():
 
 
 def test_distinguished_scalar_and_companion(scalar_shift_psi, companion_psi_2):
-    assert dv.distinguished_certificate(scalar_shift_psi, 128, 128).passed
-    assert dv.distinguished_certificate(companion_psi_2, 128, 128).passed
+    assert dv.distinguished_certificate(scalar_shift_psi).passed
+    assert dv.distinguished_certificate(companion_psi_2).passed
 
 
 def test_distinguished_fails_for_constant_unitary():
     psi = dv.from_colligation(np.zeros((0, 0)), None, None, [[1.0]])
-    entry = dv.distinguished_certificate(psi, 128, 128)
+    entry = dv.distinguished_certificate(psi)
     assert entry.status == "fail"
     assert not entry.data["conditions"]["meets_open_bidisc"]
 
@@ -215,12 +215,26 @@ def test_taylor_at_matches_eval(companion_psi_2):
             assert np.linalg.norm(acc - dv.eval_psi(psi, z), 2) < 1e-12
 
 
-def test_distinguished_reads_pure_margin_from_tolerances(companion_psi_2):
-    entry = dv.distinguished_certificate(companion_psi_2, 128, 128)
+def test_distinguished_reads_pure_margin_from_tolerances():
+    # Psi(z) = b(z) for one Blaschke factor with zero 0.8, so rho(Psi(0)) = 0.8
+    psi = dv.from_scalar_blaschke_identity(dv.BlaschkeProduct([(0.8, 1)]), 1)
+    entry = dv.distinguished_certificate(psi)
     assert entry.data["conditions"]["interior_strict"]
     tol = dv.DEFAULT.override(pure_margin=0.5)
-    entry = dv.distinguished_certificate(companion_psi_2, 128, 128, tol=tol)
+    entry = dv.distinguished_certificate(psi, tol=tol)
     assert not entry.data["conditions"]["interior_strict"]
+    assert entry.status == "fail"
+
+
+def test_distinguished_reads_tol_unitary_from_tolerances():
+    rng = np.random.default_rng(3)
+    u = random_unitary(rng, 4)
+    psi = dv.from_colligation(u[:2, :2], u[:2, 2:], u[2:, :2], u[2:, 2:])
+    assert 0.0 < psi.boundary_defect <= dv.DEFAULT.tol_unitary
+    assert dv.distinguished_certificate(psi).passed
+    tol = dv.DEFAULT.override(tol_unitary=psi.boundary_defect / 2)
+    entry = dv.distinguished_certificate(psi, tol=tol)
+    assert not entry.data["conditions"]["boundary_unimodular"]
     assert entry.status == "fail"
 
 
@@ -302,25 +316,65 @@ def test_grid_layer_matches_pointwise_formula(name):
         assert dv.fiber(psi, z) == _oracle_fiber(psi, z)
 
 
+def _sampled_conditions(psi, tol=dv.DEFAULT):
+    """The certificate's three conditions decided on sampled fibers, point by
+    point: 64 circle points and 64 interior points."""
+    circle = np.exp(1j * (np.arange(64) * (2.0 * np.pi / 64)))
+    worst_boundary = max(abs(abs(v) - 1.0) for z in circle for v in _oracle_fiber(psi, z))
+    interior = [max(abs(v) for v in _oracle_fiber(psi, lam)) for lam in interior_disc_grid(64)]
+    return {"boundary_unimodular": worst_boundary <= tol.tol_unitary,
+            "interior_strict": max(interior) <= 1.0 - tol.pure_margin,
+            "meets_open_bidisc": min(interior) < 1.0 - 1e-9}
+
+
 @pytest.mark.parametrize("name", sorted(_grid_symbols()))
 def test_distinguished_certificate_matches_pointwise_loop(name):
     psi = _grid_symbols()[name]
-    circle = np.exp(1j * (np.arange(64) * (2.0 * np.pi / 64)))
-    worst_boundary = 0.0
-    for z in circle:
-        vals = _oracle_fiber(psi, z)
-        worst_boundary = max(worst_boundary, max(abs(abs(v) - 1.0) for v in vals))
-    worst_interior, witness = 0.0, None
-    for lam in interior_disc_grid(64):
-        vals = _oracle_fiber(psi, lam)
-        m = max(abs(v) for v in vals)
-        worst_interior = max(worst_interior, m)
-        if witness is None and m < 1.0 - 1e-9:
-            witness = [complex(lam), vals[int(np.argmax(np.abs(vals)))]]
-    data = dv.distinguished_certificate(psi, 64, 64).data
-    assert data["boundary_defect"] == worst_boundary
-    assert data["interior_max_modulus"] == worst_interior
-    assert data.get("witness") == witness
+    data = dv.distinguished_certificate(psi).data
+    assert data["conditions"] == _sampled_conditions(psi)
+    assert data["boundary_defect"] == psi.boundary_defect
+    assert data["interior_max_modulus"] == dv.interior_pureness(psi)
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+def test_distinguished_certificate_matches_pointwise_loop_on_recipes(repeated):
+    for seed in range(50):
+        psi = dv.make_instance(dv.random_recipe(seed, repeated=repeated)).psi
+        conditions = dv.distinguished_certificate(psi).data["conditions"]
+        assert conditions == _sampled_conditions(psi), seed
+
+
+def test_distinguished_certificate_pins_w2z_and_a_non_pure_symbol(companion_psi_2):
+    entry = dv.distinguished_certificate(companion_psi_2)
+    assert entry.status == "pass"
+    assert entry.data["witness"] == [0j, 0j]
+    # Psi(z) = diag(z, 1): the constant eigenvalue 1 is an interior fiber on the circle
+    diag = dv.from_polynomial(np.array([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])]))
+    entry = dv.distinguished_certificate(diag)
+    assert entry.status == "fail"
+    assert entry.data["conditions"] == {"boundary_unimodular": True, "interior_strict": False,
+                                        "meets_open_bidisc": False}
+    assert "witness" not in entry.data
+    assert entry.data["conditions"] == _sampled_conditions(diag)
+
+
+def test_distinguished_certificate_evaluates_psi_at_the_origin_only(monkeypatch):
+    points = []
+    grid = dv.inner.eval_psi_grid
+
+    def recording(psi, zs):
+        points.extend(np.asarray(zs, dtype=complex).ravel().tolist())
+        return grid(psi, zs)
+
+    def no_fibers(psi, zs):
+        raise AssertionError("the distinguished certificate sampled fibers")
+
+    monkeypatch.setattr(dv.inner, "eval_psi_grid", recording)
+    monkeypatch.setattr(dv.inner, "fibers_grid", no_fibers)
+    for psi in _grid_symbols().values():
+        points.clear()
+        dv.distinguished_certificate(psi)
+        assert points == [0j]
 
 
 @pytest.mark.parametrize("name", ["companion", "colligation", "scalar-identity"])

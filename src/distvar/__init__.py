@@ -70,6 +70,7 @@ from .opcore import (
     matching_distance,
     minimal_blaschke,
     poly_apply,
+    poly_stack,
     validate_pair,
 )
 from .poly import (

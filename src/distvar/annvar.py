@@ -22,8 +22,8 @@ from .opcore import (
     kernel,
     matching_distance,
     minimal_blaschke,
-    opnorm,
-    poly_apply,
+    opnorms,
+    poly_stack,
     validate_pair,
 )
 from .poly import Poly2, has_simple_roots
@@ -91,8 +91,7 @@ def ann_generators(pair, tol=DEFAULT):
         box=(d1, d2), box_generators=tuple(gens), m1=m1, m2=m2, q1=q1, q2=q2
     )
     scale = max(1.0, *pair.norms)
-    for g in basis.generators:
-        res = opnorm(poly_apply(g, pair))
+    for g, res in zip(basis.generators, opnorms(poly_stack(basis.generators, pair))):
         if res > tol.tol_ann * scale * max(1.0, g.scale):
             raise DegenerateCluster(
                 f"generator annihilation residual {res:.3e} above tolerance"

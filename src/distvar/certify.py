@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConstantSymbol, DenominatorVanishes
 from .inner import circle_grid, distinguished_certificate, fibers_grid
-from .opcore import assignment_max, blaschke_apply, opnorm, poly_apply, spectral_radius
+from .opcore import assignment_max, blaschke_apply, opnorm, opnorms, poly_stack, spectral_radius
 from .poly import BlaschkeProduct, Poly1
 from .report import FAIL, INCONCLUSIVE, PASS, CertEntry
 from .tolerances import DEFAULT
@@ -117,8 +117,8 @@ def vn_report(pair, variety, polys, boundary_n=512, rationals=None, tol=DEFAULT)
     samples = VarietySamples(variety, boundary_n)
     entries = []
 
-    p = variety.p
-    res = opnorm(poly_apply(p, pair))
+    p, polys = variety.p, list(polys)
+    res, *norms = (float(v) for v in opnorms(poly_stack([p, *polys], pair)))
     entries.append(CertEntry(
         name="defining-polynomial-annihilates",
         anchor="defining-polynomial-annihilates-pair",
@@ -127,8 +127,7 @@ def vn_report(pair, variety, polys, boundary_n=512, rationals=None, tol=DEFAULT)
         data={"norm": res},
     ))
 
-    for idx, q in enumerate(polys):
-        nrm = opnorm(poly_apply(q, pair))
+    for idx, (q, nrm) in enumerate(zip(polys, norms)):
         sup = sup_on_variety(variety, q, samples=samples)
         sl = slack(q, samples)
         status, margin = _bound_verdict(nrm, sup, sl)
@@ -165,8 +164,7 @@ def vn_report(pair, variety, polys, boundary_n=512, rationals=None, tol=DEFAULT)
                 f"the denominator's fiber product winds {winding} times, in arg "
                 f"steps up to {np.abs(steps).max():.3f} (pi/2 resolves the count)"
             )
-        num_t = poly_apply(p1, pair)
-        den_t = poly_apply(p2, pair)
+        num_t, den_t = poly_stack([p1, p2], pair)
         rat_t = num_t @ np.linalg.inv(den_t)
         nrm = opnorm(rat_t)
         # without zeros on the closure, |p1/p2| peaks on the boundary fibers

@@ -37,6 +37,7 @@ from .opcore import (
     minimal_blaschke,
     opnorm,
     poly_apply,
+    poly_stack,
     spectral_radius,
     validate_pair,
 )
@@ -308,7 +309,7 @@ def constrained_coextension(pair, psi, basis, tol=DEFAULT):
     # the generators always include the minimal polynomials, so the stack is
     # never empty; when they all vanish on the model pair the kernel is the
     # whole space, kept in the model's own basis
-    stack = np.vstack([poly_apply(f, model).conj().T for f in ann_gens])
+    stack = poly_stack(ann_gens, model).conj().transpose(0, 2, 1).reshape(-1, model.n)
     if opnorm(stack) <= 1e-12:
         q = np.eye(model.n, dtype=complex)
     else:

@@ -33,8 +33,6 @@ from .errors import (
     TruncationNotConverged,
 )
 from .poly import (
-    BlaschkeProduct,
-    Poly2,
     _factor_taylor,
     fit_tensor_nodes,
     interpolation_nodes,

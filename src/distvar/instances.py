@@ -10,7 +10,6 @@ stream, which keeps the whole construction reproducible.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import unitary_group
 
 from .annvar import (
     ann_generators,
@@ -109,9 +108,23 @@ def _draw_separated_points(rng, count, rmax=0.7, sep=0.2):
     return pts
 
 
+def _haar_unitary(n, seed):
+    """Haar-random n x n unitary: QR of a complex Ginibre draw from
+    ``RandomState(seed)``, with R's diagonal phases moved into Q (Mezzadri,
+    Notices AMS 54, 2007).  The steps and bits of scipy's
+    ``unitary_group.rvs(n, random_state=seed)``, without importing
+    ``scipy.stats``."""
+    rs = np.random.RandomState(seed)
+    z = 1 / np.sqrt(2) * (rs.normal(size=(n, n)) + 1j * rs.normal(size=(n, n)))
+    q, r = np.linalg.qr(z)
+    d = r.diagonal()
+    q *= (d / abs(d))[np.newaxis, :]
+    return q
+
+
 def _haar_colligation_spec(rng, n_state, d):
     for _ in range(50):
-        u = unitary_group.rvs(n_state + d, random_state=int(rng.integers(2 ** 31)))
+        u = _haar_unitary(n_state + d, int(rng.integers(2 ** 31)))
         a = u[:n_state, :n_state]
         if n_state and np.max(np.abs(np.linalg.eigvals(a))) > 0.9:
             continue

@@ -14,9 +14,14 @@ a guarded call raises DegenerateCluster on a singular value inside the band
 (cut / rank_guard, cut * rank_guard) instead of deciding (Golub-Van Loan,
 Matrix Computations, 5.4).  The rank of m is its column count less the
 kernel's dimension.
+
+A family of polynomials checked on one pair is evaluated in one stacked
+Horner pass, ``poly_stack``, and its 2-norms in one batched SVD call,
+``opnorms``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import schur
@@ -36,7 +41,14 @@ _EIG_MERGE = 3e-3  # merge radius for eigenvalues of a single matrix
 
 
 def opnorm(m):
-    return float(np.linalg.norm(m, 2)) if m.size else 0.0
+    # the largest singular value, which is what norm(m, 2) returns
+    return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
+
+
+def opnorms(stack):
+    """2-norms of each matrix of a (k, n, n) stack, in one batched SVD call;
+    each equals ``opnorm`` of its slice."""
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
 def spectral_radius(m):
@@ -165,12 +177,18 @@ class CommutingPair:
     commutator_norm: float
     norms: tuple
     purity_margins: tuple
-    defect_ranks: tuple
     pure: bool
+    tol: object = field(default=DEFAULT, repr=False, compare=False)
 
     @property
     def n(self):
         return self.t1.shape[0]
+
+    @cached_property
+    def defect_ranks(self):
+        """Ranks of I - T1 T1* and I - T2 T2*, under the validation tolerances;
+        computed on first read."""
+        return (defect(self.t1, tol=self.tol)[1], defect(self.t2, tol=self.tol)[1])
 
 
 def validate_pair(t1, t2, require_pure=False, tol=DEFAULT):
@@ -197,7 +215,6 @@ def validate_pair(t1, t2, require_pure=False, tol=DEFAULT):
         raise NotPure(
             f"spectral radii {1 - margins[0]:.12f}, {1 - margins[1]:.12f}"
         )
-    ranks = (defect(t1, tol=tol)[1], defect(t2, tol=tol)[1])
     t1 = t1.copy()
     t2 = t2.copy()
     t1.setflags(write=False)
@@ -208,8 +225,8 @@ def validate_pair(t1, t2, require_pure=False, tol=DEFAULT):
         commutator_norm=comm,
         norms=norms,
         purity_margins=margins,
-        defect_ranks=ranks,
         pure=bool(min(margins) > 0.0),
+        tol=tol,
     )
 
 
@@ -230,24 +247,41 @@ def defect(t, tol=DEFAULT):
     return droot, rank, basis
 
 
-def poly_apply(p, pair):
-    """Evaluate a bivariate polynomial on the pair by nested Horner."""
+def poly_stack(polys, pair):
+    """Values of a nonempty family of bivariate polynomials on the pair, as a
+    (k, n, n) stack, by one nested Horner pass over the whole family.
+
+    The coefficient arrays are zero-padded to the box they share.  Padded
+    leading coefficients keep the running value exactly zero, so each slice
+    equals, value for value, a Horner pass over that polynomial alone; only
+    the sign of an entry that is exactly zero can differ.
+    """
+    if not polys:
+        raise ValueError("poly_stack needs at least one polynomial")
     t1 = pair.t1 if isinstance(pair, CommutingPair) else np.asarray(pair[0])
     t2 = pair.t2 if isinstance(pair, CommutingPair) else np.asarray(pair[1])
-    c = p.coeffs if isinstance(p, Poly2) else np.atleast_2d(np.asarray(p, dtype=complex))
-    n = t1.shape[0]
-    eye = np.eye(n, dtype=complex)
+    cs = [p.coeffs if isinstance(p, Poly2) else np.atleast_2d(np.asarray(p, dtype=complex))
+          for p in polys]
+    c = np.zeros((len(cs), *np.max([ci.shape for ci in cs], axis=0)), dtype=complex)
+    for k, ci in enumerate(cs):
+        c[k, :ci.shape[0], :ci.shape[1]] = ci
+    eye = np.eye(t1.shape[0], dtype=complex)
 
-    def horner_w(row):
-        out = row[-1] * eye
-        for k in range(row.size - 2, -1, -1):
-            out = t2 @ out + row[k] * eye
+    def horner_w(rows):
+        out = rows[:, -1, None, None] * eye
+        for j in range(rows.shape[1] - 2, -1, -1):
+            out = t2 @ out + rows[:, j, None, None] * eye
         return out
 
-    out = horner_w(c[-1])
-    for i in range(c.shape[0] - 2, -1, -1):
-        out = t1 @ out + horner_w(c[i])
+    out = horner_w(c[:, -1])
+    for i in range(c.shape[1] - 2, -1, -1):
+        out = t1 @ out + horner_w(c[:, i])
     return out
+
+
+def poly_apply(p, pair):
+    """Evaluate a bivariate polynomial on the pair by nested Horner."""
+    return poly_stack([p], pair)[0]
 
 
 def blaschke_apply(b, t):

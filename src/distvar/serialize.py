@@ -12,7 +12,6 @@ import numpy as np
 from .errors import malformed
 from .inner import (
     BPFactor,
-    MatrixInnerFunction,
     from_bp_factors,
     from_colligation,
     from_polynomial,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import distvar as dv
-from distvar.certify import gradient_bound, slack
+from distvar.certify import gradient_bound
 from distvar.errors import (
     ConstantSymbol,
     DenominatorVanishes,

@@ -97,6 +97,92 @@ def test_poly_apply_nilpotent_square(j2_pair):
     assert np.linalg.norm(got, 2) < 1e-15
 
 
+def _horner_reference(p, pair):
+    """One polynomial by its own nested Horner loop."""
+    t1, t2 = (pair.t1, pair.t2) if isinstance(pair, dv.CommutingPair) else pair
+    c = p.coeffs
+    eye = np.eye(t1.shape[0], dtype=complex)
+
+    def horner_w(row):
+        out = row[-1] * eye
+        for k in range(row.size - 2, -1, -1):
+            out = t2 @ out + row[k] * eye
+        return out
+
+    out = horner_w(c[-1])
+    for i in range(c.shape[0] - 2, -1, -1):
+        out = t1 @ out + horner_w(c[i])
+    return out
+
+
+@pytest.mark.parametrize("as_tuple", [False, True])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_poly_stack_slices_equal_single_horner(seed, as_tuple):
+    pair = _random_commuting_pair(seed, n=5)
+    basis = dv.ann_generators(pair)
+    rng = np.random.default_rng(seed + 7)
+    polys = [
+        dv.Poly2([[0.7 - 0.2j]]),                                  # constant
+        basis.q1,                                                  # z only
+        basis.q2,                                                  # w only
+        *basis.box_generators,
+        dv.Poly2(rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))),
+    ]
+    assert len({p.coeffs.shape for p in polys}) >= 4  # the family is mixed
+    target = (pair.t1, pair.t2) if as_tuple else pair
+    stack = dv.poly_stack(polys, target)
+    assert stack.shape == (len(polys), pair.n, pair.n)
+    for k, p in enumerate(polys):
+        assert np.array_equal(stack[k], _horner_reference(p, target))
+        assert np.array_equal(dv.poly_apply(p, target), stack[k])
+
+
+def test_poly_stack_rejects_an_empty_family(j2_pair):
+    with pytest.raises(ValueError, match="at least one polynomial"):
+        dv.poly_stack([], j2_pair)
+
+
+def test_opnorms_equal_opnorm_per_slice():
+    pair = _random_commuting_pair(3, n=4)
+    rng = np.random.default_rng(11)
+    polys = [dv.Poly2(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
+             for _ in range(6)]
+    stack = dv.poly_stack(polys, pair)
+    got = dv.opcore.opnorms(stack)
+    assert got.tolist() == [dv.opcore.opnorm(m) for m in stack]
+    assert dv.opcore.opnorm(stack[0]) == float(np.linalg.norm(stack[0], 2))
+
+
+def test_defect_ranks_are_lazy_and_follow_the_validation_tolerances():
+    t1 = np.diag([0.5, np.sqrt(1 - 1e-5)]).astype(complex)
+    t2 = np.diag([0.3, 0.2]).astype(complex)
+    pair = dv.validate_pair(t1, t2)
+    assert "defect_ranks" not in vars(pair)
+    assert pair.defect_ranks == (dv.defect(t1)[1], dv.defect(t2)[1]) == (2, 2)
+    loose = dv.DEFAULT.override(tol_rank=1e-3)
+    assert dv.validate_pair(t1, t2, tol=loose).defect_ranks == (
+        dv.defect(t1, tol=loose)[1], dv.defect(t2, tol=loose)[1]) == (1, 2)
+
+
+def test_validated_pairs_run_no_defect_unless_ranks_are_read(monkeypatch, companion_psi_2):
+    theta = dv.BlaschkeProduct([(0.3, 1), (-0.4j, 1)])
+    pair = dv.compress_pair(companion_psi_2, theta)
+    basis = dv.ann_generators(pair)
+    bundle = dv.constrained_coextension(pair, companion_psi_2, basis)
+    variety = dv.variety_polynomial(companion_psi_2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("defect called")
+
+    monkeypatch.setattr(dv.opcore, "defect", refuse)
+    dv.compress_pair(companion_psi_2, theta)
+    omega, _ = dv.omega_psi(bundle)
+    dv.support_bounds(dv.settle(dv.z_ann, basis, pair), bundle, variety)
+    assert omega
+    with pytest.raises(AssertionError, match="defect called"):
+        dv.validate_pair(pair.t1, pair.t2).defect_ranks
+
+
 # ---------------------------------------------------------------------------
 # joint spectra
 

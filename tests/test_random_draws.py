@@ -48,3 +48,14 @@ def test_random_draws_sit_in_instances_or_the_joint_spectrum():
     assert {(name, function) for name, function, _ in draws
             if name == "opcore.py"} == {("opcore.py", "joint_spectrum_taylor")}
     assert any(name == "instances.py" for name, _, _ in draws)
+
+
+def test_haar_unitary_reproduces_scipys_draw():
+    from scipy.stats import unitary_group
+
+    from distvar.instances import _haar_unitary
+
+    for n in range(1, 7):
+        for seed in (0, 1, 17, 2 ** 31 - 1, *range(1000 * n, 1000 * n + 40)):
+            u = _haar_unitary(n, seed)
+            assert u.tobytes() == unitary_group.rvs(n, random_state=seed).tobytes()

@@ -5,15 +5,16 @@ from contextlib import contextmanager
 
 @contextmanager
 def malformed(what):
-    """Turn a TypeError or IndexError raised while reading ``what`` into a
-    ValueError.
+    """Turn a TypeError, IndexError or ValueError raised while reading
+    ``what`` into a ValueError naming ``what``.
 
     Wraps only the reading of input values (JSON files, recipe descriptors),
-    so a value of the wrong type or length is reported as invalid input.
+    so a value of the wrong type, length or range is reported as invalid
+    input.
     """
     try:
         yield
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"malformed {what}: {exc}") from exc
 
 

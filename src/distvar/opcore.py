@@ -18,6 +18,10 @@ kernel's dimension.
 A family of polynomials checked on one pair is evaluated in one stacked
 Horner pass, ``poly_stack``, and its 2-norms in one batched SVD call,
 ``opnorms``.
+
+``assignment_max`` settles most matchings by a row-minimum certificate;
+``scipy.optimize``, whose import costs about 0.2 s, is loaded only when a
+matching needs its assignment solver.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +29,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import schur
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     DegenerateCluster,
@@ -139,7 +142,8 @@ def assignment_max(cost):
     first row argmins are distinct columns, or when its diagonal attains
     every row minimum (repeated points, whose rows are constant).  Only the
     other matrices, and those with a non-finite cost, go to
-    ``linear_sum_assignment``, one call each.
+    ``linear_sum_assignment``, one call each; ``scipy.optimize`` is imported
+    on the first such call.
     """
     cost = np.asarray(cost, dtype=float)
     rowmin = cost.min(axis=2)
@@ -149,9 +153,13 @@ def assignment_max(cost):
         | np.all(np.diagonal(cost, axis1=1, axis2=2) == rowmin, axis=1)
     ) & np.isfinite(cost).all(axis=(1, 2))
     out = rowmin.max(axis=1)
-    for k in np.flatnonzero(~certified):
-        c = cost[k]
-        out[k] = c[linear_sum_assignment(c)].max()
+    fallback = np.flatnonzero(~certified)
+    if fallback.size:
+        from scipy.optimize import linear_sum_assignment
+
+        for k in fallback:
+            c = cost[k]
+            out[k] = c[linear_sum_assignment(c)].max()
     return out
 
 
@@ -170,15 +178,18 @@ def matching_distance(a, b):
 # pairs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommutingPair:
+    """A validated pair; equality and hash are by identity, since the
+    fields are arrays."""
+
     t1: np.ndarray
     t2: np.ndarray
     commutator_norm: float
     norms: tuple
     purity_margins: tuple
     pure: bool
-    tol: object = field(default=DEFAULT, repr=False, compare=False)
+    tol: object = field(default=DEFAULT, repr=False)
 
     @property
     def n(self):

@@ -28,7 +28,12 @@ def complex_to_json(c):
 
 
 def complex_from_json(v):
-    return complex(float(v[0]), float(v[1]))
+    """A [re, im] pair as a complex number; a NaN or infinite part raises
+    ValueError."""
+    c = complex(float(v[0]), float(v[1]))
+    if not np.isfinite(c):
+        raise ValueError(f"non-finite value {[c.real, c.imag]}")
+    return c
 
 
 def matrix_to_json(m):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import linear_sum_assignment
 
 import distvar as dv
@@ -25,16 +26,16 @@ def scalar_shift_psi():
 @pytest.fixture
 def solver_calls(monkeypatch):
     """Shapes of the cost matrices handed to the assignment solver, recorded
-    while the test runs.  ``certify`` is patched too, so that a solver import
-    coming back there is counted."""
+    while the test runs.  The solver is patched where ``assignment_max``
+    imports it from at call time, ``scipy.optimize``; a module-level import
+    of it is kept out by ``test_imports``."""
     calls = []
 
     def counting(cost):
         calls.append(cost.shape)
         return linear_sum_assignment(cost)
 
-    for module in (dv.opcore, dv.certify):
-        monkeypatch.setattr(module, "linear_sum_assignment", counting, raising=False)
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting)
     return calls
 
 

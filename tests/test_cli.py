@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,33 @@ def test_cmd_certify_malformed_pair_exits_2(tmp_path, capsys):
     code = main(["--out", str(tmp_path / "o"), "certify", "--pair", str(pp)])
     assert code == 2
     assert "malformed pair" in json.loads(capsys.readouterr().out)["error"]
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command, obj, message", [
+    (["certify", "--pair"], {"t1": [[[_NAN, 0.0]]], "t2": [[[0.0, 0.0]]]},
+     "malformed pair: non-finite value [nan, 0.0]"),
+    (["variety"], {"kind": "colligation", "A": [[[0.0, 0.0]]], "B": [[[1.0, 0.0]]],
+                   "C": [[[1.0, 0.0]]], "D": [[[0.0, _NAN]]]},
+     "malformed symbol: non-finite value [0.0, nan]"),
+    (["variety"], {"kind": "polynomial", "coeffs": [[[[0.0, 0.0]]], [[[_INF, 0.0]]]]},
+     "malformed symbol: non-finite value [inf, 0.0]"),
+    (["variety"], {"kind": "bp_product", "factors": [
+        {"zero": [_NAN, 0.0], "projection": [[[1.0, 0.0]]], "unitary": [[[1.0, 0.0]]]}]},
+     "malformed symbol: non-finite value [nan, 0.0]"),
+])
+def test_non_finite_input_value_exits_2(tmp_path, capsys, command, obj, message):
+    path = tmp_path / "in.json"
+    dump_json(obj, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
+        code = main(["--out", str(tmp_path / "o")] + command + [str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out)["error"] == message
+    assert err == ""
 
 
 def test_cmd_certify_recipe(tmp_path, capsys):

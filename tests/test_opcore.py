@@ -42,6 +42,18 @@ def test_validate_pair_diagonal():
     assert pair.purity_margins[1] == pytest.approx(0.6)
 
 
+def test_pairs_compare_and_hash_by_identity():
+    a = dv.validate_pair(np.diag([0.1, 0.2]), np.diag([0.3, 0.4]))
+    b = dv.validate_pair(np.diag([0.1, 0.2]), np.diag([0.3, 0.4]))
+    assert (a == a) is True
+    assert (a == b) is False
+    assert (a != b) is True
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
+    assert a.defect_ranks == (2, 2)
+    assert "defect_ranks" in vars(a)
+
+
 def test_validate_pair_noncommuting():
     with pytest.raises(NonCommuting):
         dv.validate_pair([[0, 1], [0, 0]], [[0, 0], [1, 0]])

@@ -26,6 +26,7 @@ from .instances import (
 from .report import FAIL, INCONCLUSIVE
 from .serialize import (
     bundle_to_json,
+    complex_from_json,
     dump_json,
     load_json,
     multiplicity_from_json,
@@ -101,11 +102,12 @@ def cmd_variety(args, tol):
 
 def _recipe_spec(obj, args):
     with malformed("recipe"):
-        zeros = tuple(
-            (complex(z["point"][0], z["point"][1]), multiplicity_from_json(z))
-            for z in obj["theta_zeros"]
-        )
+        theta_zeros = obj["theta_zeros"]
         psi_spec, seed = {**obj["psi"]}, int(obj.get("seed", args.seed))
+    with malformed("recipe theta_zeros"):
+        zeros = tuple(
+            (complex_from_json(z["point"]), multiplicity_from_json(z)) for z in theta_zeros
+        )
     return InstanceSpec(
         theta_zeros=zeros,
         psi_spec=psi_spec,

@@ -32,6 +32,7 @@ from .errors import (
     SpuriousFactorInDisc,
     TruncationNotConverged,
 )
+from .opcore import stack_eigvals
 from .poly import (
     _factor_taylor,
     fit_tensor_nodes,
@@ -61,9 +62,20 @@ def _as_matrix(m, shape=None):
 
 
 def unitarity_defect(u):
-    """||U* U - I||_2 of one matrix, or of each matrix of a stack."""
+    """||U* U - I||_2 of one matrix, or of each matrix of a stack.
+
+    One matrix takes the largest singular value of G = U* U - I.  A stack
+    takes the square root of the largest |eigenvalue| of G* G, from
+    ``stack_eigvals``.  The computed G is Hermitian only up to a rounding
+    error as large as G itself when U is unitary, so its own eigenvalues
+    would miss ||G||_2 by as much; G* G is Hermitian up to rounding relative
+    to its size, and its largest eigenvalue is ||G||_2^2.
+    """
     gram = np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1])
-    return np.linalg.norm(gram, 2, axis=(-2, -1))
+    if gram.ndim == 2:
+        return np.linalg.norm(gram, 2)
+    square = np.swapaxes(gram.conj(), -1, -2) @ gram
+    return np.sqrt(np.abs(stack_eigvals(square)).max(axis=-1))
 
 
 class BPFactor:
@@ -290,7 +302,7 @@ def fibers_grid(psi, zs):
     Row k holds the eigenvalues of Psi(zs[k]) with multiplicity, sorted by
     (real, imag).
     """
-    vals = np.linalg.eigvals(eval_psi_grid(psi, zs))
+    vals = stack_eigvals(eval_psi_grid(psi, zs))
     order = np.lexsort((vals.imag, vals.real), axis=-1)
     return np.take_along_axis(vals, order, axis=-1)
 

@@ -64,10 +64,20 @@ def build_theta(spec):
     return BlaschkeProduct(list(spec.theta_zeros))
 
 
+def _finite(field, value):
+    """A descriptor value as a complex array; a NaN or infinite entry raises
+    ValueError naming ``field``."""
+    a = np.asarray(value, dtype=complex)
+    if not np.isfinite(a).all():
+        raise ValueError(f"non-finite value in {field}")
+    return a
+
+
 def build_psi(spec, tol=DEFAULT):
     """Materialize the symbol descriptor deterministically.
 
-    A descriptor value of the wrong type or length raises ValueError.
+    A descriptor value of the wrong type or length, or a NaN or infinite
+    one, raises ValueError.
     """
     ps = spec.psi_spec
     kind = ps["kind"]
@@ -75,14 +85,15 @@ def build_psi(spec, tol=DEFAULT):
         with malformed("symbol descriptor"):
             zeros = [(complex(*z) if isinstance(z, (list, tuple)) else complex(z), 1)
                      for z in ps["zeros"]]
-            b = BlaschkeProduct(zeros, ps.get("constant", 1.0))
+            _finite("zeros", [a for a, _ in zeros])
+            b = BlaschkeProduct(zeros, complex(_finite("constant", ps.get("constant", 1.0))))
             d = int(ps["d"])
         return from_scalar_blaschke_identity(b, d, tol=tol)
     if kind == "companion":
         # cyclic pattern with a z in the corner: det(psi - w) ~ w^d - (phase) z
         with malformed("symbol descriptor"):
             d = int(ps["d"])
-            phases = ps.get("phases", [1.0] * d)
+            phases = _finite("phases", ps.get("phases", [1.0] * d))
             deg1 = np.zeros((2, d, d), dtype=complex)
             for i in range(1, d):
                 deg1[0, i, i - 1] = phases[i]
@@ -90,7 +101,7 @@ def build_psi(spec, tol=DEFAULT):
         return from_polynomial(deg1, tol=tol)
     if kind == "colligation":
         with malformed("symbol descriptor"):
-            blocks = [np.asarray(ps[k], dtype=complex) for k in ("A", "B", "C", "D")]
+            blocks = [_finite(k, ps[k]) for k in ("A", "B", "C", "D")]
         return from_colligation(*blocks, tol=tol)
     raise ValueError(f"unknown symbol descriptor kind {kind!r}")
 

@@ -19,6 +19,10 @@ A family of polynomials checked on one pair is evaluated in one stacked
 Horner pass, ``poly_stack``, and its 2-norms in one batched SVD call,
 ``opnorms``.
 
+``stack_eigvals`` takes the eigenvalues of a stack of matrices of order at
+most 3 in closed form, with a backward-error certificate per matrix, and
+calls LAPACK only for the matrices the certificate rejects.
+
 ``assignment_max`` settles most matchings by a row-minimum certificate;
 ``scipy.optimize``, whose import costs about 0.2 s, is loaded only when a
 matching needs its assignment solver.
@@ -56,6 +60,145 @@ def opnorms(stack):
 
 def spectral_radius(m):
     return float(np.max(np.abs(np.linalg.eigvals(m)))) if m.size else 0.0
+
+
+# stacks shorter than this go to LAPACK whole: below it one zgeev call per
+# matrix is cheaper than the vectorized kernel's fixed cost (measured on
+# order-3 stacks, 2 cores)
+_STACK_EIG_MIN = 48
+# an order-3 deflation is certified when the column it drops is at most this
+# many eps * max |M_ij|, a norm within a factor 3 of ||M||_F that cannot
+# overflow
+_DEFLATE_CERT = 32
+
+
+def _pair_eigvals(a, b, c, e):
+    """Eigenvalues mean +- sqrt(h^2 + bc) of [[a, b], [c, e]], entrywise."""
+    mean, h = (a + e) / 2, (a - e) / 2
+    disc = np.sqrt(h * h + b * c)
+    return mean + disc, mean - disc
+
+
+def _abs2(x):
+    return x.real * x.real + x.imag * x.imag
+
+
+def _cross(x, y):
+    """Bilinear cross product of two 3-vectors of (n,) arrays: it is
+    annihilated by x and y under the bilinear dot product."""
+    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+
+
+def _argmax3(sa, sb, sc):
+    """Entrywise choice of the largest of three sizes, as a function of
+    three candidates; ties go to the first."""
+    pick_a, pick_b = (sa >= sb) & (sa >= sc), sb >= sc
+    return lambda a, b, c: np.where(pick_a, a, np.where(pick_b, b, c))
+
+
+def _deflated_eigvals(e):
+    """Eigenvalues of a (3, 3, n) entry-major stack of traceless matrices E,
+    as (3, n), and the norm of the column each deflation drops.
+
+    The root r of the depressed characteristic cubic farthest from the other
+    two (Cardano) is the best-separated eigenvalue.  The largest cross
+    product of two rows of E - rI is its null vector v, and the Householder
+    reflector H = I - beta w w*, w = v + phase(v0) e1, sends v to a multiple
+    of e1.  So B = H E H has first column r e1 up to the dropped B[1:, 0],
+    and its eigenvalues, B[0, 0] and those of the trailing 2 x 2 block, are
+    exactly those of E less that column.  Entries are (n,) arrays throughout;
+    no stacked matrix product runs.
+    """
+    ent = [[e[i, j] for j in range(3)] for i in range(3)]
+    (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = ent
+    p = e00 * e11 - e01 * e10 + e00 * e22 - e02 * e20 + e11 * e22 - e12 * e21
+    q = -(e00 * (e11 * e22 - e12 * e21) - e01 * (e10 * e22 - e12 * e20)
+          + e02 * (e10 * e21 - e11 * e20))
+    # r^3 + p r + q = 0 has roots u w^k - p / (3 u w^k); u^3 is the larger of
+    # -q/2 +- s, clear of cancellation, and is 0 only when p = q = 0
+    p3 = p / 3
+    s = np.sqrt(q * q / 4 + p3 * p3 * p3)
+    big = -q / 2 + np.where(q.real * s.real + q.imag * s.imag > 0, -s, s)
+    u = np.cbrt(np.abs(big)) * np.exp(1j * (np.angle(big) / 3))
+    pu = p3 / np.where(u == 0, 1.0, u)
+    omega = np.exp(2j * np.pi / 3)
+    roots = (u - pu, u * omega - pu * omega.conjugate(), u * omega.conjugate() - pu * omega)
+    g01, g02, g12 = (_abs2(roots[i] - roots[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+    r = _argmax3(np.minimum(g01, g02), np.minimum(g01, g12), np.minimum(g02, g12))(*roots)
+
+    rows = [[x - r if i == j else x for j, x in enumerate(row)] for i, row in enumerate(ent)]
+    crosses = (_cross(rows[0], rows[1]), _cross(rows[0], rows[2]), _cross(rows[1], rows[2]))
+    sizes = [sum(_abs2(x) for x in c) for c in crosses]
+    choose = _argmax3(*sizes)
+    norm = np.sqrt(choose(*sizes))
+    # a zero cross product leaves E - rI of rank <= 1: e1 serves, and the
+    # certificate decides
+    dead = norm == 0
+    norm[dead] = 1.0
+    v = [choose(*(c[k] for c in crosses)) / norm for k in range(3)]
+    v[0][dead] = 1.0
+
+    mod = np.abs(v[0])
+    flat = mod == 0
+    mod[flat] = 1.0
+    phase = v[0] / mod
+    phase[flat] = 1.0
+    w = [v[0] + phase, v[1], v[2]]
+    beta = 2.0 / sum(_abs2(x) for x in w)
+    wc = [x.conj() for x in w]
+    ew = [ent[i][0] * w[0] + ent[i][1] * w[1] + ent[i][2] * w[2] for i in range(3)]
+    # column j of F = E H, and w* F
+    fcol = [[ent[i][j] - beta * ew[i] * wc[j] for i in range(3)] for j in range(3)]
+    wf = [wc[0] * f[0] + wc[1] * f[1] + wc[2] * f[2] for f in fcol]
+
+    def b(i, j):
+        return fcol[j][i] - beta * w[i] * wf[j]
+
+    dropped = np.sqrt(_abs2(b(1, 0)) + _abs2(b(2, 0)))
+    return np.stack([b(0, 0), *_pair_eigvals(b(1, 1), b(1, 2), b(2, 1), b(2, 2))]), dropped
+
+
+def stack_eigvals(m):
+    """Eigenvalues of each matrix of an (n, d, d) stack, as an (n, d) complex
+    array in no particular order.
+
+    Orders 1 to 3 make no per-matrix LAPACK call: d = 1 returns the entry,
+    d = 2 the closed form mean +- sqrt(h^2 + bc), and d = 3 deflates the
+    best-separated root of the characteristic cubic with one Householder
+    reflector (``_deflated_eigvals``).  Each order-3 result is exact for a
+    matrix within the deflation's dropped column of M; a matrix whose dropped
+    column exceeds ``_DEFLATE_CERT`` * eps * max |M_ij| goes to
+    ``np.linalg.eigvals``, in one call with the other uncertified matrices.
+    Stacks of order 0 or above 3, or of fewer than ``_STACK_EIG_MIN`` matrices,
+    go to ``np.linalg.eigvals`` whole.  Values agree with LAPACK's to
+    rounding, not bit for bit.  A NaN or infinite entry raises LinAlgError,
+    as LAPACK does.
+    """
+    m = np.asarray(m, dtype=complex)
+    n, d = m.shape[0], m.shape[-1]
+    if not 1 <= d <= 3 or n < _STACK_EIG_MIN:
+        return np.linalg.eigvals(m)
+    if not np.isfinite(m).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    if d == 1:
+        return m[:, :, 0].copy()
+    # entry-major copy: each entry of the stack is one contiguous (n,) array
+    e = np.ascontiguousarray(m.transpose(1, 2, 0))
+    size = np.abs(e).max(axis=(0, 1))
+    shift = sum(e[i, i] for i in range(d)) / d
+    for i in range(d):
+        e[i, i] -= shift
+    # a power of two keeps the scaling exact and the cubic clear of overflow
+    scale = np.ldexp(1.0, np.frexp(np.abs(e).max(axis=(0, 1)))[1])
+    e /= scale
+    if d == 2:
+        return (shift + scale * np.stack(_pair_eigvals(e[0, 0], e[0, 1], e[1, 0], e[1, 1]))).T
+    vals, dropped = _deflated_eigvals(e)
+    out = (shift + scale * vals).T
+    ok = (scale * dropped <= _DEFLATE_CERT * np.finfo(float).eps * size) & np.isfinite(out).all(axis=1)
+    if not ok.all():
+        out[~ok] = np.linalg.eigvals(m[~ok])
+    return out
 
 
 def kernel(m, rel, floor, guard=None, tol=DEFAULT):
@@ -358,10 +501,6 @@ def joint_spectrum_taylor(pair):
     )
 
 
-def _eigen_clusters(t):
-    return _cluster_means(np.linalg.eigvals(t), _EIG_MERGE)
-
-
 def joint_point_spectrum(pair, tol=DEFAULT):
     """Joint eigenvalues witnessed by common eigenvectors.
 
@@ -374,7 +513,7 @@ def joint_point_spectrum(pair, tol=DEFAULT):
     scale = max(1.0, pair.norms[0], pair.norms[1])
     points = []
     witnesses = []
-    for center, count in _eigen_clusters(t1):
+    for center, count in _cluster_means(np.linalg.eigvals(t1), _EIG_MERGE):
         lam = complex(center[0])
         kbasis = kernel(t1 - lam * np.eye(n), 0.0,
                         max(1e-7, 1e3 * np.finfo(float).eps * n) * scale)
@@ -416,12 +555,13 @@ def minimal_blaschke(t, tol=DEFAULT):
     """
     t = np.asarray(t, dtype=complex)
     n = t.shape[0]
-    if spectral_radius(t) >= 1.0:
+    vals = np.linalg.eigvals(t)  # one eigensolve: the radius and the clusters
+    if vals.size and np.abs(vals).max() >= 1.0:
         raise NotPure("minimal Blaschke product requires spectral radius < 1")
     scale = max(1.0, opnorm(t))
     zeros = []
     total_alg = 0
-    for center, count in _eigen_clusters(t):
+    for center, count in _cluster_means(vals, _EIG_MERGE):
         lam = complex(center[0])
         shifted = t - lam * np.eye(n)
         shift_norm = max(opnorm(shifted), 1e-300)

@@ -55,6 +55,22 @@ def svd_calls(monkeypatch):
 
 
 @pytest.fixture
+def fallback_calls(monkeypatch):
+    """Shapes of the stacks handed to ``np.linalg.eigvals`` while the test
+    runs.  On a stack that ``stack_eigvals`` solves itself, those are its
+    LAPACK fallbacks: the matrices its certificate rejects."""
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def recording(a):
+        calls.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    return calls
+
+
+@pytest.fixture
 def j2_pair():
     return dv.validate_pair(J2, J2, require_pure=True)
 

@@ -192,6 +192,24 @@ _NAN, _INF = float("nan"), float("inf")
     (["variety"], {"kind": "bp_product", "factors": [
         {"zero": [_NAN, 0.0], "projection": [[[1.0, 0.0]]], "unitary": [[[1.0, 0.0]]]}]},
      "malformed symbol: non-finite value [nan, 0.0]"),
+    (["certify", "--recipe"], {"theta_zeros": [{"point": [_NAN, 0.0]}],
+                               "psi": {"kind": "companion", "d": 1}},
+     "malformed recipe theta_zeros: non-finite value [nan, 0.0]"),
+    (["certify", "--recipe"], {"theta_zeros": [{"point": [0.1, 0.0]}],
+                               "psi": {"kind": "scalar_blaschke_times_identity",
+                                       "zeros": [[_NAN, 0.0]], "d": 1}},
+     "malformed symbol descriptor: non-finite value in zeros"),
+    (["certify", "--recipe"], {"theta_zeros": [{"point": [0.1, 0.0]}],
+                               "psi": {"kind": "scalar_blaschke_times_identity",
+                                       "zeros": [[0.2, 0.0]], "constant": _INF, "d": 1}},
+     "malformed symbol descriptor: non-finite value in constant"),
+    (["certify", "--recipe"], {"theta_zeros": [{"point": [0.1, 0.0]}],
+                               "psi": {"kind": "companion", "d": 2, "phases": [1.0, _NAN]}},
+     "malformed symbol descriptor: non-finite value in phases"),
+    (["certify", "--recipe"], {"theta_zeros": [{"point": [0.1, 0.0]}],
+                               "psi": {"kind": "colligation", "A": [[0.0]], "B": [[1.0]],
+                                       "C": [[1.0]], "D": [[_NAN]]}},
+     "malformed symbol descriptor: non-finite value in D"),
 ])
 def test_non_finite_input_value_exits_2(tmp_path, capsys, command, obj, message):
     path = tmp_path / "in.json"

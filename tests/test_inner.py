@@ -239,7 +239,8 @@ def test_distinguished_reads_tol_unitary_from_tolerances():
 
 
 # ---------------------------------------------------------------------------
-# the grid evaluation layer, pinned bit for bit to per-point scalar formulas
+# the grid evaluation layer, pinned bit for bit to per-point scalar formulas;
+# grid fibers within 1e-13 of LAPACK's
 
 
 def _oracle_psi(psi, z):
@@ -308,7 +309,10 @@ def test_grid_layer_matches_pointwise_formula(name):
     assert fibers.shape == (zs.size, psi.d)
     for k, z in enumerate(zs):
         assert np.array_equal(values[k], _oracle_psi(psi, z))
-        assert fibers[k].tolist() == _oracle_fiber(psi, z)
+        # the grid's fibers come from the stacked eigenvalue kernel, which
+        # agrees with LAPACK to rounding: as multisets, within 1e-13
+        assert dv.matching_distance(fibers[k].tolist(), _oracle_fiber(psi, z)) <= 1e-13
+        assert fibers[k].tolist() == sorted(fibers[k].tolist(), key=lambda v: (v.real, v.imag))
     # one-point grids and the one-point calls agree with the same formula
     for z in zs[::9]:
         assert np.array_equal(dv.eval_psi_grid(psi, [z])[0], _oracle_psi(psi, z))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -420,6 +421,141 @@ def test_matching_distance_matches_pairwise_loop():
             assert dv.matching_distance(pa, pb) == float(cost[rows, cols].max())
     assert dv.matching_distance([0.1, 0.2], [0.1]) == float("inf")
     assert dv.matching_distance([], []) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the stacked eigenvalue kernel
+
+_EPS = np.finfo(float).eps
+
+
+def _multiset_gap(a, b):
+    """Per row, the smallest max distance between the rows of two (n, d)
+    value arrays over all pairings of their entries."""
+    return np.min([np.abs(a[:, list(p)] - b).max(axis=1)
+                   for p in itertools.permutations(range(a.shape[1]))], axis=0)
+
+
+def _lapack_spread(m, rng, tries=4):
+    """How far LAPACK's own eigenvalues move, per matrix, under perturbations
+    of size 16 eps ||M||_F: the accuracy LAPACK itself can promise."""
+    ref = np.linalg.eigvals(m)
+    size = 16 * _EPS * np.linalg.norm(m, axis=(1, 2))[:, None, None]
+    spread = np.zeros(m.shape[0])
+    for _ in range(tries):
+        kick = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
+        kick *= size / np.linalg.norm(kick, axis=(1, 2))[:, None, None]
+        spread = np.maximum(spread, _multiset_gap(np.linalg.eigvals(m + kick), ref))
+    return spread
+
+
+def _assert_matches_lapack(m, rng, slack=4.0):
+    got = dv.opcore.stack_eigvals(m)
+    assert got.shape == m.shape[:2] and np.isfinite(got).all()
+    allowed = slack * (_lapack_spread(m, rng) + 16 * _EPS * np.linalg.norm(m, axis=(1, 2)))
+    gap = _multiset_gap(got, np.linalg.eigvals(m))
+    assert (gap <= allowed).all(), float((gap / allowed).max())
+
+
+def _tiled(mats, n=64):
+    """A stack of n matrices cycling through ``mats``: long enough for the kernel."""
+    mats = np.asarray(mats, dtype=complex)
+    return mats[np.arange(n) % mats.shape[0]]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_stack_eigvals_matches_lapack_on_random_stacks(d):
+    rng = np.random.default_rng(40 + d)
+    n = 512
+    ginibre = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    unitary = np.linalg.qr(ginibre)[0]
+    normal = unitary @ (rng.normal(size=(n, d, 1)) * np.swapaxes(unitary.conj(), 1, 2))
+    # upper triangular with a large strict part: ill-conditioned eigenvalues
+    skewed = np.triu(ginibre) * (1.0 + 30 * np.triu(np.ones((d, d)), 1))
+    for m in (ginibre, unitary, normal, skewed):
+        _assert_matches_lapack(m, rng)
+    # the kernel scales by powers of two, exactly, so its values scale with
+    # the stack, far past the range where |M_ij|^2 overflows or underflows
+    for k in (-600, 600) if d <= 3 else ():
+        assert np.array_equal(dv.opcore.stack_eigvals(ginibre * 2.0 ** k),
+                              dv.opcore.stack_eigvals(ginibre) * 2.0 ** k)
+
+
+def test_stack_eigvals_special_matrices():
+    rng = np.random.default_rng(7)
+    q3, q2 = random_unitary(rng, 3), random_unitary(rng, 2)
+    j3 = np.diag([1.0, 1.0], 1)
+    cases = {
+        "zero": [np.zeros((3, 3)), np.zeros((2, 2))],
+        "identity multiples": [c * np.eye(3) for c in (1.0, 0.1, -0.3 + 0.7j)]
+        + [c * np.eye(2) for c in (0.1, 0.2 - 0.1j)],
+        "jordan": [J2, 0.4 * np.eye(2) + J2, j3, 0.2j * np.eye(3) + j3,
+                   q3 @ (0.5 * np.eye(3) + j3) @ q3.conj().T, q2 @ J2 @ q2.conj().T],
+        "double": [q3 @ np.diag([0.3, 0.3, -0.5j]) @ q3.conj().T,
+                   q3 @ np.diag([0.3, 0.3 + 1e-9, -0.5j]) @ q3.conj().T,
+                   q2 @ np.diag([0.6j, 0.6j]) @ q2.conj().T,
+                   q2 @ np.diag([0.6j, 0.6j + 1e-9]) @ q2.conj().T],
+    }
+    for mats in cases.values():
+        for d in (2, 3):
+            group = [m for m in mats if m.shape == (d, d)]
+            if group:
+                _assert_matches_lapack(_tiled(group), rng)
+    got = dv.opcore.stack_eigvals(_tiled(cases["zero"][:1]))
+    assert not got.any()
+    # normal matrices keep a double eigenvalue, or one split by 1e-9, to rounding
+    got = dv.opcore.stack_eigvals(_tiled(cases["double"][:2]))
+    want = np.array([[0.3, 0.3, -0.5j], [0.3, 0.3 + 1e-9, -0.5j]])[np.arange(64) % 2]
+    assert _multiset_gap(got, want).max() <= 1e-14
+    got = dv.opcore.stack_eigvals(_tiled(cases["double"][2:]))
+    want = np.array([[0.6j, 0.6j], [0.6j, 0.6j + 1e-9]])[np.arange(64) % 2]
+    assert _multiset_gap(got, want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2048])
+def test_stack_eigvals_stack_sizes(n):
+    rng = np.random.default_rng(n)
+    m = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
+    got = dv.opcore.stack_eigvals(m)
+    if n < dv.opcore._STACK_EIG_MIN:
+        assert np.array_equal(got, np.linalg.eigvals(m))  # LAPACK's own call
+    _assert_matches_lapack(m, rng)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("n, d", [(4, 3), (64, 1), (64, 2), (64, 3)])
+def test_stack_eigvals_rejects_non_finite_input_like_lapack(bad, n, d):
+    m = np.tile(np.eye(d, dtype=complex), (n, 1, 1))
+    m[n // 2, d - 1, 0] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigvals(m)
+    with pytest.raises(np.linalg.LinAlgError):
+        dv.opcore.stack_eigvals(m)
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+def test_boundary_fibers_need_no_lapack_fallback(repeated, fallback_calls):
+    psis = [dv.instances.build_psi(dv.random_recipe(s, repeated=repeated)) for s in range(50)]
+    grid = dv.inner.circle_grid(2048)
+    fallback_calls.clear()
+    for psi in psis:
+        dv.fibers_grid(psi, grid)
+    assert fallback_calls == []
+    assert {psi.d for psi in psis} == {1, 2, 3}
+
+
+def test_uncertified_matrices_fall_back_to_lapack(fallback_calls):
+    # N = x y^T with y^T x = 0: a nilpotent of rank 1, whose triple
+    # eigenvalue leaves E - rI of rank 1 and no null vector to deflate with
+    rng = np.random.default_rng(3)
+    q = random_unitary(rng, 3)
+    nil = np.outer([1.0, 1.0, 1.0], [1.0, -1.0, 0.0])
+    m = np.linalg.qr(rng.normal(size=(64, 3, 3)) + 1j * rng.normal(size=(64, 3, 3)))[0]
+    m[5], m[40] = nil, q @ nil @ q.conj().T
+    got = dv.opcore.stack_eigvals(m)
+    assert fallback_calls == [(2, 3, 3)]
+    assert np.array_equal(got[[5, 40]], np.linalg.eigvals(m[[5, 40]]))
+    _assert_matches_lapack(m, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,11 @@ combinations of ``opcore.joint_spectrum_taylor``.  The co-extension, the
 symbol construction and every check are deterministic."""
 
 import ast
+import hashlib
+import json
 from pathlib import Path
+
+import pytest
 
 import distvar as dv
 
@@ -59,3 +63,25 @@ def test_haar_unitary_reproduces_scipys_draw():
         for seed in (0, 1, 17, 2 ** 31 - 1, *range(1000 * n, 1000 * n + 40)):
             u = _haar_unitary(n, seed)
             assert u.tobytes() == unitary_group.rvs(n, random_state=seed).tobytes()
+
+
+# sha256 of the JSON of random_recipe(s, repeated=...) for seeds 0-99, one
+# spec a line.  The draws' acceptance rules read fibers and symbol checks, so
+# a change to the eigenvalue or evaluation layers that re-drew a recipe, and
+# with it every seeded sweep and benchmark pool, changes these digests
+RECIPE_DIGESTS = {
+    False: "26db3321326af429233e9359c4b44fc20e1bc257440ddb0d911f3baaf77a7dd3",
+    True: "5474c93e4fba956d1a02881b8b541dffd34db4623a82e837821c74928e1cea8f",
+}
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+def test_random_recipes_are_pinned(repeated):
+    digest = hashlib.sha256()
+    for seed in range(100):
+        spec = dv.random_recipe(seed, repeated=repeated)
+        line = json.dumps({"theta_zeros": spec.theta_zeros, "psi": spec.psi_spec,
+                           "seed": spec.seed},
+                          default=lambda c: [c.real, c.imag], sort_keys=True)
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == RECIPE_DIGESTS[repeated]

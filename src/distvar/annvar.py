@@ -105,7 +105,7 @@ def z_ann(basis, pair, tol=DEFAULT):
     Candidates are the joint-spectrum points of the pair; a candidate is kept
     iff every generator vanishes on it.  The result is deduplicated as a set.
     """
-    points = joint_spectrum_taylor(pair).points
+    points = joint_spectrum_taylor(pair, tol=tol).points
     lams, mus = np.array(points, dtype=complex).reshape(-1, 2).T
     off = np.zeros(len(points), dtype=bool)
     for g in basis.generators:
@@ -157,6 +157,15 @@ def _matching_entry(name, anchor, dist, tol, data):
     )
 
 
+def _distance_data(dist, **sets):
+    """A matching distance as report data: when the cardinalities differ it
+    is infinite, which strict JSON cannot hold, so the data give the size of
+    each set and a null distance."""
+    if np.isfinite(dist):
+        return {"matching_distance": dist}
+    return {"matching_distance": None, **{f"{k}_count": len(v) for k, v in sets.items()}}
+
+
 def check_zann_equals_omega(zset, omega, tol=DEFAULT):
     """Set equality Z(Ann) == Omega via optimal matching."""
     name = "zero-set-equals-omega"
@@ -169,7 +178,8 @@ def check_zann_equals_omega(zset, omega, tol=DEFAULT):
         return inconclusive(name, anchor, exc)
     return _matching_entry(
         name, anchor, dist, tol,
-        {"matching_distance": dist, "z_ann": list(zset), "omega": list(omega)},
+        {**_distance_data(dist, z_ann=zset, omega=omega),
+         "z_ann": list(zset), "omega": list(omega)},
     )
 
 
@@ -199,7 +209,7 @@ def support_bounds(zset, bundle, variety, tol=DEFAULT):
     """
     zset = _settled(zset)
     spair = validate_pair(bundle.s1, bundle.s2, require_pure=True, tol=tol)
-    staylor = joint_spectrum_taylor(spair)
+    staylor = joint_spectrum_taylor(spair, tol=tol)
     lower = tuple(dedupe_points(list(staylor.points), tol=tol))
     return SupportBounds(inner_set=zset, lower_boundary=lower, variety=variety)
 
@@ -227,7 +237,7 @@ def check_support(zset, bundle, variety, tol=DEFAULT):
         if np.isfinite(dist)
         else -1.0,
         data={
-            "matching_distance": dist,
+            **_distance_data(dist, inner_set=sb.inner_set, lower_boundary=sb.lower_boundary),
             "max_variety_residual": worst,
             "inner_set": list(sb.inner_set),
             "lower_boundary": list(sb.lower_boundary),

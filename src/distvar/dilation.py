@@ -324,6 +324,11 @@ def constrained_coextension(pair, psi, basis, tol=DEFAULT):
         "deg_m1": m1.degree,
     }
     j, n_trunc, _, emb_res = coextension_embedding(pair, psi, tol=tol)
+    # J embeds C^n into the intersection, so a smaller one is a numerical
+    # failure of the cut
+    if q.shape[1] < pair.n:
+        raise DegenerateCluster(
+            f"constrained model space of dimension {q.shape[1]} < n = {pair.n}")
     residuals.update(emb_res)
     return CoextensionBundle(
         pair=pair,

@@ -62,10 +62,6 @@ class TruncationNotConverged(DistvarError):
     """A geometric truncation failed to reach its tail tolerance within the cap."""
 
 
-class TriangularizationFailed(DistvarError):
-    """No generic combination produced a joint upper-triangular form."""
-
-
 class NoInnerSolution(DistvarError):
     """No inner symbol intertwining the pair was found: the closed-form
     construction or an alignment failed its residual or inner/pure check."""

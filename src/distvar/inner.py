@@ -85,7 +85,8 @@ class BPFactor:
 
     def __init__(self, zero, projection, unitary, tol=DEFAULT):
         zero = complex(zero)
-        if abs(zero) >= 1.0:
+        # written so that a NaN zero fails the test too
+        if not abs(zero) < 1.0:
             raise ValueError(f"factor zero {zero} is not in the open disc")
         p = _as_matrix(projection)
         u = _as_matrix(unitary, p.shape)

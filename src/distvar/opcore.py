@@ -23,24 +23,25 @@ Horner pass, ``poly_stack``, and its 2-norms in one batched SVD call,
 most 3 in closed form, with a backward-error certificate per matrix, and
 calls LAPACK only for the matrices the certificate rejects.
 
+Jordan structure is read in one place, ``_jordan_clusters``: the kernels
+of the powers (T - lambda)^k, taken by ``kernel`` under the guarded rank
+rule, grow to the generalized eigenspace of each eigenvalue cluster or the
+cluster is degenerate.  ``minimal_blaschke`` reads the multiplicities off
+it, and ``joint_spectrum_taylor`` compresses T2 to each generalized
+eigenspace of T1, which T2 leaves invariant, so the joint spectrum needs no
+Schur factorization and no random combination.
+
 ``assignment_max`` settles most matchings by a row-minimum certificate;
 ``scipy.optimize``, whose import costs about 0.2 s, is loaded only when a
-matching needs its assignment solver.
+matching needs its assignment solver.  Nothing else here uses scipy.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import schur
 
-from .errors import (
-    DegenerateCluster,
-    NonCommuting,
-    NotContractive,
-    NotPure,
-    TriangularizationFailed,
-)
+from .errors import DegenerateCluster, NonCommuting, NotContractive, NotPure
 from .poly import BlaschkeProduct, Poly2
 from .tolerances import DEFAULT
 
@@ -462,43 +463,96 @@ class JointSpectrum:
     witnesses: tuple = ()  # common eigenvectors of the joint point spectrum
 
 
-def joint_spectrum_taylor(pair):
-    """Joint (Taylor-style) spectrum via simultaneous unitary triangularization.
+def _jordan_clusters(t, scale, tol):
+    """Jordan data of each eigenvalue cluster of t: (lambda, index, Q),
+    lambda the cluster mean, index the size of its largest Jordan block and
+    Q an orthonormal basis of its generalized eigenspace
+    ker (t - lambda)^index.
 
-    A seeded generic real combination a*T1 + b*T2 is Schur-triangularized and
-    the same basis is verified to triangularize both matrices; the diagonal
-    pairs are the joint spectrum.  Fresh combinations cross-check the
-    eigenvalue sets.  Up to five combinations are tried.  The triangularity
-    cut (1e-8 * scale) and the cross-check cap (1e-3) are fixed literals.
+    Clusters merge the eigenvalues within ``_EIG_MERGE``, rejoining a Jordan
+    block of size m that rounding split by about (eps ||t||)^(1/m); the
+    kernels of the powers (t - lambda)^k decide whether that was right.
+    Each comes from ``kernel``: a singular value is zero when it is at most
+    max(1e-12 * scale * ||t - lambda||^(k-1), tol_rank * s_max), the floor
+    being the roundoff of k products of the shift, and one inside the
+    rank_guard band of that cut raises DegenerateCluster.  The powers rise
+    until the kernel's dimension reaches the cluster's count, and the index
+    is that power.  A kernel that does not grow before then, or one that
+    passes the count, raises DegenerateCluster, so eigenvalues that are
+    distinct to the rank rule are never merged.
     """
-    rng = np.random.default_rng(0)
-    t1, t2 = pair.t1, pair.t2
-    scale = max(1.0, pair.norms[0], pair.norms[1])
-    last_defect = None
-    for _ in range(5):
-        a, b = rng.normal(size=2)
-        _, q = schur(a * t1 + b * t2, output="complex")
-        u1 = q.conj().T @ t1 @ q
-        u2 = q.conj().T @ t2 @ q
-        low = max(opnorm(np.tril(u1, -1)), opnorm(np.tril(u2, -1)))
-        if low <= 1e-8 * scale:
-            pts = tuple(
-                (complex(u1[i, i]), complex(u2[i, i])) for i in range(t1.shape[0])
+    n = t.shape[0]
+    if n == 1:  # the whole space, with no decision to make
+        return [(complex(t[0, 0]), 1, np.ones((1, 1), dtype=complex))]
+    out = []
+    for center, count in _cluster_means(np.linalg.eigvals(t), _EIG_MERGE):
+        lam = complex(center[0])
+        shifted = t - lam * np.eye(n)
+        # the shift's norm enters the floor from the second power on
+        shift_norm = max(opnorm(shifted), 1e-300) if count > 1 else 1.0
+        power, dims = np.eye(n, dtype=complex), [0]
+        while dims[-1] < count:
+            power = power @ shifted
+            floor = 1e-12 * scale * shift_norm ** (len(dims) - 1)
+            q = kernel(power, tol.tol_rank, floor,
+                       f"rank of (T - {lam:.6g})^{len(dims)}:", tol=tol)
+            dims.append(q.shape[1])
+            if dims[-1] <= dims[-2]:
+                break
+        if dims[-1] != count:
+            raise DegenerateCluster(
+                f"cluster of {count} eigenvalues at {lam:.6g}: the powers of "
+                f"T - lambda have kernels of dimension {dims[1:]}"
             )
-            for _ in range(2):
-                aa, bb = rng.normal(size=2)
-                ref = np.linalg.eigvals(aa * t1 + bb * t2)
-                combo = [aa * lam + bb * mu for lam, mu in pts]
-                if matching_distance(list(ref), combo) > 1e-3 * max(
-                    1.0, abs(aa) + abs(bb)
-                ):
-                    break
-            else:
-                return JointSpectrum(points=pts)
-        last_defect = low
-    raise TriangularizationFailed(
-        f"no generic combination triangularized the pair (defect {last_defect})"
-    )
+        out.append((lam, len(dims) - 1, q))
+    return out
+
+
+@lru_cache(maxsize=8)
+def _jordan_of(data, n, scale, tol):
+    """``_jordan_clusters`` of the n x n complex matrix whose bytes are
+    ``data``, kept for the last few matrices: one certification asks for T1
+    in ``minimal_blaschke`` and again in ``joint_spectrum_taylor``, and so
+    for S1 of the constrained pair, and each is analysed once.  The bases
+    are read-only."""
+    t = np.frombuffer(data, dtype=complex).reshape(n, n)
+    out = tuple(_jordan_clusters(t, scale, tol))
+    for _, _, q in out:
+        q.setflags(write=False)
+    return out
+
+
+def _mean_eigenvalue(m, q):
+    """trace(Q* m Q) / dim Q: the mean eigenvalue of m on an invariant
+    subspace with orthonormal basis Q."""
+    return complex(np.trace(q.conj().T @ m @ q)) / q.shape[1]
+
+
+def joint_spectrum_taylor(pair, tol=DEFAULT):
+    """Joint (Taylor) spectrum of a commuting pair, with multiplicity.
+
+    T2 commutes with T1, so it leaves each generalized eigenspace
+    ker (T1 - lambda)^count of T1 invariant, and the space is the direct sum
+    of them.  In a basis adapted to that sum both matrices are block
+    diagonal, and a basis that triangularizes T2's block on one space
+    triangularizes T1's block too, whose only eigenvalue is lambda.  So the
+    joint spectrum is the set of (lambda, mu) with mu an eigenvalue of the
+    compression Q* T2 Q of T2 to the generalized eigenspace of lambda, each
+    point counted as often as mu is.  The spaces Q, and then those of each
+    compression, come from ``_jordan_clusters``, which raises
+    DegenerateCluster where its rank decisions are not clear; lambda and mu
+    are the traces of the compressions over their dimensions.  No Schur
+    factorization and no random combination is used.
+    """
+    t1, t2 = pair.t1, pair.t2
+    scale = max(1.0, pair.norms[1])
+    points = []
+    for _, _, q in _jordan_of(t1.tobytes(), pair.n, max(1.0, pair.norms[0]), tol):
+        lam = _mean_eigenvalue(t1, q)
+        block = q.conj().T @ t2 @ q
+        for _, _, qb in _jordan_clusters(block, scale, tol):
+            points += [(lam, _mean_eigenvalue(block, qb))] * qb.shape[1]
+    return JointSpectrum(points=tuple(points))
 
 
 def joint_point_spectrum(pair, tol=DEFAULT):
@@ -550,57 +604,16 @@ def minimal_blaschke(t, tol=DEFAULT):
     """Minimal Blaschke product annihilating a pure matrix.
 
     Zeros are the eigenvalue clusters of T; each multiplicity is the largest
-    Jordan block size, read off the numerical rank sequence of (T - lambda)^k.
-    Inconsistent rank decisions raise DegenerateCluster.
+    Jordan block size, read off the numerical rank sequence of (T - lambda)^k
+    by ``_jordan_clusters``.  Inconsistent rank decisions raise
+    DegenerateCluster.
     """
     t = np.asarray(t, dtype=complex)
-    n = t.shape[0]
-    vals = np.linalg.eigvals(t)  # one eigensolve: the radius and the clusters
+    vals = np.linalg.eigvals(t)
     if vals.size and np.abs(vals).max() >= 1.0:
         raise NotPure("minimal Blaschke product requires spectral radius < 1")
     scale = max(1.0, opnorm(t))
-    zeros = []
-    total_alg = 0
-    for center, count in _cluster_means(vals, _EIG_MERGE):
-        lam = complex(center[0])
-        shifted = t - lam * np.eye(n)
-        shift_norm = max(opnorm(shifted), 1e-300)
-        ranks = [n]
-        power = np.eye(n, dtype=complex)
-        for k in range(1, n + 2):
-            power = power @ shifted
-            s = np.linalg.svd(power, compute_uv=False)
-            # numerical rank relative to the power's own scale, with a floor
-            # at the roundoff level of the shift propagated through k products
-            floor = 1e-12 * scale * shift_norm ** (k - 1)
-            smax = float(s.max()) if s.size else 0.0
-            if smax <= floor:
-                ranks.append(0)
-            else:
-                thresh = tol.tol_rank * smax
-                live = s[s > floor]
-                ambiguous = (live > thresh / tol.rank_guard) & (
-                    live < thresh * tol.rank_guard
-                )
-                if np.any(ambiguous):
-                    raise DegenerateCluster(
-                        f"singular value within the guard band of the rank "
-                        f"threshold at eigenvalue {lam}"
-                    )
-                ranks.append(int(np.count_nonzero(live > thresh)))
-            if ranks[-1] == ranks[-2]:
-                break
-        mult = len(ranks) - 2
-        alg = n - ranks[-1]
-        if alg != count:
-            raise DegenerateCluster(
-                f"cluster count {count} disagrees with algebraic multiplicity "
-                f"{alg} at eigenvalue {lam}"
-            )
-        total_alg += alg
-        zeros.append((lam, mult))
-    if total_alg != n:
-        raise DegenerateCluster("eigenvalue clusters do not exhaust the spectrum")
+    zeros = [(lam, index) for lam, index, _ in _jordan_of(t.tobytes(), t.shape[0], scale, tol)]
     b = BlaschkeProduct(zeros)
     res = opnorm(blaschke_apply(b, t))
     if res > tol.tol_ann * scale:

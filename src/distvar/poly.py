@@ -248,12 +248,13 @@ class BlaschkeProduct:
             m = int(m)
             if m < 1:
                 raise ValueError("multiplicity must be >= 1")
-            if abs(a) >= 1.0:
+            # written so that a NaN zero fails the test too
+            if not abs(a) < 1.0:
                 raise ValueError(f"Blaschke zero {a} is not in the open disc")
             zs.append((a, m))
         c = complex(constant)
-        if abs(abs(c) - 1.0) > 1e-12:
-            raise ValueError("constant must be unimodular")
+        if not abs(abs(c) - 1.0) <= 1e-12:
+            raise ValueError(f"constant {c} must be unimodular")
         object.__setattr__(self, "zeros", tuple(zs))
         object.__setattr__(self, "constant", c)
 

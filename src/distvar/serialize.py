@@ -185,7 +185,9 @@ def bundle_to_json(bundle):
 
 
 def dump_json(obj, path):
-    text = json.dumps(obj, sort_keys=True, indent=2)
+    """Write ``obj`` as strict JSON (RFC 8259): a NaN or infinite float
+    raises ValueError rather than being written as a bare token."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text)
         fh.write("\n")

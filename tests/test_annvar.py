@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import sys
 from collections import Counter
 
@@ -143,29 +144,63 @@ def test_zann_on_repeated_nonzero_root(scalar_shift_psi):
     ) < 1e-7
 
 
-def test_deep_jordan_routes_to_inconclusive(companion_psi_2):
-    # multiplicity-3 eigenvalue splitting lands between the merge radius and
-    # the warning gap: the instance must flag, never hard-fail
+def test_deep_jordan_zero_set_equals_omega(companion_psi_2):
+    # a multiplicity-3 zero splits under rounding by about 6e-6, inside the
+    # merge radius; the generalized eigenspace of T1 rejoins it, so Z(Ann)
+    # is the two points of w^2 = z over the zero, as Omega is
     pair, basis, bundle = _instance(companion_psi_2, [(0.35, 3)])
     entry = dv.check_zann_equals_omega(_zset(pair, basis), _omega(bundle))
-    assert entry.status == "inconclusive"
+    assert entry.status == "pass"
+    root = np.sqrt(0.35)
+    assert dv.matching_distance(entry.data["z_ann"], [(0.35, root), (0.35, -root)]) < 1e-12
 
 
 def test_cluster_merge_override_is_applied():
-    # a multiplicity-4 zero splits by ~1e-4: the default merge radius keeps
-    # the cluster apart, a 3e-3 override merges it.  Which other checks fail
-    # at the default radius follows rounding, so only the set check is pinned
+    # a multiplicity-4 zero: at the default merge radius every check passes.
+    # A zero radius keeps apart the witness points of Omega, which agree only
+    # to rounding and so sit closer than the warning gap: the projection
+    # check reads that as degenerate
     spec = random_recipe(9, repeated=True)
 
-    def failing(tolerances):
+    def statuses(tolerances):
         report = run_certification(
             make_instance(dataclasses.replace(spec, tolerances=tolerances)))
         assert report.tolerances["cluster_merge"] == tolerances.get(
             "cluster_merge", dv.DEFAULT.cluster_merge)
-        return sorted(e.name for e in report.entries if e.status == "fail")
+        return {e.name: e.status for e in report.entries}
 
-    assert "zero-set-equals-omega" in failing({})
-    assert failing({"cluster_merge": 3e-3}) == []
+    assert set(statuses({}).values()) == {"pass"}
+    assert statuses({"cluster_merge": 0.0})["omega-projection"] == "inconclusive"
+
+
+# the repeated-zero recipes whose split Jordan blocks gave a wrong fail when
+# the joint spectrum came from a Schur factorization
+SPLIT_JORDAN_SEEDS = (9, 14, 37, 56, 97, 101, 114, 117, 147, 163, 174, 176)
+
+
+@pytest.mark.parametrize("seed", SPLIT_JORDAN_SEEDS)
+def test_repeated_zero_recipe_does_not_fail(seed):
+    report = run_certification(make_instance(random_recipe(seed, repeated=True)))
+    statuses = {e.name: e.status for e in report.entries}
+    assert [name for name, status in statuses.items() if status == "fail"] == []
+    assert statuses["zero-set-equals-omega"] == statuses["support-collapse"] == "pass"
+
+
+def test_repeated_zero_statuses_survive_a_rounding_perturbation():
+    # Jordan blocks move by about (1e-15)^(1/m) under this perturbation; the
+    # generalized eigenspaces do not, so no entry status may move
+    rng = np.random.default_rng(2026)
+
+    def statuses(inst):
+        return {e.name: e.status for e in run_certification(inst).entries}
+
+    for seed in range(40):
+        inst = make_instance(random_recipe(seed, repeated=True))
+        t1, t2 = inst.pair.t1, inst.pair.t2
+        t1p, t2p = (t + 1e-15 * (rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape))
+                    for t in (t1, t2))
+        moved = dataclasses.replace(inst, pair=dv.validate_pair(t1p, t2p, require_pure=True))
+        assert statuses(moved) == statuses(inst), seed
 
 
 def test_projection_pass(j2_instance, two_point_instance):
@@ -194,6 +229,40 @@ def test_support_j2(j2_instance, scalar_shift_psi):
     assert dv.matching_distance(list(sb.inner_set), list(sb.lower_boundary)) < 1e-8
     entry = dv.check_support(_zset(pair, basis), bundle, variety)
     assert entry.status == "pass"
+
+
+def test_an_empty_constrained_space_is_degenerate():
+    # under this perturbation the generators of repeated seed 56 (box 4 x 12)
+    # no longer vanish on the model pair, and the kernel cut keeps nothing of
+    # a space that must hold the 12-dimensional pair: degenerate, not a crash
+    inst = make_instance(random_recipe(56, repeated=True))
+    rng = np.random.default_rng(10_056)
+    t1p, t2p = (t + 1e-15 * (rng.normal(size=t.shape) + 1j * rng.normal(size=t.shape))
+                for t in (inst.pair.t1, inst.pair.t2))
+    pair = dv.validate_pair(t1p, t2p, require_pure=True)
+    with pytest.raises(dv.errors.DegenerateCluster, match="dimension 0 < n = 12"):
+        dv.constrained_coextension(pair, inst.psi, dv.ann_generators(pair))
+
+
+def test_mismatched_sets_report_both_counts_and_a_null_distance(j2_instance,
+                                                                 scalar_shift_psi):
+    # sets of different sizes have no matching: the entries fail and say so
+    # in strict JSON, with no infinite distance
+    pair, basis, bundle = j2_instance
+    zset = dv.z_ann(basis, pair) + ((0.5 + 0j, 0.5 + 0j),)
+    entries = [
+        dv.check_zann_equals_omega(zset, _omega(bundle)),
+        dv.check_support(zset, bundle, dv.variety_polynomial(scalar_shift_psi)),
+    ]
+    assert [e.status for e in entries] == ["fail", "fail"]
+    assert [e.margin for e in entries] == [-1.0, -1.0]
+    assert {k: v for k, v in entries[0].data.items() if "_count" in k} == {
+        "z_ann_count": 2, "omega_count": 1}
+    assert {k: v for k, v in entries[1].data.items() if "_count" in k} == {
+        "inner_set_count": 2, "lower_boundary_count": 1}
+    for entry in entries:
+        assert entry.data["matching_distance"] is None
+        json.dumps(entry.to_dict(), allow_nan=False)
 
 
 def test_support_points_on_variety():

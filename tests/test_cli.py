@@ -213,7 +213,8 @@ _NAN, _INF = float("nan"), float("inf")
 ])
 def test_non_finite_input_value_exits_2(tmp_path, capsys, command, obj, message):
     path = tmp_path / "in.json"
-    dump_json(obj, path)
+    # written with json's NaN and Infinity tokens, which dump_json refuses
+    path.write_text(json.dumps(obj))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning fails the test
         code = main(["--out", str(tmp_path / "o")] + command + [str(path)])
@@ -462,6 +463,42 @@ def test_cmd_certify_writes_bundle_export(tmp_path, capsys):
     assert set(bundle) >= {"J", "n_trunc", "psi", "m1", "kpsi_basis",
                            "S1", "S2", "residuals"}
     assert matrix_from_json(bundle["S1"]).shape == (2, 2)
+
+
+def _strict_json(path):
+    """The JSON file at ``path``, parsed as RFC 8259 JSON: a NaN, Infinity or
+    -Infinity token raises."""
+    def refuse(token):
+        raise ValueError(f"{path.name}: non-standard JSON token {token}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+def test_dump_json_refuses_a_non_finite_float(tmp_path):
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dump_json({"entries": [{"margin": value}]}, tmp_path / "out.json")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_certify_writes_strict_json(tmp_path, capsys):
+    # the repeated recipe whose set check once wrote an infinite distance
+    inst = make_instance(random_recipe(9, repeated=True))
+    dump_json(pair_to_json(inst.pair), tmp_path / "pair.json")
+    dump_json(psi_to_json(inst.psi), tmp_path / "psi.json")
+    runs = {
+        "batch": ["certify", "--batch", "5"],
+        "pair": ["certify", "--pair", str(tmp_path / "pair.json"),
+                 "--psi", str(tmp_path / "psi.json")],
+    }
+    for name, argv in runs.items():
+        assert main(["--out", str(tmp_path / name), "--boundary-samples", "128"] + argv) == 0
+    written = sorted(tmp_path.glob("*/*.json"))
+    # five reports and a summary; a report, a bundle and a summary
+    assert len(written) == 9
+    for path in written:
+        _strict_json(path)
 
 
 def test_cmd_certify_pair_bundle_does_not_depend_on_seed(tmp_path, capsys):

@@ -1,10 +1,9 @@
 """Import hygiene of the library modules: no unused imported name, and a
-light import path.  ``import distvar`` loads numpy and ``scipy.linalg`` (for
-the complex Schur factorisation) and no other scipy subpackage:
-``scipy.stats`` alone costs about half a second, and ``scipy.optimize``,
-with the ``sparse``, ``spatial`` and ``special`` packages it pulls in, about
-0.2 s.  The assignment solver is imported only when a tied matching reaches
-it, so a certification whose matchings all certify never loads it."""
+light import path.  ``import distvar`` loads numpy and no scipy module, and
+so does a certification whose matchings all certify: ``scipy.linalg`` alone
+costs about 0.3 s, and ``scipy.optimize``, with the ``sparse``, ``spatial``
+and ``special`` packages it pulls in, about 0.2 s more.  The assignment
+solver is imported only when a tied matching reaches it."""
 
 import ast
 import json
@@ -41,11 +40,6 @@ def test_the_scan_sees_an_unused_name():
     assert _unused_from_imports(src) == ["c:1"]
 
 
-# loaded by none of: a fresh ``import distvar``, or certifications whose
-# matchings all certify
-UNLOADED = ("scipy.optimize", "scipy.stats", "scipy.sparse", "scipy.spatial", "scipy.special")
-
-
 def _fresh_python(code):
     """Run ``code`` in a new interpreter that imports distvar from this
     checkout; returns the JSON object it prints."""
@@ -59,25 +53,35 @@ def _fresh_python(code):
     return json.loads(proc.stdout)
 
 
-def test_importing_distvar_loads_no_heavy_scipy_subpackage():
+def test_importing_distvar_loads_no_heavy_scipy_subpackage(tmp_path):
+    # no scipy module at all: after the import, after certifying the warm-up
+    # curve w^2 = z and a separated and a repeated recipe of each symbol
+    # kind, and after a ``certify --batch 20`` run
     out = _fresh_python(f"""
-import json, sys
+import contextlib, io, json, sys
 import distvar as dv
-imported = [m for m in {UNLOADED!r} if m in sys.modules]
-spec = dv.InstanceSpec(theta_zeros=((0j, 2),), psi_spec={{"kind": "companion", "d": 2}})
-overall = [dv.run_certification(dv.make_instance(s)).overall
-           for s in (spec, dv.random_recipe(0))]
-print(json.dumps({{"imported": imported, "linalg": "scipy.linalg" in sys.modules,
-                  "after": [m for m in {UNLOADED!r} if m in sys.modules],
-                  "overall": overall, "file": dv.__file__}}))
+from distvar.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+imported = scipy_modules()
+specs = [dv.InstanceSpec(theta_zeros=((0j, 2),), psi_spec={{"kind": "companion", "d": 2}})]
+specs += [dv.random_recipe(0, repeated=repeated, kinds=(kind,))
+          for kind in ("scalar_blaschke_times_identity", "companion", "colligation")
+          for repeated in (False, True)]
+overall = [dv.run_certification(dv.make_instance(s)).overall for s in specs]
+certified = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["--out", {str(tmp_path / "batch")!r}, "certify", "--batch", "20"])
+print(json.dumps({{"imported": imported, "certified": certified, "batch": scipy_modules(),
+                  "overall": overall, "code": code, "file": dv.__file__}}))
 """)
     assert Path(out["file"]).resolve() == Path(dv.__file__).resolve()
-    assert out["imported"] == []
-    assert out["linalg"]
-    # the warm-up curve w^2 = z and a seeded random recipe, both certified
-    # without loading the assignment solver
-    assert out["overall"] == ["pass", "pass"]
-    assert out["after"] == []
+    assert out["imported"] == out["certified"] == out["batch"] == []
+    assert out["overall"] == ["pass"] * 7
+    assert out["code"] == 0
+    assert len(list((tmp_path / "batch").glob("*-report.json"))) == 20
 
 
 # (call, its cost matrix, value): each needs the solver, since every row

@@ -102,6 +102,12 @@ def test_bp_product_jet_matches_finite_differences():
     assert np.allclose(taylor[0], f(lam))
 
 
+@pytest.mark.parametrize("zero", [complex("nan"), complex(0.0, float("nan")), 1.0, -1j])
+def test_bp_factor_rejects_a_zero_off_the_open_disc(zero):
+    with pytest.raises(ValueError, match="not in the open disc"):
+        dv.BPFactor(zero, np.eye(2), np.eye(2))
+
+
 def test_taylor_until_past_171_terms():
     # a zero of modulus 0.85 needs 220 terms at 1e-16; k! overflows from k = 171
     a = 0.85

@@ -260,6 +260,78 @@ def test_point_subset_of_taylor():
             ) < 1e-8
 
 
+def _close_zero_pairs(gap, companion_psi_2, scalar_shift_psi):
+    """Pairs whose T1 has the simple eigenvalues 0.3 and 0.3 + gap: a
+    diagonal pair, and the model pairs of two symbols over those zeros
+    (T1 is then non-normal, and with d = 2 each eigenvalue is double)."""
+    theta = dv.BlaschkeProduct([(0.3, 1), (0.3 + gap, 1)])
+    return [dv.validate_pair(np.diag([0.3, 0.3 + gap]), np.diag([0.1, -0.2])),
+            dv.compress_pair(scalar_shift_psi, theta),
+            dv.compress_pair(companion_psi_2, theta)]
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5])
+def test_taylor_spectrum_never_merges_two_simple_zeros(gap, companion_psi_2,
+                                                      scalar_shift_psi):
+    # the zeros sit inside the eigenvalue merge radius: the spectrum keeps
+    # both or refuses to decide, and never returns one merged point
+    for pair in _close_zero_pairs(gap, companion_psi_2, scalar_shift_psi):
+        try:
+            spec = dv.joint_spectrum_taylor(pair)
+        except DegenerateCluster:
+            continue
+        lams = [lam for lam, _ in spec.points]
+        assert dv.matching_distance(lams, list(np.linalg.eigvals(pair.t1))) < 1e-9
+
+
+def test_taylor_spectrum_keeps_zeros_outside_the_merge_radius(companion_psi_2,
+                                                              scalar_shift_psi):
+    for pair in _close_zero_pairs(1e-2, companion_psi_2, scalar_shift_psi):
+        lams = [lam for lam, _ in dv.joint_spectrum_taylor(pair).points]
+        assert dv.matching_distance(lams, list(np.linalg.eigvals(pair.t1))) < 1e-12
+
+
+def test_minimal_blaschke_never_merges_two_simple_zeros(companion_psi_2):
+    # (T1 - lambda)^k has kernels of dimension 2, then 0 at k = 2: a kernel
+    # that shrinks is inconsistent, not a fourfold zero
+    theta = dv.BlaschkeProduct([(0.3, 1), (0.3 + 1e-5, 1)])
+    with pytest.raises(DegenerateCluster, match="kernels of dimension"):
+        dv.minimal_blaschke(dv.compress_pair(companion_psi_2, theta).t1)
+
+
+@pytest.mark.parametrize("zero", [0.0, 0.2 + 0.1j, -0.45j])
+def test_taylor_spectrum_over_a_jordan_block_is_exact(zero, companion_psi_2):
+    # over a zero of multiplicity 4, T1 has two Jordan blocks of size 4, which
+    # rounding splits by about 1e-4; the generalized eigenspace does not
+    # split, so the spectrum is the two points of w^2 = z over the zero, each
+    # four times
+    pair = dv.compress_pair(companion_psi_2, dv.BlaschkeProduct([(zero, 4)]))
+    points = dv.joint_spectrum_taylor(pair).points
+    root = np.sqrt(complex(zero))
+    assert dv.matching_distance(list(points), [(zero, root)] * 4 + [(zero, -root)] * 4) < 1e-12
+
+
+def test_minimal_blaschke_and_the_taylor_spectrum_analyse_t1_once(monkeypatch,
+                                                                   companion_psi_2):
+    pair = dv.compress_pair(companion_psi_2, dv.BlaschkeProduct([(0.1, 3), (-0.4j, 1)]))
+    shapes = []
+    analyse = dv.opcore._jordan_clusters
+
+    def recording(t, *args):
+        shapes.append(t.shape)
+        return analyse(t, *args)
+
+    monkeypatch.setattr(dv.opcore, "_jordan_clusters", recording)
+    dv.opcore._jordan_of.cache_clear()
+    m1 = dv.minimal_blaschke(pair.t1)
+    spec = dv.joint_spectrum_taylor(pair)
+    # T1 once; then the compressions of T2 to its two generalized eigenspaces
+    assert shapes[0] == pair.t1.shape
+    assert sorted(shapes[1:]) == [(2, 2), (6, 6)]
+    assert sorted(m for _, m in m1.zeros) == [1, 3]
+    assert len(spec.points) == pair.n
+
+
 # ---------------------------------------------------------------------------
 # minimal Blaschke products
 

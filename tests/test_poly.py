@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +69,27 @@ def test_blaschke_pole_hit():
     b = dv.BlaschkeProduct([(0.5, 1)])
     with pytest.raises(PoleHit):
         dv.blaschke_eval(b, 2.0)
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("zero", [complex(_NAN, 0.0), complex(0.1, _NAN), 1.0, 1j, 2.0])
+def test_blaschke_rejects_a_zero_off_the_open_disc(zero):
+    # a NaN zero fails the disc test like one on or outside the circle, and
+    # the symbol built on it never reaches an eigensolver
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not in the open disc"):
+            dv.BlaschkeProduct([(0.2, 1), (zero, 1)])
+        with pytest.raises(ValueError, match="not in the open disc"):
+            dv.from_scalar_blaschke_identity(dv.BlaschkeProduct([(zero, 1)]), 1)
+
+
+@pytest.mark.parametrize("constant", [_NAN, complex(1.0, _NAN), 2.0, 0.0])
+def test_blaschke_rejects_a_constant_off_the_circle(constant):
+    with pytest.raises(ValueError, match="unimodular"):
+        dv.BlaschkeProduct([(0.2, 1)], constant)
 
 
 def test_has_simple_roots():

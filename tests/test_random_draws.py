@@ -1,7 +1,7 @@
 """Every random draw in the library sits where a report can name its seed:
-the recipe and test-polynomial draws of ``instances``, and the fixed-seed
-combinations of ``opcore.joint_spectrum_taylor``.  The co-extension, the
-symbol construction and every check are deterministic."""
+the recipe and test-polynomial draws of ``instances``.  The joint spectra,
+the co-extension, the symbol construction and every check are
+deterministic."""
 
 import ast
 import hashlib
@@ -12,7 +12,7 @@ import pytest
 
 import distvar as dv
 
-ALLOWED = {("instances.py", None), ("opcore.py", "joint_spectrum_taylor")}
+ALLOWED = {("instances.py", None)}
 
 
 def _is_draw(node):
@@ -43,15 +43,19 @@ def _all_draws():
             yield path.name, function, line
 
 
-def test_random_draws_sit_in_instances_or_the_joint_spectrum():
+def test_random_draws_sit_in_instances():
     draws = set(_all_draws())
     bad = sorted(f"{name}:{line}:{function}" for name, function, line in draws
                  if (name, None) not in ALLOWED and (name, function) not in ALLOWED)
     assert bad == []
     # the scan sees the draws it allows, so an empty list above is not vacuous
-    assert {(name, function) for name, function, _ in draws
-            if name == "opcore.py"} == {("opcore.py", "joint_spectrum_taylor")}
     assert any(name == "instances.py" for name, _, _ in draws)
+
+
+def test_the_scan_sees_a_draw_in_a_function():
+    src = "import numpy as np\ndef f():\n    return np.random.default_rng(0)\n"
+    assert [(function, line) for function, line in _draws(ast.parse(src))] == [
+        ("f", 3), ("f", 3)]
 
 
 def test_haar_unitary_reproduces_scipys_draw():

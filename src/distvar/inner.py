@@ -17,8 +17,9 @@ The zero set {det(Psi(z) - wI) = 0} is produced as an honest bivariate
 polynomial by sampling the determinant of the linear pencil
 [[I - zA, zB], [-C, D - wI]] (or a denominator-cleared determinant) on a
 tensor grid and interpolating.  Whether it is distinguished is decided in
-closed form from Psi(0) and the boundary unitarity defect the symbol
-records when it is built; no fiber is sampled for it.
+closed form from Psi(0) and the bound on the boundary unitarity defect the
+symbol proves from its representation when it is built; no fiber or circle
+point is sampled for it.
 """
 
 from math import comb
@@ -39,7 +40,7 @@ from .poly import (
     interpolation_nodes,
     normalize_unit,
 )
-from .report import FAIL, PASS, CertEntry
+from .report import FAIL, INCONCLUSIVE, PASS, CertEntry
 from .tolerances import DEFAULT
 
 COLLIGATION = "colligation"
@@ -119,7 +120,11 @@ class BPFactor:
 
 
 class MatrixInnerFunction:
-    """Rational d x d inner function with a constructively verified representation."""
+    """Rational d x d inner function with a constructively verified representation.
+
+    ``boundary_defect`` bounds sup_{|z|=1} ||Psi(z)* Psi(z) - I||_2, proved
+    from the representation by the builder that made the symbol.
+    """
 
     __slots__ = ("kind", "d", "data", "boundary_defect", "realization_radius")
 
@@ -140,12 +145,57 @@ class MatrixInnerFunction:
         return f"MatrixInnerFunction(kind={self.kind!r}, d={self.d})"
 
 
-def from_colligation(A, B, C, D, tol=DEFAULT, boundary_n=512):
+def _rounding_allowance(size, d):
+    """32 (size + d) eps: what rounding may add to a defect bound evaluated
+    in floating point, or to a sampled ||Psi* Psi - I||, per unit of the
+    quantities they form; ``size`` counts the representation's terms
+    (coefficients, state dimension or factors).  It keeps every bound
+    nonzero."""
+    return 32.0 * (size + d) * np.finfo(float).eps
+
+
+def _resolvent_bound(A, B):
+    """K >= ||(I - zA)^{-1} B||_2 on the closed disc, from the Stein equation.
+
+    P - A* P A = I is solved as one Kronecker system.  With residual R of
+    the computed (symmetrized) P and r = ||R||_F, ||A x||_P^2 =
+    ||x||_P^2 - x*(I + R)x <= (1 - t) ||x||_P^2 for t = (1 - r) / lambda_max(P),
+    so ||zA||_P <= sqrt(1 - t) and ||(I - zA)^{-1}||_P <= 1 / (1 - sqrt(1 - t)).
+    The P-norm is within sqrt(kappa(P)) of the 2-norm (Lancaster-Tismenetsky,
+    The Theory of Matrices, 1985, ch. 13).  A P that is not positive
+    definite, or a residual of 1 or more, proves nothing and raises
+    NotPureRealization.
+    """
+    n = A.shape[0]
+    if n == 0:
+        return 0.0
+    ah = A.conj().T
+    # row-major vec(A* P A) = kron(A*, A^T) vec(P)
+    p = np.linalg.solve(np.eye(n * n) - np.kron(ah, A.T), np.eye(n).ravel()).reshape(n, n)
+    p = (p + p.conj().T) / 2
+    resid = np.linalg.norm(p - ah @ p @ A - np.eye(n))
+    lo, hi = np.linalg.eigvalsh(p)[[0, -1]]
+    if not (lo > 0 and resid < 1.0):
+        raise NotPureRealization(
+            "the Stein equation P - A*PA = I gives no positive definite P: "
+            "the state matrix is not proven stable"
+        )
+    t = min(1.0, (1.0 - resid) / hi)  # P >= (1 - r) I, so only rounding passes 1
+    gap = t / (1.0 + np.sqrt(1.0 - t))  # 1 - sqrt(1 - t), without cancellation
+    return float(np.sqrt(hi / lo) * np.linalg.norm(B) / gap)
+
+
+def from_colligation(A, B, C, D, tol=DEFAULT):
     """Build the transfer function of a unitary colligation.
 
-    Checks that [[A, B], [C, D]] is unitary within ``tol.tol_unitary``, that
-    the state matrix has spectral radius strictly below 1, and records the
-    boundary unitarity defect on a uniform grid of ``boundary_n`` circle points.
+    Checks that [[A, B], [C, D]] is unitary within ``tol.tol_unitary`` and
+    that the state matrix has spectral radius strictly below 1.  The
+    recorded boundary defect is (delta + allowance)(1 + K^2), delta the
+    colligation's unitarity defect ||U*U - I|| and K the Stein bound of
+    ``_resolvent_bound``: with x = (I - zA)^{-1} B u, U [z x; u] = [x; Psi(z) u],
+    so on the circle ||Psi(z) u||^2 - ||u||^2 = <(U*U - I) v, v> for
+    v = [z x; u], of norm at most sqrt(1 + K^2) ||u|| (Agler-McCarthy,
+    Distinguished varieties, Acta Math. 194, 2005).
     """
     A = _as_matrix(A)
     n = A.shape[0]
@@ -168,15 +218,21 @@ def from_colligation(A, B, C, D, tol=DEFAULT, boundary_n=512):
         raise NotPureRealization(
             f"state spectral radius {radius:.12f} is not strictly inside the disc"
         )
-    psi = MatrixInnerFunction(
-        COLLIGATION, d, {"A": A, "B": B, "C": C, "D": D}, 0.0, radius
-    )
-    bdef = boundary_unitarity_defect(psi, boundary_n)
-    return MatrixInnerFunction(COLLIGATION, d, psi.data, bdef, radius)
+    k = _resolvent_bound(A, B)
+    bdef = (defect + _rounding_allowance(n, d)) * (1.0 + k * k)
+    return MatrixInnerFunction(COLLIGATION, d, {"A": A, "B": B, "C": C, "D": D}, bdef, radius)
 
 
-def from_bp_factors(factors, leading=None, tol=DEFAULT, boundary_n=512):
-    """Build a Blaschke-Potapov product; ``leading`` is an optional constant unitary."""
+def from_bp_factors(factors, leading=None, tol=DEFAULT):
+    """Build a Blaschke-Potapov product; ``leading`` is an optional constant unitary.
+
+    The recorded boundary defect is prod (1 + eps_i) - 1 plus the rounding
+    allowance: a product of factors with Gram defects ||F_i* F_i - I|| <= eps_i
+    has Gram defect at most prod (1 + eps_i) - 1.  The leading matrix L has
+    eps = ||L* L - I||.  A factor U W has 1 + eps = (1 + mu)(1 + 4 ||X||) with
+    mu = ||U* U - I|| and X = P - P* P: on the circle c = b_a - 1 has
+    c + conj(c) = -|c|^2, so W = I + cP has W* W - I = c X + conj(c) X*.
+    """
     factors = list(factors)
     if not factors and leading is None:
         raise ValueError("empty product; pass a constant via from_colligation")
@@ -184,32 +240,45 @@ def from_bp_factors(factors, leading=None, tol=DEFAULT, boundary_n=512):
     if leading is None:
         leading = np.eye(d)
     leading = _as_matrix(leading, (d, d))
-    if unitarity_defect(leading) > tol.tol_unitary:
+    lead_defect = unitarity_defect(leading)
+    if lead_defect > tol.tol_unitary:
         raise ValueError("leading matrix fails the unitarity test")
     for f in factors:
         if f.projection.shape[0] != d:
             raise ValueError("factor dimensions disagree")
+    growth = 1.0 + lead_defect
+    if factors:
+        p = np.array([f.projection for f in factors])
+        u = np.array([f.unitary for f in factors])
+        x = np.linalg.norm(p - np.swapaxes(p.conj(), 1, 2) @ p, axis=(1, 2))
+        mu = np.linalg.norm(np.swapaxes(u.conj(), 1, 2) @ u - np.eye(d), axis=(1, 2))
+        growth *= float(np.prod((1.0 + mu) * (1.0 + 4.0 * x)))
+    bdef = growth * (1.0 + _rounding_allowance(len(factors), d)) - 1.0
     radius = max((abs(f.zero) for f in factors), default=0.0)
-    psi = MatrixInnerFunction(
-        BP_PRODUCT, d, {"factors": tuple(factors), "leading": leading}, 0.0, radius
+    return MatrixInnerFunction(
+        BP_PRODUCT, d, {"factors": tuple(factors), "leading": leading}, bdef, radius
     )
-    bdef = boundary_unitarity_defect(psi, boundary_n)
-    return MatrixInnerFunction(BP_PRODUCT, d, psi.data, bdef, radius)
 
 
-def from_scalar_blaschke_identity(b, d, tol=DEFAULT, boundary_n=512):
+def from_scalar_blaschke_identity(b, d, tol=DEFAULT):
     """Psi(z) = b(z) I_d for a scalar finite Blaschke product b."""
     eye = np.eye(d)
     factors = []
     for a, m in b.zeros:
         for _ in range(m):
             factors.append(BPFactor(a, eye, eye, tol=tol))
-    return from_bp_factors(factors, leading=b.constant * eye, tol=tol,
-                           boundary_n=boundary_n)
+    return from_bp_factors(factors, leading=b.constant * eye, tol=tol)
 
 
-def from_polynomial(coeff_matrices, tol=DEFAULT, boundary_n=512):
-    """Psi(z) = sum_k coeffs[k] z^k; inner-ness is certified on a boundary grid."""
+def from_polynomial(coeff_matrices, tol=DEFAULT):
+    """Psi(z) = sum_k coeffs[k] z^k, proved inner from its coefficients.
+
+    On the circle Psi* Psi - I = E_0 + sum_{j>=1} (z^j E_j + conj(z)^j E_j*)
+    with E_j = sum_k C_k* C_{k+j} - delta_{j0} I, so the recorded boundary
+    defect is ||E_0||_F + 2 sum_{j>=1} ||E_j||_F plus the rounding allowance
+    times (sum_k ||C_k||_F)^2, which bounds ||Psi||^2 on the circle.  A
+    defect above ``tol.tol_unitary`` raises NotUnitaryColligation.
+    """
     coeffs = np.asarray(coeff_matrices, dtype=complex)
     if coeffs.ndim == 2:
         coeffs = coeffs[None, :, :]
@@ -221,14 +290,18 @@ def from_polynomial(coeff_matrices, tol=DEFAULT, boundary_n=512):
     while k > 0 and np.max(np.abs(coeffs[k])) <= 1e-14 * max(scale, 1e-300):
         k -= 1
     coeffs = coeffs[: k + 1]
-    d = coeffs.shape[1]
-    psi = MatrixInnerFunction(POLYNOMIAL, d, {"coeffs": coeffs}, 0.0, 0.0)
-    bdef = boundary_unitarity_defect(psi, boundary_n)
-    if bdef > tol.tol_unitary:
+    terms, d = coeffs.shape[0], coeffs.shape[1]
+    adj = np.swapaxes(coeffs.conj(), 1, 2)
+    e = np.array([(adj[: terms - j] @ coeffs[j:]).sum(axis=0) for j in range(terms)])
+    e[0] -= np.eye(d)
+    norms = np.linalg.norm(e, axis=(1, 2))
+    size = np.linalg.norm(coeffs, axis=(1, 2)).sum()
+    bdef = norms[0] + 2.0 * norms[1:].sum() + _rounding_allowance(terms, d) * size ** 2
+    if not bdef <= tol.tol_unitary:
         raise NotUnitaryColligation(
             f"polynomial symbol boundary defect {bdef:.3e} exceeds {tol.tol_unitary:.1e}"
         )
-    return MatrixInnerFunction(POLYNOMIAL, d, psi.data, bdef, 0.0)
+    return MatrixInnerFunction(POLYNOMIAL, d, {"coeffs": coeffs}, bdef, 0.0)
 
 
 def _bp_factor_grid(f, zs):
@@ -404,7 +477,8 @@ def psi_of_matrix(psi, s):
 
 
 def boundary_unitarity_defect(psi, n=2048):
-    """max_theta || Psi(e^{i theta})* Psi(e^{i theta}) - I || on a uniform grid."""
+    """max_theta || Psi(e^{i theta})* Psi(e^{i theta}) - I || on a uniform
+    grid: a sampled diagnostic, which ``psi.boundary_defect`` bounds."""
     u = eval_psi_grid(psi, circle_grid(n))
     return float(unitarity_defect(u).max(initial=0.0))
 
@@ -535,20 +609,22 @@ def distinguished_certificate(psi, tol=DEFAULT):
 
     Conditions: (a) boundary fibers are unimodular: on the circle
     |w|^2 - 1 = <(Psi*Psi - I)v, v> for a unit eigenvector v, so each
-    boundary fiber lies within the symbol's recorded boundary unitarity
-    defect of the circle; (a) is that defect <= ``tol.tol_unitary``.
+    boundary fiber lies within the symbol's proved bound on its boundary
+    unitarity defect of the circle; (a) is that bound <= ``tol.tol_unitary``.
     (b) interior fibers stay in the open disc: rho(Psi(0)) bounds them
     (``interior_pureness``), and (b) is rho(Psi(0)) <= 1 - ``tol.pure_margin``.
     (c) the variety meets the open bidisc: when (b) holds, 0 with the
     largest-modulus eigenvalue of Psi(0) is a witness, so (c) equals (b).
-    Psi is evaluated at the origin only; no fiber is sampled.
+    A bound above the tolerance proves no failure, so when only (a) misses
+    the entry is inconclusive.  Psi is evaluated at the origin only; no
+    fiber is sampled.
     """
     vals = np.linalg.eigvals(eval_psi(psi, 0.0))
     k = int(np.argmax(np.abs(vals)))
     rho = float(np.abs(vals[k]))
     cond_a = psi.boundary_defect <= tol.tol_unitary
     cond_b = rho <= 1.0 - tol.pure_margin
-    status = PASS if (cond_a and cond_b) else FAIL
+    status = FAIL if not cond_b else PASS if cond_a else INCONCLUSIVE
     margin = min(tol.tol_unitary - psi.boundary_defect, 1.0 - rho)
     data = {
         "boundary_defect": psi.boundary_defect,

@@ -146,10 +146,7 @@ def _haar_colligation_spec(rng, n_state, d):
             "C": u[n_state:, :n_state].tolist(),
             "D": u[n_state:, n_state:].tolist(),
         }
-        psi = from_colligation(
-            np.asarray(spec["A"]), np.asarray(spec["B"]),
-            np.asarray(spec["C"]), np.asarray(spec["D"]), boundary_n=64,
-        )
+        psi = from_colligation(*(np.asarray(spec[k]) for k in "ABCD"))
         # the sampled acceptance rule every seeded recipe was drawn under;
         # rho(Psi(0)) decides some draws near 1 differently
         if np.abs(fibers_grid(psi, interior_disc_grid(64))).max() < 1.0 - 1e-6:

@@ -252,6 +252,10 @@ def cluster_points(points, radius):
 
 
 def _cluster_means(points, radius):
+    """(mean, count) of each cluster of ``cluster_points``, sorted by mean;
+    no points give no clusters."""
+    if not len(points):
+        return []
     pts = _as_points(points)
     out = [(pts[g].mean(axis=0), len(g)) for g in cluster_points(points, radius)]
     out.sort(key=lambda cm: tuple((v.real, v.imag) for v in cm[0]))

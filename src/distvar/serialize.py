@@ -111,7 +111,7 @@ def psi_to_json(psi):
     }
 
 
-def psi_from_json(obj, tol=DEFAULT, boundary_n=512):
+def psi_from_json(obj, tol=DEFAULT):
     """Symbol from its JSON form, checked against ``tol``.
 
     A value of the wrong type or length raises ValueError.
@@ -121,7 +121,7 @@ def psi_from_json(obj, tol=DEFAULT, boundary_n=512):
     if kind == "colligation":
         with malformed("symbol"):
             blocks = [matrix_from_json(obj[k]) for k in ("A", "B", "C", "D")]
-        return from_colligation(*blocks, tol=tol, boundary_n=boundary_n)
+        return from_colligation(*blocks, tol=tol)
     if kind == "bp_product":
         with malformed("symbol"):
             factors = [
@@ -134,15 +134,15 @@ def psi_from_json(obj, tol=DEFAULT, boundary_n=512):
                 for f in obj["factors"]
             ]
             leading = matrix_from_json(obj["leading"]) if "leading" in obj else None
-        return from_bp_factors(factors, leading=leading, tol=tol, boundary_n=boundary_n)
+        return from_bp_factors(factors, leading=leading, tol=tol)
     if kind == "scalar_blaschke_times_identity":
         with malformed("symbol"):
             b, d = blaschke_from_json(obj), int(obj["d"])
-        return from_scalar_blaschke_identity(b, d, tol=tol, boundary_n=boundary_n)
+        return from_scalar_blaschke_identity(b, d, tol=tol)
     if kind == "polynomial":
         with malformed("symbol"):
             coeffs = np.array([matrix_from_json(c) for c in obj["coeffs"]])
-        return from_polynomial(coeffs, tol=tol, boundary_n=boundary_n)
+        return from_polynomial(coeffs, tol=tol)
     raise ValueError(f"unknown symbol kind {kind!r}")
 
 

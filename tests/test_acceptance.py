@@ -245,7 +245,7 @@ def test_criterion_8_colligation_certification():
         try:
             psi = dv.from_colligation(
                 u[:n_state, :n_state], u[:n_state, n_state:],
-                u[n_state:, :n_state], u[n_state:, n_state:], boundary_n=64,
+                u[n_state:, :n_state], u[n_state:, n_state:],
             )
         except dv.errors.NotPureRealization:
             continue

@@ -265,6 +265,19 @@ def test_mismatched_sets_report_both_counts_and_a_null_distance(j2_instance,
         json.dumps(entry.to_dict(), allow_nan=False)
 
 
+def test_empty_sets_are_decided_not_crashed(j2_instance):
+    # an empty Z(Ann) or Omega reaches the set checks as an empty tuple (no
+    # point clusters to nothing) and they report on it
+    pair, basis, bundle = j2_instance
+    empty = ((), ())
+    same = dv.check_zann_equals_omega((), empty)
+    assert same.status == "pass" and same.data["matching_distance"] == 0.0
+    assert dv.check_zann_equals_omega(dv.z_ann(basis, pair), empty).status == "fail"
+    projection = dv.check_projection(empty, bundle.m1)
+    assert projection.status == "fail" and projection.data["projection"] == []
+    json.dumps([same.to_dict(), projection.to_dict()], allow_nan=False)
+
+
 def test_support_points_on_variety():
     for seed in (2, 5, 7):
         inst = make_instance(random_recipe(seed))

@@ -351,6 +351,11 @@ def test_minimal_blaschke_zero_matrix():
     assert b.zeros == ((0j, 1),)
 
 
+def test_minimal_blaschke_of_the_empty_matrix_is_constant():
+    b = dv.minimal_blaschke(np.zeros((0, 0)))
+    assert b.zeros == () and b.constant == 1.0 and b.degree == 0
+
+
 def test_minimal_blaschke_annihilates_through_taylor_route():
     # the rational evaluation and the Taylor series at 0, summed against the
     # powers of T, must agree; the coefficients of b are at most 1 in modulus
@@ -752,3 +757,8 @@ def test_dedupe_points_raises_on_the_first_close_pair():
         dv.opcore.dedupe_points(pts, tol=tol)
     assert dv.opcore.dedupe_points([0.3, 0.1, 0.1 + 1e-9], tol=tol) == [
         complex(np.mean([0.1, 0.1 + 1e-9])), complex(0.3)]
+
+
+def test_no_points_give_no_clusters():
+    assert dv.opcore._cluster_means([], 1e-3) == []
+    assert dv.opcore.dedupe_points([]) == []

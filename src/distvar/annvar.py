@@ -6,6 +6,12 @@ modulo the minimal polynomials of T1 and T2 maps any polynomial into the box
 without changing its value on the pair, and values at joint-spectrum points
 are preserved as well because those points are roots of both minimal
 polynomials.
+
+Polynomial families are evaluated as coefficient rows times a monomial
+table, whose entries are products of at most a + b factors of norm at most 1
+(which bounds their rounding; ``opcore.poly_stack``): T1^i T2^j, built once
+per pair for the evaluation map and the residuals, and lambda^i mu^j at
+joint-spectrum points for Z(Ann), the support residual and Omega's ideal.
 """
 
 from dataclasses import dataclass
@@ -23,10 +29,10 @@ from .opcore import (
     matching_distance,
     minimal_blaschke,
     opnorms,
-    poly_stack,
+    pair_table,
     validate_pair,
 )
-from .poly import Poly2, has_simple_roots
+from .poly import Poly2, coefficient_rows, family_values, has_simple_roots, monomial_table, values_at
 from .report import FAIL, INCONCLUSIVE, PASS, CertEntry, inconclusive
 from .tolerances import DEFAULT
 
@@ -52,22 +58,12 @@ class SupportBounds:
     variety: object            # VarietyDescription upper bound
 
 
-def _box_monomials(d1, d2):
-    return [(i, j) for i in range(d1) for j in range(d2)]
-
-
-def _evaluation_kernel(pair, d1, d2, tol):
-    """Kernel basis of p -> p(T1, T2) on the monomial box, as Poly2 list."""
-    n = pair.n
-    pow1 = [np.eye(n, dtype=complex)]
-    for _ in range(d1 - 1):
-        pow1.append(pow1[-1] @ pair.t1)
-    pow2 = [np.eye(n, dtype=complex)]
-    for _ in range(d2 - 1):
-        pow2.append(pow2[-1] @ pair.t2)
-    emat = np.array([(pow1[i] @ pow2[j]).reshape(-1)
-                     for i, j in _box_monomials(d1, d2)]).T  # n^2 x (d1 d2)
+def _evaluation_kernel(table, tol):
+    """Kernel basis of p -> p(T1, T2) on the box of a (d1, d2, n, n) monomial
+    table, as Poly2 list."""
+    d1, d2 = table.shape[:2]
     # the box monomials run row-major over (i, j), as a (d1, d2) array does
+    emat = table.reshape(d1 * d2, -1).T  # n^2 x (d1 d2)
     return [Poly2(vec.reshape(d1, d2))
             for vec in kernel(emat, tol.kernel_rel, 1e-12, "evaluation-map", tol=tol).T]
 
@@ -77,21 +73,24 @@ def ann_generators(pair, tol=DEFAULT):
 
     Generators are the kernel basis of the evaluation map on the box spanned
     by {z^i w^j : i < deg m1, j < deg m2}, together with the minimal
-    polynomials of T1 (in z) and of T2 (in w).
+    polynomials of T1 (in z) and of T2 (in w).  One monomial table of the
+    pair, on the box of all generators, serves the map and the residuals.
     """
     if not pair.pure:
         raise NotPure("annihilator machinery requires a pure pair")
     m1 = minimal_blaschke(pair.t1, tol=tol)
     m2 = minimal_blaschke(pair.t2, tol=tol)
     d1, d2 = m1.degree, m2.degree
-    gens = _evaluation_kernel(pair, d1, d2, tol)
+    table = pair_table(pair, d1 + 1, d2 + 1)
+    gens = _evaluation_kernel(table[:d1, :d2], tol)
     q1 = Poly2.from_poly1_in_z(m1.numerator())
     q2 = Poly2.from_poly1_in_w(m2.numerator())
     basis = AnnihilatorBasis(
         box=(d1, d2), box_generators=tuple(gens), m1=m1, m2=m2, q1=q1, q2=q2
     )
     scale = max(1.0, *pair.norms)
-    for g, res in zip(basis.generators, opnorms(poly_stack(basis.generators, pair))):
+    rows = coefficient_rows(basis.generators, (d1 + 1, d2 + 1))
+    for g, res in zip(basis.generators, opnorms(family_values(rows, table))):
         if res > tol.tol_ann * scale * max(1.0, g.scale):
             raise DegenerateCluster(
                 f"generator annihilation residual {res:.3e} above tolerance"
@@ -107,9 +106,8 @@ def z_ann(basis, pair, tol=DEFAULT):
     """
     points = joint_spectrum_taylor(pair, tol=tol).points
     lams, mus = np.array(points, dtype=complex).reshape(-1, 2).T
-    off = np.zeros(len(points), dtype=bool)
-    for g in basis.generators:
-        off |= np.abs(g(lams, mus)) > tol.tol_zset * max(1.0, g.scale)
+    caps = tol.tol_zset * np.array([max(1.0, g.scale) for g in basis.generators])
+    off = (np.abs(values_at(basis.generators, lams, mus)) > caps[:, None]).any(axis=0)
     return tuple(dedupe_points([pt for pt, o in zip(points, off) if not o], tol=tol))
 
 
@@ -224,9 +222,8 @@ def check_support(zset, bundle, variety, tol=DEFAULT):
     except DegenerateCluster as exc:
         return inconclusive(name, anchor, exc)
     p = variety.p
-    worst = 0.0
-    for lam, mu in sb.inner_set + sb.lower_boundary:
-        worst = max(worst, abs(p(lam, mu)))
+    lams, mus = np.array(sb.inner_set + sb.lower_boundary, dtype=complex).reshape(-1, 2).T
+    worst = float(np.abs(p(lams, mus)).max(initial=0.0))
     zset_cap = tol.tol_zset * max(1.0, p.scale)
     ok = dist <= tol.match_cap and worst <= zset_cap
     return CertEntry(
@@ -247,26 +244,15 @@ def check_support(zset, bundle, variety, tol=DEFAULT):
 
 def _vanishing_space_dim_and_basis(points, d1, d2):
     """Box polynomials vanishing at the given points: (dim, orthonormal basis)."""
-    monos = _box_monomials(d1, d2)
-    vmat = np.array([[lam ** i * mu ** j for i, j in monos] for lam, mu in points],
-                    dtype=complex).reshape(len(points), len(monos))
+    lams, mus = np.array(points, dtype=complex).reshape(-1, 2).T
+    vmat = monomial_table(lams, mus, d1, d2, np.ones(lams.shape), np.multiply)
+    vmat = vmat.reshape(d1 * d2, -1).T
     basis = kernel(vmat, 1e-10, 1e-12)
     return basis.shape[1], basis
 
 
 def _span_matrix(polys, d1, d2):
-    monos = _box_monomials(d1, d2)
-    cols = []
-    for g in polys:
-        c = np.zeros((d1, d2), dtype=complex)
-        gc = g.coeffs
-        c[: gc.shape[0], : gc.shape[1]] = gc
-        cols.append(c.reshape(-1))
-    if not cols:
-        return np.zeros((len(monos), 0), dtype=complex)
-    m = np.array(cols).T
-    q, _ = np.linalg.qr(m)
-    return q
+    return np.linalg.qr(coefficient_rows(polys, (d1, d2)).reshape(len(polys), d1 * d2).T)[0]
 
 
 def _spans_equal(qa, qb):

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConstantSymbol, DenominatorVanishes
 from .inner import circle_grid, distinguished_certificate, fibers_grid
 from .opcore import assignment_max, blaschke_apply, opnorm, opnorms, poly_stack, spectral_radius
-from .poly import BlaschkeProduct, Poly1
+from .poly import BlaschkeProduct, Poly1, values_at
 from .report import FAIL, INCONCLUSIVE, PASS, CertEntry
 from .tolerances import DEFAULT
 
@@ -85,14 +85,13 @@ def sup_on_variety(variety, q, boundary_n=512, samples=None):
     return float(np.abs(q(samples.boundary_z, samples.boundary_w)).max())
 
 
+_TORUS_24 = np.meshgrid(*2 * [np.exp(2j * np.pi * np.arange(24) / 24)])
+
+
 def gradient_bound(q):
     """Sampled estimate of max |grad q| on the closed bidisc, from a 24 x 24
     torus grid; a finer grid can exceed it, so it is not a proven bound."""
-    qz, qw = q.dz(), q.dw()
-    ts = np.exp(2j * np.pi * np.arange(24) / 24)
-    zz, ww = np.meshgrid(ts, ts)
-    g = np.abs(qz(zz, ww)) + np.abs(qw(zz, ww))
-    return float(g.max())
+    return float(np.abs(values_at([q.dz(), q.dw()], *_TORUS_24)).sum(axis=0).max())
 
 
 def slack(q, samples):

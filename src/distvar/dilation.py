@@ -369,9 +369,8 @@ def verify_coextension(bundle, variety, tol=DEFAULT):
     ))
 
     spec = joint_point_spectrum(bundle.pair, tol=tol)
-    worst_p = 0.0
-    for lam, mu in spec.points:
-        worst_p = max(worst_p, abs(p(lam, mu)))
+    lams, mus = np.array(spec.points, dtype=complex).reshape(-1, 2).T
+    worst_p = float(np.abs(p(lams, mus)).max(initial=0.0))
     entries.append(CertEntry(
         name="point-spectrum-on-variety",
         anchor="joint-eigenvalues-lie-on-variety",

@@ -77,14 +77,13 @@ class Poly1:
 
 def _trim2(c):
     c = np.atleast_2d(np.asarray(c, dtype=complex))
-    scale = np.max(np.abs(c)) if c.size else 0.0
+    mag = np.abs(c)
+    scale = mag.max() if c.size else 0.0
     if scale == 0.0:
         return np.zeros((1, 1), dtype=complex)
-    rows = np.max(np.abs(c), axis=1) > _TRIM_REL * scale
-    cols = np.max(np.abs(c), axis=0) > _TRIM_REL * scale
-    ilast = int(np.max(np.nonzero(rows)[0]))
-    jlast = int(np.max(np.nonzero(cols)[0]))
-    return c[: ilast + 1, : jlast + 1].copy()
+    # the last row and column holding a coefficient above the cut
+    rows, cols = np.nonzero(mag > _TRIM_REL * scale)
+    return c[: rows.max() + 1, : cols.max() + 1].copy()
 
 
 class Poly2:
@@ -109,27 +108,20 @@ class Poly2:
         return float(np.max(np.abs(self.coeffs)))
 
     def __call__(self, z, w):
-        return npoly.polyval2d(z, w, self.coeffs)
+        """Value at the points (z, w), the one-polynomial case of ``values_at``."""
+        return values_at([self], z, w)[0]
 
+    # a derivative that removes every coefficient trims to the zero polynomial
     def dz(self):
         c = self.coeffs
-        if c.shape[0] == 1:
-            return Poly2([[0.0]])
         return Poly2(c[1:, :] * np.arange(1, c.shape[0])[:, None])
 
     def dw(self):
         c = self.coeffs
-        if c.shape[1] == 1:
-            return Poly2([[0.0]])
         return Poly2(c[:, 1:] * np.arange(1, c.shape[1])[None, :])
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = (max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1]))
-        out = np.zeros(n, dtype=complex)
-        out[: a.shape[0], : a.shape[1]] += a
-        out[: b.shape[0], : b.shape[1]] += b
-        return Poly2(out)
+        return Poly2(coefficient_rows([self, other]).sum(axis=0))
 
     def __sub__(self, other):
         return self + Poly2(-other.coeffs)
@@ -162,6 +154,52 @@ class Poly2:
         return Poly2(np.asarray(p.coeffs, dtype=complex).reshape(1, -1))
 
 
+def coefficient_rows(polys, box=None):
+    """The coefficient arrays of a family zero-padded to one (a, b) box, by
+    default the smallest that holds them all, as a (K, a, b) array."""
+    cs = [p.coeffs for p in polys]
+    box = box or (max(c.shape[0] for c in cs), max(c.shape[1] for c in cs))
+    out = np.zeros((len(cs), *box), dtype=complex)
+    for k, c in enumerate(cs):
+        out[k, : c.shape[0], : c.shape[1]] = c
+    return out
+
+
+def _powers(x, k, one, mul):
+    out = np.empty((k, *one.shape), dtype=complex)
+    out[0] = one
+    for i in range(1, k):
+        out[i] = mul(out[i - 1], x)
+    return out
+
+
+def monomial_table(x, y, a, b, one, mul):
+    """x^i y^j for i < a and j < b, as an (a, b, *one.shape) array: a + b
+    running powers, then one stacked product.  Points take ``one`` = ones
+    and ``mul`` = np.multiply, commuting matrices the identity and
+    np.matmul."""
+    return mul(_powers(x, a, one, mul)[:, None], _powers(y, b, one, mul)[None, :])
+
+
+def family_values(rows, table):
+    """Values of the family with (K, a, b) coefficient rows, from the (a, b, ...)
+    monomial table of its evaluation target: one (K, ab) by (ab, m) product."""
+    k, a, b = rows.shape
+    return (rows.reshape(k, a * b) @ table.reshape(a * b, -1)).reshape(k, *table.shape[2:])
+
+
+def values_at(polys, z, w):
+    """Values of a family at the points (z, w), a (K, *points) array: its
+    coefficient rows times the table of z^i w^j.  At points of the closed
+    bidisc each table entry is a product of at most a + b factors of modulus
+    at most 1, so a value is within 3 (a + b + ab) u sum|c_ij| of the exact
+    one, u = 2^-53, to first order in u."""
+    z, w = np.asarray(z), np.asarray(w)
+    rows = coefficient_rows(polys)
+    ones = np.ones(np.broadcast(z, w).shape)
+    return family_values(rows, monomial_table(z, w, *rows.shape[1:], ones, np.multiply))
+
+
 def normalize_unit(p, rel=1e-8):
     """Canonical representative of ``p`` modulo a nonzero scalar factor.
 
@@ -183,13 +221,7 @@ def normalize_unit(p, rel=1e-8):
 
 def unit_distance(p, q, rel=1e-8):
     """Coefficient distance between unit-normalized representatives."""
-    a = normalize_unit(p, rel).coeffs
-    b = normalize_unit(q, rel).coeffs
-    n = (max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1]))
-    pa = np.zeros(n, dtype=complex)
-    pb = np.zeros(n, dtype=complex)
-    pa[: a.shape[0], : a.shape[1]] = a
-    pb[: b.shape[0], : b.shape[1]] = b
+    pa, pb = coefficient_rows([normalize_unit(p, rel), normalize_unit(q, rel)])
     return float(np.max(np.abs(pa - pb)))
 
 

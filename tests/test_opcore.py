@@ -128,9 +128,30 @@ def _horner_reference(p, pair):
     return out
 
 
+def _table_bound(c, box, n):
+    """poly_stack's rounding bound, 3 (a + b + ab) n^2 u sum|c_ij|, for the
+    coefficients c evaluated on an (a, b) box; Horner obeys it too, so two
+    evaluations may differ by twice it."""
+    a, b = box
+    return 3 * (a + b + a * b) * n ** 2 * 2.0 ** -53 * float(np.abs(c).sum())
+
+
+def _assert_family_within_bound(polys, target, n):
+    stack = dv.poly_stack(polys, target)
+    assert stack.shape == (len(polys), n, n)
+    box = np.max([p.coeffs.shape for p in polys], axis=0)
+    for k, p in enumerate(polys):
+        ref = _horner_reference(p, target)
+        assert np.linalg.norm(stack[k] - ref, 2) <= 2 * _table_bound(p.coeffs, box, n)
+        single = dv.poly_apply(p, target)
+        assert np.linalg.norm(single - ref, 2) <= 2 * _table_bound(p.coeffs, p.coeffs.shape, n)
+
+
 @pytest.mark.parametrize("as_tuple", [False, True])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_poly_stack_slices_equal_single_horner(seed, as_tuple):
+    """Every slice, and poly_apply, agrees with Horner within the rounding
+    bound the poly_stack docstring states."""
     pair = _random_commuting_pair(seed, n=5)
     basis = dv.ann_generators(pair)
     rng = np.random.default_rng(seed + 7)
@@ -143,11 +164,19 @@ def test_poly_stack_slices_equal_single_horner(seed, as_tuple):
     ]
     assert len({p.coeffs.shape for p in polys}) >= 4  # the family is mixed
     target = (pair.t1, pair.t2) if as_tuple else pair
-    stack = dv.poly_stack(polys, target)
-    assert stack.shape == (len(polys), pair.n, pair.n)
-    for k, p in enumerate(polys):
-        assert np.array_equal(stack[k], _horner_reference(p, target))
-        assert np.array_equal(dv.poly_apply(p, target), stack[k])
+    _assert_family_within_bound(polys, target, pair.n)
+
+
+def test_poly_stack_holds_a_5_by_13_family_within_the_bound():
+    pair = _random_commuting_pair(4, n=12)
+    assert max(pair.norms) <= 1.0
+    rng = np.random.default_rng(23)
+    shapes = [(5, 13), (1, 1), (5, 1), (1, 13)] + [
+        (int(rng.integers(1, 6)), int(rng.integers(1, 14))) for _ in range(34)]
+    polys = [dv.Poly2(rng.normal(size=s) + 1j * rng.normal(size=s)) for s in shapes]
+    assert len(polys) == 38
+    assert np.max([p.coeffs.shape for p in polys], axis=0).tolist() == [5, 13]
+    _assert_family_within_bound(polys, pair, pair.n)
 
 
 def test_poly_stack_rejects_an_empty_family(j2_pair):

@@ -145,3 +145,70 @@ def test_unit_distance_invariant_under_scalar():
     p = dv.Poly2([[1.0, 2.0], [0.5, 0.0]])
     q = (0.3 - 0.7j) * p
     assert dv.unit_distance(p, q) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# point evaluation through the monomial table
+
+
+def _polyval2d_reference(p, z, w):
+    return np.polynomial.polynomial.polyval2d(z, w, p.coeffs)
+
+
+def _point_bound(p):
+    """values_at's rounding bound at points of the closed bidisc; polyval2d's
+    Horner obeys it too, so the two may differ by twice it."""
+    a, b = p.coeffs.shape
+    return 2 * 3 * (a + b + a * b) * 2.0 ** -53 * float(np.abs(p.coeffs).sum())
+
+
+def _unit_points(rng, shape):
+    def draw():
+        return np.sqrt(rng.uniform(size=shape)) * np.exp(2j * np.pi * rng.uniform(size=shape))
+    return draw(), draw()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (6, 1), (1, 7), (3, 4), (5, 13)])
+def test_point_table_matches_polyval2d(shape):
+    """Constants, z-only, w-only and mixed boxes, on a flat point set."""
+    rng = np.random.default_rng(sum(shape))
+    p = dv.Poly2(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    z, w = _unit_points(rng, 40)
+    got = p(z, w)
+    assert got.shape == (40,)
+    assert np.abs(got - _polyval2d_reference(p, z, w)).max() <= _point_bound(p)
+    family = [p, dv.Poly2([[2.0]]), dv.Poly2(rng.normal(size=(2, 2)))]
+    stacked = dv.poly.values_at(family, z, w)
+    assert stacked.shape == (3, 40)
+    for q, row in zip(family, stacked):
+        assert np.abs(row - _polyval2d_reference(q, z, w)).max() <= _point_bound(q)
+
+
+def test_point_table_keeps_the_shape_of_its_points():
+    rng = np.random.default_rng(5)
+    p = dv.Poly2(rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))
+    ts = np.exp(2j * np.pi * np.arange(24) / 24)
+    zz, ww = np.meshgrid(ts, ts)
+    grid = p(zz, ww)
+    assert grid.shape == (24, 24)
+    assert np.abs(grid - _polyval2d_reference(p, zz, ww)).max() <= _point_bound(p)
+    value = p(0.3 - 0.2j, -0.5j)
+    assert np.ndim(value) == 0
+    assert abs(value - _polyval2d_reference(p, 0.3 - 0.2j, -0.5j)) <= _point_bound(p)
+    empty = p(np.zeros(0, dtype=complex), np.zeros(0, dtype=complex))
+    assert empty.shape == (0,)
+    assert dv.poly.values_at([p, p.dz()], [], []).shape == (2, 0)
+
+
+def test_certification_makes_no_polyval2d_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("polyval2d called")
+
+    monkeypatch.setattr(np.polynomial.polynomial, "polyval2d", refuse)
+    warmup = dv.InstanceSpec(theta_zeros=((0j, 2),), psi_spec={"kind": "companion", "d": 2},
+                             seed=0, boundary_n=512, disc_grid=(16, 64))
+    recipe = dv.random_recipe(1)
+    assert recipe.psi_spec["d"] == 3
+    for spec in (warmup, recipe):
+        report = dv.run_certification(dv.make_instance(spec))
+        assert report.to_dict()["entries"]

@@ -30,7 +30,6 @@ from .opcore import (
     minimal_blaschke,
     opnorms,
     pair_table,
-    validate_pair,
 )
 from .poly import Poly2, coefficient_rows, family_values, has_simple_roots, monomial_table, values_at
 from .report import FAIL, INCONCLUSIVE, PASS, CertEntry, inconclusive
@@ -117,10 +116,7 @@ def omega_psi(bundle, tol=DEFAULT):
     Every returned point lies in the open bidisc and carries an eigenvector
     witness in the model coordinates.
     """
-    adj = validate_pair(
-        bundle.s1.conj().T, bundle.s2.conj().T, require_pure=True, tol=tol
-    )
-    spec = joint_point_spectrum(adj, tol=tol)
+    spec = joint_point_spectrum(bundle.constrained.adjoint(), tol=tol)
     pts = [(np.conj(lam), np.conj(mu)) for lam, mu in spec.points]
     deduped = dedupe_points(pts, tol=tol)
     return tuple(deduped), spec.witnesses
@@ -206,8 +202,7 @@ def support_bounds(zset, bundle, variety, tol=DEFAULT):
     point must also lie on the variety.
     """
     zset = _settled(zset)
-    spair = validate_pair(bundle.s1, bundle.s2, require_pure=True, tol=tol)
-    staylor = joint_spectrum_taylor(spair, tol=tol)
+    staylor = joint_spectrum_taylor(bundle.constrained, tol=tol)
     lower = tuple(dedupe_points(list(staylor.points), tol=tol))
     return SupportBounds(inner_set=zset, lower_boundary=lower, variety=variety)
 

@@ -233,7 +233,7 @@ def min_conditions(pair, variety, phi1, phi2, tol=DEFAULT):
         raise ConstantSymbol("both symbols must be non-constant")
     entries = []
 
-    rho = spectral_radius(pair.t1)
+    rho = pair.radii[0]
     if rho <= 1.0 - tol.margin_spec:
         st, margin = PASS, (1.0 - tol.margin_spec) - rho
     elif rho < 1.0:
@@ -288,7 +288,7 @@ def isometry_variant(pair, tol=DEFAULT):
     """
     iso = opnorm(pair.t2.conj().T @ pair.t2 - np.eye(pair.n))
     norm1 = pair.norms[0]
-    rho = spectral_radius(pair.t1)
+    rho = pair.radii[0]
     ok_iso = iso <= tol.tol_attain
     ok_norm = abs(norm1 - 1.0) <= tol.tol_attain
     ok_spec = rho <= 1.0 - tol.margin_spec

@@ -38,7 +38,6 @@ from .opcore import (
     opnorm,
     poly_apply,
     poly_stack,
-    spectral_radius,
     validate_pair,
 )
 from .poly import BlaschkeProduct
@@ -282,13 +281,25 @@ class CoextensionBundle:
     n_trunc: int
     m1: BlaschkeProduct
     kpsi_basis: np.ndarray   # ONB coordinates inside the model space of m1
-    s1: np.ndarray
-    s2: np.ndarray
+    constrained: CommutingPair   # (S1, S2), validated once
     residuals: dict
 
     @property
     def kpsi_dim(self):
         return self.kpsi_basis.shape[1]
+
+    s1 = property(lambda self: self.constrained.t1)
+    s2 = property(lambda self: self.constrained.t2)
+
+
+def _norm_at_most(m, cap):
+    """opnorm(m) <= cap.  ||m|| <= f <= sqrt(min(m.shape)) ||m|| for the
+    Frobenius norm f, so the SVD runs only for an f inside that band, widened
+    by 1e-6 relative, far above either norm's rounding."""
+    f = np.linalg.norm(m)
+    if cap * (1 - 1e-6) < f <= cap * np.sqrt(min(m.shape)) * (1 + 1e-6):
+        return opnorm(m) <= cap
+    return f <= cap
 
 
 def constrained_coextension(pair, psi, basis, tol=DEFAULT):
@@ -310,26 +321,26 @@ def constrained_coextension(pair, psi, basis, tol=DEFAULT):
     # never empty; when they all vanish on the model pair the kernel is the
     # whole space, kept in the model's own basis
     stack = poly_stack(ann_gens, model).conj().transpose(0, 2, 1).reshape(-1, model.n)
-    if opnorm(stack) <= 1e-12:
+    if _norm_at_most(stack, 1e-12):
         q = np.eye(model.n, dtype=complex)
     else:
         q = kernel(stack, tol.kernel_rel, 0.0, "kernel-cut", tol=tol)
-    s1 = q.conj().T @ model.t1 @ q
-    s2 = q.conj().T @ model.t2 @ q
-    residuals = {
-        "s_commutator": opnorm(s1 @ s2 - s2 @ s1),
-        "s1_radius": spectral_radius(s1),
-        "s2_radius": spectral_radius(s2),
-        "kpsi_dim": q.shape[1],
-        "deg_m1": m1.degree,
-    }
     j, n_trunc, _, emb_res = coextension_embedding(pair, psi, tol=tol)
     # J embeds C^n into the intersection, so a smaller one is a numerical
     # failure of the cut
     if q.shape[1] < pair.n:
         raise DegenerateCluster(
             f"constrained model space of dimension {q.shape[1]} < n = {pair.n}")
-    residuals.update(emb_res)
+    spair = validate_pair(q.conj().T @ model.t1 @ q, q.conj().T @ model.t2 @ q,
+                          require_pure=True, tol=tol)
+    residuals = {
+        "s_commutator": spair.commutator_norm,
+        "s1_radius": spair.radii[0],
+        "s2_radius": spair.radii[1],
+        "kpsi_dim": q.shape[1],
+        "deg_m1": m1.degree,
+        **emb_res,
+    }
     return CoextensionBundle(
         pair=pair,
         psi=psi,
@@ -337,15 +348,15 @@ def constrained_coextension(pair, psi, basis, tol=DEFAULT):
         n_trunc=n_trunc,
         m1=m1,
         kpsi_basis=q,
-        s1=s1,
-        s2=s2,
+        constrained=spair,
         residuals=residuals,
     )
 
 
 def s_pair(bundle, tol=DEFAULT):
-    """The constrained pair as a validated CommutingPair."""
-    return validate_pair(bundle.s1, bundle.s2, require_pure=True, tol=tol)
+    """The constrained pair, validated when the bundle was built; ``tol`` is
+    unused and kept for callers that pass it."""
+    return bundle.constrained
 
 
 def verify_coextension(bundle, variety, tol=DEFAULT):
@@ -353,12 +364,13 @@ def verify_coextension(bundle, variety, tol=DEFAULT):
 
     (a) the defining polynomial annihilates both the pair and the constrained
     pair, (b) joint point-spectrum points of the pair lie on the variety,
-    (c) the minimal Blaschke product of S1 matches m1.
+    (c) the minimal Blaschke product of S1 matches m1.  (b) and (c) are
+    inconclusive where their spectral analysis raises DegenerateCluster.
     """
     entries = []
     p = variety.p
     norm_pair = opnorm(poly_apply(p, bundle.pair))
-    norm_s = opnorm(poly_apply(p, (bundle.s1, bundle.s2)))
+    norm_s = opnorm(poly_apply(p, bundle.constrained))
     worst = max(norm_pair, norm_s)
     entries.append(CertEntry(
         name="variety-annihilates",
@@ -368,16 +380,19 @@ def verify_coextension(bundle, variety, tol=DEFAULT):
         data={"pair_norm": norm_pair, "constrained_norm": norm_s},
     ))
 
-    spec = joint_point_spectrum(bundle.pair, tol=tol)
-    lams, mus = np.array(spec.points, dtype=complex).reshape(-1, 2).T
-    worst_p = float(np.abs(p(lams, mus)).max(initial=0.0))
-    entries.append(CertEntry(
-        name="point-spectrum-on-variety",
-        anchor="joint-eigenvalues-lie-on-variety",
-        status=PASS if worst_p <= tol.tol_zset * max(1.0, p.scale) else FAIL,
-        margin=float(tol.tol_zset * max(1.0, p.scale) - worst_p),
-        data={"points": list(spec.points)},
-    ))
+    name, anchor = "point-spectrum-on-variety", "joint-eigenvalues-lie-on-variety"
+    try:
+        spec = joint_point_spectrum(bundle.pair, tol=tol)
+    except DegenerateCluster as exc:
+        entries.append(inconclusive(name, anchor, exc))
+    else:
+        lams, mus = np.array(spec.points, dtype=complex).reshape(-1, 2).T
+        worst_p = float(np.abs(p(lams, mus)).max(initial=0.0))
+        cap = tol.tol_zset * max(1.0, p.scale)
+        entries.append(CertEntry(
+            name=name, anchor=anchor, status=PASS if worst_p <= cap else FAIL,
+            margin=float(cap - worst_p), data={"points": list(spec.points)},
+        ))
 
     try:
         mb = minimal_blaschke(bundle.s1, tol=tol)

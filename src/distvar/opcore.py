@@ -27,16 +27,16 @@ Jordan structure is read in one place, ``_jordan_clusters``: the kernels
 of the powers (T - lambda)^k, taken by ``kernel`` under the guarded rank
 rule, grow to the generalized eigenspace of each eigenvalue cluster or the
 cluster is degenerate.  ``minimal_blaschke`` reads the multiplicities off
-it, and ``joint_spectrum_taylor`` compresses T2 to each generalized
-eigenspace of T1, which T2 leaves invariant, so the joint spectrum needs no
-Schur factorization and no random combination.
+it, and ``_joint_spaces`` compresses T2 to each generalized eigenspace of
+T1, which T2 leaves invariant, for the joint generalized eigenspaces that
+both joint spectra read: no Schur factorization and no random combination.
 
 ``assignment_max`` settles most matchings by a row-minimum certificate;
 ``scipy.optimize``, whose import costs about 0.2 s, is loaded only when a
 matching needs its assignment solver.  Nothing else here uses scipy.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -326,6 +326,13 @@ def matching_distance(a, b):
 # pairs
 
 
+def _frozen(a):
+    """A read-only C-ordered copy of an array."""
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class CommutingPair:
     """A validated pair; equality and hash are by identity, since the
@@ -335,13 +342,25 @@ class CommutingPair:
     t2: np.ndarray
     commutator_norm: float
     norms: tuple
-    purity_margins: tuple
-    pure: bool
+    radii: tuple           # spectral radii of T1 and T2
     tol: object = field(default=DEFAULT, repr=False)
 
     @property
     def n(self):
         return self.t1.shape[0]
+
+    @property
+    def purity_margins(self):
+        return (1.0 - self.radii[0], 1.0 - self.radii[1])
+
+    @property
+    def pure(self):
+        return max(self.radii) < 1.0
+
+    def adjoint(self):
+        """The pair (T1*, T2*).  It has the same norms, commutator norm and
+        spectral radii, so it takes no validation of its own."""
+        return replace(self, t1=_frozen(self.t1.conj().T), t2=_frozen(self.t2.conj().T))
 
     @cached_property
     def defect_ranks(self):
@@ -364,29 +383,16 @@ def validate_pair(t1, t2, require_pure=False, tol=DEFAULT):
         raise ValueError("t1 and t2 are empty; a pair needs matrices of size at least 1")
     comm = opnorm(t1 @ t2 - t2 @ t1)
     norms = (opnorm(t1), opnorm(t2))
-    margins = (1.0 - spectral_radius(t1), 1.0 - spectral_radius(t2))
     if comm > tol.tol_commute * max(1.0, norms[0] * norms[1]):
         raise NonCommuting(f"commutator norm {comm:.3e}")
     for k, nm in enumerate(norms):
         if nm > 1.0 + tol.tol_norm:
             raise NotContractive(f"||T{k + 1}|| = {nm:.12f} exceeds 1")
-    if require_pure and min(margins) <= 0.0:
-        raise NotPure(
-            f"spectral radii {1 - margins[0]:.12f}, {1 - margins[1]:.12f}"
-        )
-    t1 = t1.copy()
-    t2 = t2.copy()
-    t1.setflags(write=False)
-    t2.setflags(write=False)
-    return CommutingPair(
-        t1=t1,
-        t2=t2,
-        commutator_norm=comm,
-        norms=norms,
-        purity_margins=margins,
-        pure=bool(min(margins) > 0.0),
-        tol=tol,
-    )
+    pair = CommutingPair(t1=_frozen(t1), t2=_frozen(t2), commutator_norm=comm, norms=norms,
+                         radii=(spectral_radius(t1), spectral_radius(t2)), tol=tol)
+    if require_pure and not pair.pure:
+        raise NotPure(f"spectral radii {pair.radii[0]:.12f}, {pair.radii[1]:.12f}")
+    return pair
 
 
 def defect(t, tol=DEFAULT):
@@ -508,14 +514,11 @@ def _jordan_clusters(t, scale, tol):
 def _jordan_of(data, n, scale, tol):
     """``_jordan_clusters`` of the n x n complex matrix whose bytes are
     ``data``, kept for the last few matrices: one certification asks for T1
-    in ``minimal_blaschke`` and again in ``joint_spectrum_taylor``, and so
-    for S1 of the constrained pair, and each is analysed once.  The bases
-    are read-only."""
+    in ``minimal_blaschke`` and again in ``_joint_spaces``, and so for S1 of
+    the constrained pair, and each is analysed once.  The bases are
+    read-only."""
     t = np.frombuffer(data, dtype=complex).reshape(n, n)
-    out = tuple(_jordan_clusters(t, scale, tol))
-    for _, _, q in out:
-        q.setflags(write=False)
-    return out
+    return tuple((lam, index, _frozen(q)) for lam, index, q in _jordan_clusters(t, scale, tol))
 
 
 def _mean_eigenvalue(m, q):
@@ -524,76 +527,58 @@ def _mean_eigenvalue(m, q):
     return complex(np.trace(q.conj().T @ m @ q)) / q.shape[1]
 
 
-def joint_spectrum_taylor(pair, tol=DEFAULT):
-    """Joint (Taylor) spectrum of a commuting pair, with multiplicity.
+@lru_cache(maxsize=8)
+def _joint_spaces(pair, tol):
+    """The joint generalized eigenspaces of a commuting pair, as
+    (lambda, mu, V): V a read-only orthonormal basis, lambda and mu the
+    traces of T1 and T2 on it over its dimension.
 
-    T2 commutes with T1, so it leaves each generalized eigenspace
-    ker (T1 - lambda)^count of T1 invariant, and the space is the direct sum
-    of them.  In a basis adapted to that sum both matrices are block
-    diagonal, and a basis that triangularizes T2's block on one space
-    triangularizes T1's block too, whose only eigenvalue is lambda.  So the
-    joint spectrum is the set of (lambda, mu) with mu an eigenvalue of the
-    compression Q* T2 Q of T2 to the generalized eigenspace of lambda, each
-    point counted as often as mu is.  The spaces Q, and then those of each
-    compression, come from ``_jordan_clusters``, which raises
-    DegenerateCluster where its rank decisions are not clear; lambda and mu
-    are the traces of the compressions over their dimensions.  No Schur
-    factorization and no random combination is used.
+    T2 leaves each generalized eigenspace Q of T1 invariant, since the pair
+    commutes, and V = Q Qb for each generalized eigenspace Qb of the
+    compression Q* T2 Q; both come from ``_jordan_clusters``, which raises
+    DegenerateCluster where a rank decision is not clear.  No Schur
+    factorization and no random combination is used.  Kept for the last few
+    pairs, so that both joint spectra of a pair read one traversal.
     """
     t1, t2 = pair.t1, pair.t2
     scale = max(1.0, pair.norms[1])
-    points = []
+    out = []
     for _, _, q in _jordan_of(t1.tobytes(), pair.n, max(1.0, pair.norms[0]), tol):
         lam = _mean_eigenvalue(t1, q)
         block = q.conj().T @ t2 @ q
         for _, _, qb in _jordan_clusters(block, scale, tol):
-            points += [(lam, _mean_eigenvalue(block, qb))] * qb.shape[1]
+            out.append((lam, _mean_eigenvalue(block, qb), _frozen(q @ qb)))
+    return tuple(out)
+
+
+def joint_spectrum_taylor(pair, tol=DEFAULT):
+    """Joint (Taylor) spectrum of a commuting pair, with multiplicity: each
+    point (lambda, mu) of ``_joint_spaces`` as often as its space's
+    dimension, since a basis that triangularizes T2 on the space
+    triangularizes T1 too, whose only eigenvalue there is lambda."""
+    points = []
+    for lam, mu, v in _joint_spaces(pair, tol):
+        points += [(lam, mu)] * v.shape[1]
     return JointSpectrum(points=tuple(points))
 
 
 def joint_point_spectrum(pair, tol=DEFAULT):
     """Joint eigenvalues witnessed by common eigenvectors.
 
-    For each eigenvalue cluster of T1 the kernel of T1 - lambda I is computed
-    and T2 is restricted to it; eigenpairs of the restriction whose witnesses
-    satisfy both eigen-equations within ``tol_eig`` are returned.
+    Every common eigenvector lies in one joint generalized eigenspace V of
+    ``_joint_spaces``, with eigenvalues its (lambda, mu).  The witnesses at
+    that point are V times the kernel of [(T1 - lambda) V; (T2 - mu) V], cut
+    at tol_eig * max(1, ||T1||, ||T2||) under the rank guard: an orthonormal
+    basis of the joint eigenspace, each witness repeating its point.
     """
-    t1, t2 = pair.t1, pair.t2
-    n = t1.shape[0]
-    scale = max(1.0, pair.norms[0], pair.norms[1])
-    points = []
-    witnesses = []
-    for center, count in _cluster_means(np.linalg.eigvals(t1), _EIG_MERGE):
-        lam = complex(center[0])
-        kbasis = kernel(t1 - lam * np.eye(n), 0.0,
-                        max(1e-7, 1e3 * np.finfo(float).eps * n) * scale)
-        kdim = kbasis.shape[1]
-        if kdim == 0:
-            continue
-        m = kbasis.conj().T @ t2 @ kbasis
-        evals, evecs = np.linalg.eig(m)
-        for idx in range(kdim):
-            w = kbasis @ evecs[:, idx]
-            nrm = np.linalg.norm(w)
-            if nrm < 1e-12:
-                continue
-            w = w / nrm
-            lam_r = complex(w.conj() @ t1 @ w)
-            mu_r = complex(w.conj() @ t2 @ w)
-            r1 = float(np.linalg.norm(t1 @ w - lam_r * w))
-            r2 = float(np.linalg.norm(t2 @ w - mu_r * w))
-            if max(r1, r2) <= tol.tol_eig * scale:
-                points.append((lam_r, mu_r))
-                witnesses.append(w)
-    order = sorted(
-        range(len(points)),
-        key=lambda i: (points[i][0].real, points[i][0].imag,
-                       points[i][1].real, points[i][1].imag),
-    )
-    return JointSpectrum(
-        points=tuple(points[i] for i in order),
-        witnesses=tuple(witnesses[i] for i in order),
-    )
+    cut = tol.tol_eig * max(1.0, *pair.norms)
+    points, witnesses = [], []
+    for lam, mu, v in _joint_spaces(pair, tol):
+        residual = np.vstack([pair.t1 @ v - lam * v, pair.t2 @ v - mu * v])
+        w = v @ kernel(residual, 0.0, cut, f"joint eigenspace at ({lam:.6g}, {mu:.6g}):", tol=tol)
+        points += [(lam, mu)] * w.shape[1]
+        witnesses += list(w.T)
+    return JointSpectrum(points=tuple(points), witnesses=tuple(witnesses))
 
 
 def minimal_blaschke(t, tol=DEFAULT):

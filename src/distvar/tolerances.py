@@ -23,7 +23,7 @@ class Tolerances:
     tol_commute: float = 1e-8       # commutator norm
     tol_norm: float = 1e-8          # contractivity slack on ||T||
     tol_rank: float = 1e-7          # relative numerical-rank threshold
-    tol_eig: float = 1e-8           # eigenvector witness residual
+    tol_eig: float = 1e-8           # joint eigenvector cut, relative to max(1, ||T1||, ||T2||)
     tol_ann: float = 1e-8           # annihilation norm for ideal membership
     # dilation machinery
     tol_trunc: float = 1e-10        # ||J*J - I|| after truncation

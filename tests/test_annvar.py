@@ -156,11 +156,11 @@ def test_deep_jordan_zero_set_equals_omega(companion_psi_2):
 
 
 def test_cluster_merge_override_is_applied():
-    # a multiplicity-4 zero: at the default merge radius every check passes.
-    # A zero radius keeps apart the witness points of Omega, which agree only
-    # to rounding and so sit closer than the warning gap: the projection
-    # check reads that as degenerate
-    spec = random_recipe(9, repeated=True)
+    # zeros of multiplicity 3 and 1: at the default merge radius every check
+    # passes.  A radius of 0.5 merges the points over both zeros.  Z(Ann)
+    # repeats those over the triple zero three times and Omega once, so the
+    # merged points differ and lie off the variety
+    spec = random_recipe(0, repeated=True)
 
     def statuses(tolerances):
         report = run_certification(
@@ -170,7 +170,8 @@ def test_cluster_merge_override_is_applied():
         return {e.name: e.status for e in report.entries}
 
     assert set(statuses({}).values()) == {"pass"}
-    assert statuses({"cluster_merge": 0.0})["omega-projection"] == "inconclusive"
+    merged = statuses({"cluster_merge": 0.5})
+    assert merged["zero-set-equals-omega"] == merged["support-collapse"] == "fail"
 
 
 # the repeated-zero recipes whose split Jordan blocks gave a wrong fail when

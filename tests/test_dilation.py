@@ -507,3 +507,64 @@ def test_ann_invariance_between_pair_and_constrained():
         for g in basis.generators:
             res = np.linalg.norm(dv.poly_apply(g, (bundle.s1, bundle.s2)), 2)
             assert res < 1e-7 * max(1.0, g.scale)
+
+
+@pytest.mark.parametrize("shape", [(456, 12), (3, 3), (1, 5)])
+def test_the_whole_space_test_agrees_with_the_2_norm(shape):
+    # the Frobenius norm decides outside the band [cap, sqrt(min(shape)) cap];
+    # inside it, and at its edges, the decision is the 2-norm's
+    rng = np.random.default_rng(0)
+    for rank in (1, min(shape)):
+        m = rng.normal(size=(shape[0], rank)) @ rng.normal(size=(rank, shape[1]))
+        for target in (0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0, 2 * np.sqrt(min(shape))):
+            scaled = m * (target * 1e-12 / opnorm(m))
+            assert dilation._norm_at_most(scaled, 1e-12) == (opnorm(scaled) <= 1e-12)
+
+
+def test_the_generator_stack_takes_at_most_its_kernel_svd(svd_calls):
+    # on a recipe's pair every generator vanishes on the model pair, which the
+    # Frobenius norm settles; on this diagonal pair the model space has
+    # dimension 4 and the constrained space 2, which the kernel's SVD settles
+    diagonal = dv.validate_pair(np.diag([0.1, 0.5]), np.diag([0.3, -0.4]), require_pure=True)
+    inst = make_instance(random_recipe(3))
+    for pair, psi, calls in ((inst.pair, inst.psi, 0), (diagonal, dv.construct_psi(diagonal), 1)):
+        basis = dv.ann_generators(pair)
+        svd_calls.clear()
+        bundle = dv.constrained_coextension(pair, psi, basis)
+        n_model = basis.m1.degree * psi.d
+        stack = (len(basis.generators) * n_model, n_model)
+        assert [c for c in svd_calls if c[0] == stack] == [(stack, False, True)] * calls
+        assert bundle.kpsi_dim == pair.n
+
+
+def test_a_certification_validates_the_constrained_pair_once(monkeypatch):
+    # validate_pair takes the two spectral radii of a pair.  Past the input
+    # pair, a certification validates the model pair of m1 and (S1, S2); the
+    # support check and Omega's adjoint pair reuse the validation of (S1, S2)
+    inst = make_instance(random_recipe(1))
+    shapes = []
+    radius = dv.opcore.spectral_radius
+    monkeypatch.setattr(dv.opcore, "spectral_radius",
+                        lambda m: shapes.append(m.shape) or radius(m))
+    artifacts = {}
+    run_certification(inst, artifacts=artifacts)
+    bundle = artifacts["bundle"]
+    n_model = artifacts["basis"].m1.degree * inst.psi.d
+    assert shapes == [(n_model, n_model)] * 2 + [bundle.s1.shape] * 2
+    assert dv.s_pair(bundle) is bundle.constrained
+    assert [bundle.residuals[k] for k in ("s1_radius", "s2_radius")] == [
+        radius(bundle.s1), radius(bundle.s2)]
+
+
+def test_a_degenerate_point_spectrum_is_inconclusive(monkeypatch, companion_psi_2):
+    pair = dv.compress_pair(companion_psi_2, dv.BlaschkeProduct([(0.0, 2)]))
+    bundle = dv.constrained_coextension(pair, companion_psi_2, dv.ann_generators(pair))
+
+    def degenerate(*args, **kwargs):
+        raise dv.errors.DegenerateCluster("joint eigenspace singular value inside the guard band")
+
+    monkeypatch.setattr(dilation, "joint_point_spectrum", degenerate)
+    entries = dv.verify_coextension(bundle, dv.variety_polynomial(companion_psi_2))
+    entry = next(e for e in entries if e.name == "point-spectrum-on-variety")
+    assert entry.status == "inconclusive"
+    assert "guard band" in entry.data["reason"]

@@ -55,6 +55,16 @@ def test_pairs_compare_and_hash_by_identity():
     assert "defect_ranks" in vars(a)
 
 
+def test_the_adjoint_pair_keeps_the_validation():
+    pair = dv.validate_pair(0.2 * np.eye(2) + 0.3 * J2, 0.4j * np.eye(2) + 0.1 * J2)
+    adj = pair.adjoint()
+    assert np.array_equal(adj.t1, pair.t1.conj().T) and np.array_equal(adj.t2, pair.t2.conj().T)
+    assert not adj.t1.flags.writeable and not adj.t2.flags.writeable
+    fresh = dv.validate_pair(adj.t1, adj.t2)
+    for name in ("commutator_norm", "norms", "radii", "purity_margins", "pure"):
+        assert getattr(adj, name) == pytest.approx(getattr(fresh, name), abs=1e-15)
+
+
 def test_validate_pair_noncommuting():
     with pytest.raises(NonCommuting):
         dv.validate_pair([[0, 1], [0, 0]], [[0, 0], [1, 0]])
@@ -289,6 +299,64 @@ def test_point_subset_of_taylor():
             ) < 1e-8
 
 
+def test_point_spectrum_of_a_nilpotent_t2_has_one_witness():
+    # T1 = 0 has one generalized eigenspace, the whole space, on which T2 is
+    # a Jordan block: one joint eigenvector, so one point and one witness
+    pair = dv.validate_pair(np.zeros((2, 2)), 0.5 * J2)
+    spec = dv.joint_point_spectrum(pair)
+    assert spec.points == ((0j, 0j),)
+    assert len(spec.witnesses) == 1
+    assert abs(abs(spec.witnesses[0][1]) - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("jordan, count", [(0.0, 2), (1e-5, 1), (1e-8, None)])
+def test_point_spectrum_decides_a_jordan_entry_by_the_guarded_cut(jordan, count):
+    # 0.3 I + c J2 has two joint eigenvectors with T2 = diag(0.1, -0.2) when
+    # c = 0, and one with T2 = 0.5 I when c is far above the cut
+    # tol_eig * scale = 1e-8; c = 1e-8 sits inside its rank-guard band
+    t2 = np.diag([0.1, -0.2]) if jordan == 0.0 else 0.5 * np.eye(2)
+    pair = dv.validate_pair(0.3 * np.eye(2) + jordan * J2, t2)
+    if count is None:
+        with pytest.raises(DegenerateCluster, match="joint eigenspace"):
+            dv.joint_point_spectrum(pair)
+        return
+    spec = dv.joint_point_spectrum(pair)
+    assert len(spec.points) == len(spec.witnesses) == count
+
+
+def _spectra_cases():
+    pairs = [_random_commuting_pair(seed) for seed in range(6)]
+    pairs += [dv.make_instance(dv.random_recipe(s, repeated=True)).pair for s in range(20)]
+    return pairs
+
+
+def test_point_spectrum_witnesses_are_orthonormal_eigenvectors():
+    for pair in _spectra_cases():
+        try:
+            spec = dv.joint_point_spectrum(pair)
+        except DegenerateCluster:
+            continue
+        cut = dv.DEFAULT.tol_eig * max(1.0, *pair.norms)
+        for point in set(spec.points):
+            w = np.array([v for p, v in zip(spec.points, spec.witnesses) if p == point]).T
+            assert np.linalg.norm(w.conj().T @ w - np.eye(w.shape[1]), 2) < 1e-13
+            for t, value in zip((pair.t1, pair.t2), point):
+                assert np.linalg.norm(t @ w - value * w, 2) <= cut
+
+
+def test_point_spectrum_is_the_deduplicated_taylor_spectrum():
+    # every joint generalized eigenspace holds a joint eigenvector; the two
+    # spectra read one traversal, so they raise together or not at all
+    for pair in _spectra_cases():
+        try:
+            taylor = dv.joint_spectrum_taylor(pair)
+        except DegenerateCluster:
+            with pytest.raises(DegenerateCluster):
+                dv.joint_point_spectrum(pair)
+            continue
+        assert set(dv.joint_point_spectrum(pair).points) == set(taylor.points)
+
+
 def _close_zero_pairs(gap, companion_psi_2, scalar_shift_psi):
     """Pairs whose T1 has the simple eigenvalues 0.3 and 0.3 + gap: a
     diagonal pair, and the model pairs of two symbols over those zeros
@@ -359,6 +427,30 @@ def test_minimal_blaschke_and_the_taylor_spectrum_analyse_t1_once(monkeypatch,
     assert sorted(shapes[1:]) == [(2, 2), (6, 6)]
     assert sorted(m for _, m in m1.zeros) == [1, 3]
     assert len(spec.points) == pair.n
+
+
+def test_both_joint_spectra_of_the_pair_read_one_traversal(monkeypatch, companion_psi_2):
+    # verify_coextension takes the point spectrum of the pair and z_ann its
+    # Taylor spectrum: T2 is compressed to each generalized eigenspace of T1
+    # and analysed once, for both
+    pair = dv.compress_pair(companion_psi_2, dv.BlaschkeProduct([(0.1, 3), (-0.4j, 1)]))
+    basis = dv.ann_generators(pair)
+    bundle = dv.constrained_coextension(pair, companion_psi_2, basis)
+    variety = dv.variety_polynomial(companion_psi_2)
+    dv.minimal_blaschke(bundle.s1)  # so that verify_coextension finds S1 analysed
+    shapes = []
+    analyse = dv.opcore._jordan_clusters
+
+    def recording(t, *args):
+        shapes.append(t.shape)
+        return analyse(t, *args)
+
+    monkeypatch.setattr(dv.opcore, "_jordan_clusters", recording)
+    dv.opcore._joint_spaces.cache_clear()
+    dv.verify_coextension(bundle, variety)
+    zset = dv.z_ann(basis, pair)
+    assert sorted(shapes) == [(2, 2), (6, 6)]
+    assert len(zset) == 4  # two points of w^2 = z over each zero
 
 
 # ---------------------------------------------------------------------------

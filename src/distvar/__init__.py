@@ -30,7 +30,6 @@ from .dilation import (
     constrained_coextension,
     embed_J,
     model_shift,
-    s_pair,
     verify_coextension,
 )
 from .inner import (

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnnTrivial, DegenerateCluster, NotPure
-from .inner import eval_psi
+from .inner import eval_psi_grid
 from .opcore import (
-    cluster_points,
+    _jordan_clusters,
     dedupe_points,
-    joint_point_spectrum,
     joint_spectrum_taylor,
     kernel,
     matching_distance,
@@ -113,13 +112,24 @@ def z_ann(basis, pair, tol=DEFAULT):
 def omega_psi(bundle, tol=DEFAULT):
     """Conjugate joint point spectrum of (S1*, S2*): the set Omega.
 
-    Every returned point lies in the open bidisc and carries an eigenvector
-    witness in the model coordinates.
+    As a set it is the joint spectrum of (S1, S2), read off the traversal
+    that ``support_bounds`` reads.  The witnesses at (lambda, mu), in the
+    model coordinates, are the guarded kernel of [(S1 - lambda)*; (S2 - mu)*]
+    cut at tol_eig * max(1, ||S1||, ||S2||); a point without one is not in
+    Omega.
     """
-    spec = joint_point_spectrum(bundle.constrained.adjoint(), tol=tol)
-    pts = [(np.conj(lam), np.conj(mu)) for lam, mu in spec.points]
-    deduped = dedupe_points(pts, tol=tol)
-    return tuple(deduped), spec.witnesses
+    pair = bundle.constrained
+    eye = np.eye(pair.n)
+    cut = tol.tol_eig * max(1.0, *pair.norms)
+    points, witnesses = [], []
+    for lam, mu in dedupe_points(joint_spectrum_taylor(pair, tol=tol).points, tol=tol):
+        shifts = np.hstack([pair.t1 - lam * eye, pair.t2 - mu * eye]).conj().T
+        w = kernel(shifts, 0.0, cut, f"adjoint joint eigenspace at ({lam:.6g}, {mu:.6g}):",
+                   tol=tol)
+        if w.shape[1]:
+            points.append((lam, mu))
+            witnesses += list(w.T)
+    return tuple(points), tuple(witnesses)
 
 
 def settle(fn, *args, **kwargs):
@@ -263,30 +273,18 @@ def _require_conclusive_fibers(psi, m1, tol):
     """Degeneracy guard for simple-root instances.
 
     With simple m1 the witness-span condition reads eigenvector structure of
-    the symbol fibers at the zeros; repeated fiber eigenvalues carried by a
-    deficient eigenspace (or distinct ones inside the warning gap) make that
+    the symbol fibers at the zeros; ``_jordan_clusters`` reads each fiber,
+    and a degenerate cluster or a Jordan block of size above 1 makes that
     reading unstable, so such instances are routed to DegenerateCluster.
     """
-    for lam, _ in m1.zeros:
-        mat = np.asarray(eval_psi(psi, lam))
-        vals = np.linalg.eigvals(mat)
-        n = vals.size
-        for group in cluster_points(list(vals), tol.cluster_warn):
-            if len(group) < 2:
-                continue
-            pts = vals[group]
-            spread = float(np.max(np.abs(pts[:, None] - pts[None, :])))
-            if spread > 1e-9:
+    lams = [a for a, _ in m1.zeros]
+    fibers = eval_psi_grid(psi, lams)
+    for lam, fiber, norm in zip(lams, fibers, opnorms(fibers)):
+        for mu, index, _ in _jordan_clusters(fiber, max(1.0, norm), tol):
+            if index > 1:
                 raise DegenerateCluster(
-                    f"fiber eigenvalues at {lam} separated by {spread:.3e}, "
-                    f"inside the warning gap"
-                )
-            mu = complex(np.mean(pts))
-            geo = kernel(mat - mu * np.eye(n), 1e-7, 1e-7).shape[1]
-            if geo < len(group):
-                raise DegenerateCluster(
-                    f"defective symbol fiber at {lam}: eigenvalue {mu} has "
-                    f"geometric multiplicity {geo} < {len(group)}"
+                    f"defective symbol fiber at {lam}: eigenvalue {mu} has a "
+                    f"Jordan block of size {index}"
                 )
 
 
@@ -298,8 +296,9 @@ def synthesis_report(omega, bundle, basis, tol=DEFAULT):
     (iii) radical univariate annihilator (reduces to simple roots),
     (iv)  m1 is a Blaschke product with simple roots.
 
-    ``omega`` is the result of omega_psi (see settle).  Fiber clusters below
-    the warning gap make the instance inconclusive.
+    ``omega`` is the result of omega_psi (see settle).  With simple m1, a
+    symbol fiber whose Jordan analysis is degenerate or has a block of size
+    above 1 makes the instance inconclusive.
     """
     m1 = bundle.m1
     if m1.degree == 0:

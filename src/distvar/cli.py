@@ -179,9 +179,10 @@ def cmd_demo(args, tol):
         boundary_n=args.boundary_samples,
     )
     inst = make_instance(spec, tol)
-    report = run_certification(inst, tol=tol)
+    artifacts = {}
+    report = run_certification(inst, tol=tol, artifacts=artifacts)
     os.makedirs(args.out, exist_ok=True)
-    variety = variety_polynomial(inst.psi, tol=tol)
+    variety = artifacts["variety"]
     payload = variety_to_json(variety)
     payload["psi"] = psi_to_json(inst.psi)
     dump_json(payload, os.path.join(args.out, "demo-variety.json"))

@@ -353,12 +353,6 @@ def constrained_coextension(pair, psi, basis, tol=DEFAULT):
     )
 
 
-def s_pair(bundle, tol=DEFAULT):
-    """The constrained pair, validated when the bundle was built; ``tol`` is
-    unused and kept for callers that pass it."""
-    return bundle.constrained
-
-
 def verify_coextension(bundle, variety, tol=DEFAULT):
     """Contract checks for a bundle against its variety polynomial.
 

@@ -27,16 +27,19 @@ Jordan structure is read in one place, ``_jordan_clusters``: the kernels
 of the powers (T - lambda)^k, taken by ``kernel`` under the guarded rank
 rule, grow to the generalized eigenspace of each eigenvalue cluster or the
 cluster is degenerate.  ``minimal_blaschke`` reads the multiplicities off
-it, and ``_joint_spaces`` compresses T2 to each generalized eigenspace of
-T1, which T2 leaves invariant, for the joint generalized eigenspaces that
-both joint spectra read: no Schur factorization and no random combination.
+it, the synthesis fiber guard (``annvar``) the Jordan blocks of each symbol
+fiber, and ``_joint_spaces`` compresses T2 to each generalized eigenspace
+of T1, which T2 leaves invariant, for the joint generalized eigenspaces that
+every joint spectrum reads: no Schur factorization and no random
+combination.  Omega, the conjugated joint point spectrum of (S1*, S2*), is
+read off the traversal of (S1, S2) (``annvar.omega_psi``).
 
 ``assignment_max`` settles most matchings by a row-minimum certificate;
 ``scipy.optimize``, whose import costs about 0.2 s, is loaded only when a
 matching needs its assignment solver.  Nothing else here uses scipy.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -356,11 +359,6 @@ class CommutingPair:
     @property
     def pure(self):
         return max(self.radii) < 1.0
-
-    def adjoint(self):
-        """The pair (T1*, T2*).  It has the same norms, commutator norm and
-        spectral radii, so it takes no validation of its own."""
-        return replace(self, t1=_frozen(self.t1.conj().T), t2=_frozen(self.t2.conj().T))
 
     @cached_property
     def defect_ranks(self):

@@ -201,8 +201,7 @@ def test_criterion_7_dilation_contracts(sweep200):
             [(a, float(m)) for a, m in mb.zeros],
             [(a, float(m)) for a, m in bundle.m1.zeros],
         ) <= 1e-6
-        spair = dv.s_pair(bundle)
-        sbasis = dv.ann_generators(spair)
+        sbasis = dv.ann_generators(bundle.constrained)
         from distvar.annvar import _span_matrix, _spans_equal
 
         d1, d2 = basis.box

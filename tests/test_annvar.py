@@ -2,13 +2,14 @@ import dataclasses
 import json
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import distvar as dv
 from distvar import annvar, opcore
-from distvar.errors import NoInnerSolution
+from distvar.errors import DegenerateCluster, NoInnerSolution
 from distvar.instances import (
     InstanceSpec,
     make_instance,
@@ -116,6 +117,51 @@ def test_omega_two_points(two_point_instance):
     _, _, bundle = two_point_instance
     omega, _ = dv.omega_psi(bundle)
     assert dv.matching_distance(list(omega), [(0.0, 0.0), (0.5, 0.5)]) < 1e-8
+
+
+def _witness_counts(points, witnesses, s1, s2):
+    """How many witnesses are common eigenvectors of (S1*, S2*) at the
+    conjugate of each point; every witness must belong to exactly one."""
+    counts = [0] * len(points)
+    for w in witnesses:
+        owners = [k for k, (lam, mu) in enumerate(points)
+                  if np.linalg.norm(s1.conj().T @ w - np.conj(lam) * w) < 1e-10
+                  and np.linalg.norm(s2.conj().T @ w - np.conj(mu) * w) < 1e-10]
+        assert len(owners) == 1
+        counts[owners[0]] += 1
+    return counts
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+def test_omega_agrees_with_the_point_spectrum_of_the_adjoint_pair(repeated):
+    # the reference is the adjoint pair's own traversal, conjugated
+    for seed in range(20):
+        inst = make_instance(random_recipe(seed, repeated=repeated))
+        basis = dv.ann_generators(inst.pair)
+        bundle = dv.constrained_coextension(inst.pair, inst.psi, basis)
+        s1, s2 = bundle.s1, bundle.s2
+        ref = dv.joint_point_spectrum(dv.validate_pair(s1.conj().T, s2.conj().T))
+        ref_points = opcore.dedupe_points([(np.conj(a), np.conj(b)) for a, b in ref.points])
+        omega, witnesses = dv.omega_psi(bundle)
+        assert dv.matching_distance(list(omega), list(ref_points)) <= 1e-12
+        ref_counts = _witness_counts(ref_points, ref.witnesses, s1, s2)
+        for (lam, mu), count in zip(omega, _witness_counts(omega, witnesses, s1, s2)):
+            near = np.argmin([max(abs(lam - a), abs(mu - b)) for a, b in ref_points])
+            assert count == ref_counts[near]
+
+
+def test_omega_witnesses_are_adjoint_eigenvectors():
+    # S1 = E13 / 2 and S2 = E23 / 2 commute (both products vanish); at (0, 0)
+    # the joint kernel of (S1, S2) is {x3 = 0} and that of (S1*, S2*) is
+    # span(e3), so the right point spectrum has two witnesses and Omega one
+    s1, s2 = np.zeros((3, 3)), np.zeros((3, 3))
+    s1[0, 2] = s2[1, 2] = 0.5
+    pair = dv.validate_pair(s1, s2)
+    assert len(dv.joint_point_spectrum(pair).witnesses) == 2
+    omega, witnesses = dv.omega_psi(SimpleNamespace(constrained=pair))
+    assert omega == ((0j, 0j),)
+    assert len(witnesses) == 1
+    assert abs(abs(witnesses[0][2]) - 1.0) < 1e-14
 
 
 def test_zann_equals_omega(j2_instance, two_point_instance):
@@ -328,6 +374,29 @@ def test_synthesis_defective_fiber_is_inconclusive(companion_psi_2):
     assert verdict.status == "inconclusive"
 
 
+@pytest.mark.parametrize("fiber, degenerate", [
+    (0.3 * np.eye(2) + 0.5 * J2, True),       # a Jordan block
+    (0.3 * np.eye(2), False),
+    (np.diag([0.3, 0.305]), False),            # outside the merge radius
+    (np.diag([0.3, 0.301]), True),             # inside it, and distinct
+    (np.diag([0.3, 0.3005]), True),
+    (np.diag([0.3, 0.30005]), True),
+    (np.diag([0.3, 0.3 + 5e-9]), True),
+    (np.diag([0.3, 0.3 + 5e-10]), True),
+])
+def test_the_fiber_guard_reads_the_jordan_analysis(monkeypatch, fiber, degenerate):
+    # the fiber at a simple zero of m1 is judged at the pipeline's merge
+    # radius: distinct eigenvalues closer than it, or a Jordan block, make
+    # the witness-span reading inconclusive
+    monkeypatch.setattr(annvar, "eval_psi_grid", lambda psi, zs: np.array([fiber] * len(zs)))
+    m1 = dv.BlaschkeProduct([(0.2, 1)])
+    if degenerate:
+        with pytest.raises(DegenerateCluster):
+            annvar._require_conclusive_fibers(None, m1, dv.DEFAULT)
+    else:
+        annvar._require_conclusive_fibers(None, m1, dv.DEFAULT)
+
+
 def test_synthesis_iii_iv_always_agree():
     for seed in range(8):
         inst = make_instance(random_recipe(seed, repeated=bool(seed % 2)))
@@ -360,12 +429,33 @@ def test_run_certification_computes_each_set_once(monkeypatch):
             for key, val in list(vars(mod).items()):
                 if val is orig:
                     monkeypatch.setattr(mod, key, counted)
+    analysed = []
+    analyse = opcore._jordan_clusters
+    for mod in modules:
+        if vars(mod).get("_jordan_clusters") is analyse:
+            monkeypatch.setattr(mod, "_jordan_clusters",
+                                lambda t, *args: analysed.append(t) or analyse(t, *args))
 
     # the curve w^2 = z over a double zero of theta at the branch point
     spec = InstanceSpec(theta_zeros=((0j, 2),), psi_spec={"kind": "companion", "d": 2},
                         boundary_n=128)
     inst = make_instance(spec)
     counts.clear()
-    run_certification(inst)
+    opcore._jordan_of.cache_clear()
+    opcore._joint_spaces.cache_clear()
+    artifacts = {}
+    run_certification(inst, artifacts=artifacts)
     # m1 and m2 of the pair, then the check that S1 has minimal product m1
     assert counts == {"omega_psi": 1, "z_ann": 1, "minimal_blaschke": 3}
+
+    # Omega reads the traversal of (S1, S2): S1 is analysed once, and neither
+    # S1* nor a compression of S2* to a generalized eigenspace of S1* is
+    def times(m):
+        return sum(t.shape == m.shape and np.allclose(t, m, rtol=0, atol=1e-12)
+                   for t in analysed)
+
+    s1, s2 = artifacts["bundle"].s1, artifacts["bundle"].s2
+    assert times(s1) == 1
+    assert times(s1.conj().T) == 0
+    for _, _, q in analyse(s1.conj().T, max(1.0, opcore.opnorm(s1)), dv.DEFAULT):
+        assert times(q.conj().T @ s2.conj().T @ q) == 0

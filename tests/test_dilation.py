@@ -492,8 +492,7 @@ def test_ann_invariance_between_pair_and_constrained():
         inst = make_instance(random_recipe(seed))
         basis = dv.ann_generators(inst.pair)
         bundle = dv.constrained_coextension(inst.pair, inst.psi, basis)
-        spair = dv.s_pair(bundle)
-        sbasis = dv.ann_generators(spair)
+        sbasis = dv.ann_generators(bundle.constrained)
         assert sbasis.box == basis.box
         assert len(sbasis.box_generators) == len(basis.box_generators)
         # mutual span containment of the box kernels
@@ -540,7 +539,7 @@ def test_the_generator_stack_takes_at_most_its_kernel_svd(svd_calls):
 def test_a_certification_validates_the_constrained_pair_once(monkeypatch):
     # validate_pair takes the two spectral radii of a pair.  Past the input
     # pair, a certification validates the model pair of m1 and (S1, S2); the
-    # support check and Omega's adjoint pair reuse the validation of (S1, S2)
+    # support check and Omega reuse the validation of (S1, S2)
     inst = make_instance(random_recipe(1))
     shapes = []
     radius = dv.opcore.spectral_radius
@@ -551,7 +550,6 @@ def test_a_certification_validates_the_constrained_pair_once(monkeypatch):
     bundle = artifacts["bundle"]
     n_model = artifacts["basis"].m1.degree * inst.psi.d
     assert shapes == [(n_model, n_model)] * 2 + [bundle.s1.shape] * 2
-    assert dv.s_pair(bundle) is bundle.constrained
     assert [bundle.residuals[k] for k in ("s1_radius", "s2_radius")] == [
         radius(bundle.s1), radius(bundle.s2)]
 

@@ -55,16 +55,6 @@ def test_pairs_compare_and_hash_by_identity():
     assert "defect_ranks" in vars(a)
 
 
-def test_the_adjoint_pair_keeps_the_validation():
-    pair = dv.validate_pair(0.2 * np.eye(2) + 0.3 * J2, 0.4j * np.eye(2) + 0.1 * J2)
-    adj = pair.adjoint()
-    assert np.array_equal(adj.t1, pair.t1.conj().T) and np.array_equal(adj.t2, pair.t2.conj().T)
-    assert not adj.t1.flags.writeable and not adj.t2.flags.writeable
-    fresh = dv.validate_pair(adj.t1, adj.t2)
-    for name in ("commutator_norm", "norms", "radii", "purity_margins", "pure"):
-        assert getattr(adj, name) == pytest.approx(getattr(fresh, name), abs=1e-15)
-
-
 def test_validate_pair_noncommuting():
     with pytest.raises(NonCommuting):
         dv.validate_pair([[0, 1], [0, 0]], [[0, 0], [1, 0]])

@@ -210,10 +210,8 @@ def _symbol_matrix(sym, t):
 
 def _symbol_disc_sup(sym, n=2048):
     ts = np.exp(2j * np.pi * np.arange(n) / n)
-    if isinstance(sym, Poly1):
+    if isinstance(sym, (Poly1, BlaschkeProduct)):
         return float(np.abs(sym(ts)).max())
-    if isinstance(sym, BlaschkeProduct):
-        return float(max(abs(sym(z)) for z in ts))
     num, den = sym
     dv = np.abs(den(ts))
     if dv.min() <= 1e-12:

@@ -1,9 +1,11 @@
 """Isometric co-extensions, symbol construction, and the constrained model.
 
-The embedding J maps H into a truncated coefficient model of H^2 tensor C^d:
-row block m holds the defect-coordinate vector of D T1*^m, so that
-J T1* = (shift*) J holds exactly block-wise and ||J*J - I|| equals
-||T1^(N+1)||^2, which fixes the truncation degree.
+The embedding J maps H into the model space K_(m1) tensor C^d of the
+minimal Blaschke product m1 of T1, in the Malmquist-Takenaka basis that
+``model_shift(m1)`` and ``compress_pair(psi, m1)`` use: block r is the
+defect coordinates of T1 times e_r(T1)*, for the basis function e_r.  So J,
+the model pair and the constrained pair share one set of coordinates, no
+series is cut, and ||J*J - I|| = ||m1(T1)||^2.
 
 Every model operator is built in closed form.  The compression of
 (M_z tensor I, M_Psi) to a co-invariant model space K_b tensor C^d is
@@ -25,7 +27,6 @@ from .errors import (
     NotPure,
     NotPureRealization,
     NotUnitaryColligation,
-    TruncationNotConverged,
 )
 from .inner import from_colligation, interior_pureness, psi_of_matrix
 from .opcore import (
@@ -44,46 +45,36 @@ from .poly import BlaschkeProduct
 from .report import FAIL, PASS, CertEntry, inconclusive
 from .tolerances import DEFAULT
 
-_EMBED_CAP = 5000  # powers of T1 normed before embed_J gives up
-
 # ---------------------------------------------------------------------------
 # minimal isometric co-extension
 
 
-def embed_J(pair, tol=DEFAULT):
-    """Truncated minimal isometric co-extension of T1.
+def embed_J(pair, m1, tol=DEFAULT):
+    """Minimal isometric co-extension V of T1, in the model space of m1.
 
-    Returns ``(J, n_trunc, w)`` where J has row blocks  w* D T1*^m  for
-    m = 0..n_trunc in the defect-range coordinates ``w`` (cut at
-    ``tol.tol_rank``) and ||J*J - I|| = ||T1^(n_trunc+1)||^2 <= tol.tol_trunc.
+    V h = r0 (I - z T1*)^(-1) h for the defect coordinates r0 = w* D of T1,
+    the defect range ``w`` cut at ``tol.tol_rank``.  V* M_(m1) = m1(T1) V* = 0,
+    so V maps into K_(m1) tensor C^d, and J is V in the Malmquist-Takenaka
+    basis of ``model_shift(m1)``: block r is r0 e_r(T1)*, with
+    e_r(T1) = prod_(j<r) (T1 - a_j)(I - conj(a_j) T1)^(-1)
+    sqrt(1 - |a_r|^2) (I - conj(a_r) T1)^(-1) over the zeros of
+    ``m1.zero_list()``.  Then J*J = I - m1(T1) m1(T1)* and
+    J T1* = (S tensor I)* J for S = model_shift(m1).  Returns ``(J, r0)``.
     """
     if not pair.pure:
         raise NotPure("co-extension requires a pure pair")
-    t1 = pair.t1
-    droot, rank, w = defect(t1, tol=tol)
-    n = t1.shape[0]
-    wd = w.conj().T @ droot  # d x n
-    # the powers T1^m are normed a chunk at a time, as one stacked 2-norm
-    power = np.eye(n, dtype=complex)
-    for start in range(1, _EMBED_CAP + 1, 16):
-        chunk = []
-        for _ in range(min(16, _EMBED_CAP + 1 - start)):
-            power = power @ t1
-            chunk.append(power)
-        norms = np.linalg.norm(np.array(chunk), 2, axis=(1, 2)).tolist()
-        hit = next((i for i, v in enumerate(norms) if v ** 2 <= tol.tol_trunc), None)
-        if hit is not None:
-            n_trunc = start + hit - 1
-            break
-    else:
-        raise TruncationNotConverged(
-            f"||T1^m||^2 did not reach {tol.tol_trunc:.1e} within {_EMBED_CAP} powers"
-        )
-    t1s = t1.conj().T
-    blocks = [wd]
-    for _ in range(n_trunc):
-        blocks.append(blocks[-1] @ t1s)
-    return np.vstack(blocks), n_trunc, w
+    droot, _, w = defect(pair.t1, tol=tol)
+    r0 = w.conj().T @ droot  # d x n
+    t1s = pair.t1.conj().T
+    eye = np.eye(pair.n)
+    blocks, x = [], r0
+    for a in m1.zero_list():
+        # y = x (I - a T1*)^(-1); the factors commute, so the next x is
+        # y (T1* - conj(a))
+        y = np.linalg.solve(eye - a * t1s.T, x.T).T
+        blocks.append(np.sqrt(1.0 - abs(a) ** 2) * y)
+        x = y @ t1s - np.conj(a) * y
+    return np.vstack(blocks), r0
 
 
 def _unvec(x, d):
@@ -139,35 +130,36 @@ def _unitary_in_subspace(basis, d):
     raise NoInnerSolution("no unitary alignment found in the null space")
 
 
-def coextension_embedding(pair, psi, tol=DEFAULT):
-    """Embed the pair against a given symbol: returns (J, n_trunc, W, residuals).
+def coextension_embedding(pair, psi, m1, tol=DEFAULT):
+    """Embed the pair against a given symbol: returns (J, W, residuals).
 
-    The defect coordinates of embed_J are only fixed up to a constant unitary,
-    so the unitary W aligning J with the symbol is recovered from the linear
-    intertwining identity   W R_0 T2* = Phi(W R_0),  Phi(X) = sum_k Psi_k* X T1*^k,
-    and J is rotated accordingly before the residuals are measured.  As
-    R_m = R_0 T1*^m and T1, T2 commute, the identity for every block R_m
-    follows from this one.  vec Phi is Psi(T1^T)*, in closed form.  The blocks
-    have as many rows as the defect rank of T1, so a pair whose defect rank is
-    not the symbol's d raises NoInnerSolution.  W is the polar factor of the
-    null vector when the null space is a line, and otherwise the unitary that
-    _unitary_in_subspace reaches from its fixed starts; no draw is made, so W
-    depends on the pair and the symbol only.
+    The defect coordinates r0 of embed_J are only fixed up to a constant
+    unitary, so the unitary W aligning them with the symbol is recovered from
+    the linear intertwining identity   W r0 T2* = Phi(W r0),
+    Phi(X) = sum_k Psi_k* X T1*^k,  vec Phi = Psi(T1^T)*  in closed form, and
+    J = (I tensor W) J0 for the J0 of embed_J.  As T1 and T2 commute, the
+    identity at r0 gives it for all of V.  The blocks have as many rows as
+    the defect rank of T1, so a pair whose defect rank is not the symbol's d
+    raises NoInnerSolution.  W is the polar factor of the null vector when
+    the null space is a line, and otherwise the unitary that
+    _unitary_in_subspace reaches from its fixed starts; no draw is made, so
+    W depends on the pair and the symbol only.  The residuals are
+    ||J*J - I||, ||J T1* - (S tensor I)* J|| for S = model_shift(m1), and
+    the symbol identity at W r0.
     """
-    j0, n_trunc, w = embed_J(pair, tol)
+    j0, r0 = embed_J(pair, m1, tol)
     d = psi.d
-    if w.shape[1] != d:
+    if r0.shape[0] != d:
         raise NoInnerSolution(
-            f"the pair's defect rank {w.shape[1]} differs from the symbol's "
+            f"the pair's defect rank {r0.shape[0]} differs from the symbol's "
             f"dimension d = {d}"
         )
     n = pair.n
-    blocks = j0.reshape(n_trunc + 1, d, n)
     t1s, t2s = pair.t1.conj().T, pair.t2.conj().T
     phi = psi_of_matrix(psi, pair.t1.T).conj().T
     # vec(W R) = kron(R^T, I) vec(W)
     eye = np.eye(d)
-    system = np.kron((blocks[0] @ t2s).T, eye) - phi @ np.kron(blocks[0].T, eye)
+    system = np.kron((r0 @ t2s).T, eye) - phi @ np.kron(r0.T, eye)
     basis = kernel(system, 1e-8, 1e-10)
     if basis.shape[1] == 0:
         raise NoInnerSolution(
@@ -177,23 +169,20 @@ def coextension_embedding(pair, psi, tol=DEFAULT):
         w_align = _polar_unitary(_unvec(basis[:, 0], d))
     else:
         w_align = _unitary_in_subspace(basis, d)
-    aligned = w_align @ blocks
-    j = aligned.reshape(-1, n)
-    res_iso = opnorm(j.conj().T @ j - np.eye(n))
-    shift_gaps = np.linalg.norm(aligned[:-1] @ t1s - aligned[1:], 2, axis=(1, 2))
-    res_shift = shift_gaps.max(initial=0.0)  # J has a single block when T1 = 0
-    x = aligned[0]
+    j = (w_align @ j0.reshape(-1, d, n)).reshape(-1, n)
+    shift = np.kron(model_shift(m1), eye)
+    x = w_align @ r0
     res_symbol = opnorm(x @ t2s - _unvec(phi @ _vec(x), d))
     residuals = {
-        "isometry": float(res_iso),
-        "intertwine_shift": float(res_shift),
+        "isometry": float(opnorm(j.conj().T @ j - np.eye(n))),
+        "intertwine_shift": float(opnorm(j @ t1s - shift.conj().T @ j)),
         "intertwine_symbol": float(res_symbol),
     }
     if res_symbol > tol.tol_intertwine:
         raise NoInnerSolution(
             f"intertwining residual {res_symbol:.3e} exceeds {tol.tol_intertwine:.1e}"
         )
-    return j, n_trunc, w_align, residuals
+    return j, w_align, residuals
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +267,6 @@ class CoextensionBundle:
     pair: CommutingPair
     psi: object
     j: np.ndarray
-    n_trunc: int
     m1: BlaschkeProduct
     kpsi_basis: np.ndarray   # ONB coordinates inside the model space of m1
     constrained: CommutingPair   # (S1, S2), validated once
@@ -325,7 +313,7 @@ def constrained_coextension(pair, psi, basis, tol=DEFAULT):
         q = np.eye(model.n, dtype=complex)
     else:
         q = kernel(stack, tol.kernel_rel, 0.0, "kernel-cut", tol=tol)
-    j, n_trunc, _, emb_res = coextension_embedding(pair, psi, tol=tol)
+    j, _, emb_res = coextension_embedding(pair, psi, m1, tol=tol)
     # J embeds C^n into the intersection, so a smaller one is a numerical
     # failure of the cut
     if q.shape[1] < pair.n:
@@ -345,7 +333,6 @@ def constrained_coextension(pair, psi, basis, tol=DEFAULT):
         pair=pair,
         psi=psi,
         j=j,
-        n_trunc=n_trunc,
         m1=m1,
         kpsi_basis=q,
         constrained=spair,

@@ -200,28 +200,28 @@ def values_at(polys, z, w):
     return family_values(rows, monomial_table(z, w, *rows.shape[1:], ones, np.multiply))
 
 
-def normalize_unit(p, rel=1e-8):
+def normalize_unit(p):
     """Canonical representative of ``p`` modulo a nonzero scalar factor.
 
-    Among the coefficients within ``rel`` of the maximal modulus, the first in
-    lexicographic (z-deg, w-deg) order is rotated to the positive real axis
-    and the whole polynomial is scaled so that its modulus becomes 1.
+    Among the coefficients within 1e-8 relative of the maximal modulus, the
+    first in lexicographic (z-deg, w-deg) order is rotated to the positive
+    real axis and the whole polynomial is scaled so that its modulus becomes 1.
     """
     if isinstance(p, Poly1):
-        q = normalize_unit(Poly2.from_poly1_in_z(p), rel)
+        q = normalize_unit(Poly2.from_poly1_in_z(p))
         return Poly1(q.coeffs[:, 0])
     c = p.coeffs
     scale = np.max(np.abs(c))
     if scale == 0.0:
         return p
-    anchors = np.argwhere(np.abs(c) >= (1.0 - rel) * scale)
+    anchors = np.argwhere(np.abs(c) >= (1.0 - 1e-8) * scale)
     i, j = min((int(a), int(b)) for a, b in anchors)
     return Poly2(c / c[i, j])
 
 
-def unit_distance(p, q, rel=1e-8):
+def unit_distance(p, q):
     """Coefficient distance between unit-normalized representatives."""
-    pa, pb = coefficient_rows([normalize_unit(p, rel), normalize_unit(q, rel)])
+    pa, pb = coefficient_rows([normalize_unit(p), normalize_unit(q)])
     return float(np.max(np.abs(pa - pb)))
 
 
@@ -317,15 +317,17 @@ class BlaschkeProduct:
 
 
 def blaschke_eval(b, z):
-    """Evaluate a Blaschke product; raises PoleHit at 1/conj(a) collisions."""
-    z = complex(z)
-    out = b.constant
+    """Evaluate a Blaschke product at a point, or at each point of an array;
+    raises PoleHit at 1/conj(a) collisions."""
+    z = np.asarray(z, dtype=complex)
+    out = np.full(z.shape, b.constant)
     for a, m in b.zeros:
         den = 1.0 - np.conj(a) * z
-        if abs(den) < 1e-12:
-            raise PoleHit(f"pole of factor with zero {a} at z = {z}")
-        out *= ((a - z) / den) ** m
-    return complex(out)
+        hit = np.abs(den) < 1e-12
+        if hit.any():
+            raise PoleHit(f"pole of factor with zero {a} at z = {z[hit][0]}")
+        out = out * ((a - z) / den) ** m
+    return out if out.ndim else complex(out)
 
 
 def _factor_taylor(a, z0, n):

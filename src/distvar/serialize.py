@@ -174,7 +174,6 @@ def variety_to_json(variety):
 def bundle_to_json(bundle):
     return {
         "J": matrix_to_json(bundle.j),
-        "n_trunc": int(bundle.n_trunc),
         "psi": psi_to_json(bundle.psi),
         "m1": blaschke_to_json(bundle.m1),
         "kpsi_basis": matrix_to_json(bundle.kpsi_basis),

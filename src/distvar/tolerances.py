@@ -26,7 +26,7 @@ class Tolerances:
     tol_eig: float = 1e-8           # joint eigenvector cut, relative to max(1, ||T1||, ||T2||)
     tol_ann: float = 1e-8           # annihilation norm for ideal membership
     # dilation machinery
-    tol_trunc: float = 1e-10        # ||J*J - I|| after truncation
+    tol_trunc: float = 1e-10        # ||J*J - I|| of the model-space embedding
     tol_intertwine: float = 1e-7    # intertwining residuals
     kernel_rel: float = 1e-8        # relative SVD threshold for kernel cuts
     rank_guard: float = 10.0        # inconclusive band around rank thresholds

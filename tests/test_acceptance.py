@@ -43,7 +43,7 @@ def sweep200():
             omega = dv.settle(dv.omega_psi, bundle)
             row["zann"] = dv.check_zann_equals_omega(zset, omega)
             row["proj"] = dv.check_projection(omega, bundle.m1)
-            variety = dv.variety_polynomial(inst.psi, check_fibers=0)
+            variety = dv.variety_polynomial(inst.psi)
             row["supp"] = dv.check_support(zset, bundle, variety)
             mb = dv.minimal_blaschke(bundle.s1)
             row["mb_dist"] = dv.matching_distance(
@@ -75,7 +75,7 @@ def test_criterion_2_inequality_suite():
     for k in range(50):
         spec = random_recipe(3000 + k)
         inst = make_instance(spec)
-        variety = dv.variety_polynomial(inst.psi, check_fibers=0)
+        variety = dv.variety_polynomial(inst.psi)
         rng = np.random.default_rng(3000 + k)
         polys = random_test_polys(rng, 20, (3, 3))
         entries = dv.vn_report(inst.pair, variety, polys, boundary_n=BOUNDARY_N)

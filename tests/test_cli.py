@@ -276,6 +276,23 @@ def test_cmd_certify_recipe_state_radius_near_one(tmp_path, capsys):
     assert summary["pass"] == 1 and summary["fail"] == 0
 
 
+def test_cmd_certify_recipe_theta_zero_near_the_circle(tmp_path, capsys):
+    # rho(T1) = 0.998: a series embedding needs thousands of powers of T1,
+    # the model-space embedding one solve per zero of m1
+    recipe = {
+        "theta_zeros": [{"point": [0.998, 0.0]}, {"point": [0.0, 0.3]}],
+        "psi": {"kind": "companion", "d": 2},
+    }
+    rp = tmp_path / "recipe.json"
+    dump_json(recipe, rp)
+    out = tmp_path / "out"
+    code = main(["--out", str(out), "--boundary-samples", "128",
+                 "certify", "--recipe", str(rp)])
+    assert code == 0, capsys.readouterr().out
+    rep = load_json(sorted(out.glob("*-report.json"))[0])
+    assert {e["status"] for e in rep["entries"]} == {"pass"}
+
+
 def test_cmd_certify_recipe_all_true_instance(tmp_path, capsys):
     recipe = {
         "theta_zeros": [
@@ -460,7 +477,7 @@ def test_cmd_certify_writes_bundle_export(tmp_path, capsys):
     assert main(["--out", str(out), "--boundary-samples", "128",
                  "certify", "--recipe", str(rp)]) == 0
     bundle = load_json(sorted(out.glob("*-bundle.json"))[0])
-    assert set(bundle) >= {"J", "n_trunc", "psi", "m1", "kpsi_basis",
+    assert set(bundle) == {"J", "psi", "m1", "kpsi_basis",
                            "S1", "S2", "residuals"}
     assert matrix_from_json(bundle["S1"]).shape == (2, 2)
 

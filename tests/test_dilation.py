@@ -18,26 +18,34 @@ from conftest import J2, w2z_poly
 # embedding
 
 
+def _m1(pair):
+    return dv.minimal_blaschke(pair.t1)
+
+
 def test_embed_j2_is_exact_identity(j2_pair):
-    j, n_trunc, _ = dv.embed_J(j2_pair, dv.DEFAULT.override(tol_trunc=1e-10))
-    assert n_trunc == 1
+    # m1 = z^2: the model basis is 1, z, and J is the series [r0; r0 T1*]
+    j, r0 = dv.embed_J(j2_pair, _m1(j2_pair))
+    assert np.array_equal(j, _loop_embed_J(j2_pair)[0])
     assert np.allclose(np.abs(j), np.eye(2))
     assert np.linalg.norm(j.conj().T @ j - np.eye(2), 2) < 1e-15
 
 
 def test_embed_zero_matrix():
     pair = dv.validate_pair(np.zeros((3, 3)), np.zeros((3, 3)), require_pure=True)
-    j, n_trunc, _ = dv.embed_J(pair, dv.DEFAULT.override(tol_trunc=1e-10))
-    assert n_trunc == 0
+    j, r0 = dv.embed_J(pair, _m1(pair))
+    assert np.array_equal(j, r0)
     assert np.allclose(np.abs(j), np.eye(3))
 
 
 def test_embed_geometric_column():
+    # m1 = b_(1/2), whose one basis function sqrt(3)/2 / (1 - z/2) has the
+    # geometric Taylor column of the series embedding
     pair = dv.validate_pair([[0.5]], [[0.5]], require_pure=True)
-    j, n_trunc, _ = dv.embed_J(pair, dv.DEFAULT.override(tol_trunc=1e-10))
-    expected = (np.sqrt(3) / 2) * 0.5 ** np.arange(n_trunc + 1)
-    assert np.allclose(np.abs(j[:, 0]), expected)
-    assert abs(np.linalg.norm(j) - 1.0) < 1e-10
+    j, _ = dv.embed_J(pair, _m1(pair))
+    assert j.shape == (1, 1) and abs(abs(j[0, 0]) - 1.0) < 1e-15
+    series, n = _loop_embed_J(pair)
+    expected = (np.sqrt(3) / 2) * 0.5 ** np.arange(n + 1)
+    assert np.allclose(series[:, 0], j[0, 0] * expected, atol=1e-15)
 
 
 def test_embed_defect_cut_follows_tol_rank():
@@ -46,9 +54,57 @@ def test_embed_defect_cut_follows_tol_rank():
     tol = dv.DEFAULT.override(tol_rank=1e-3)
     pair = dv.validate_pair(t1, np.zeros((2, 2)), require_pure=True, tol=tol)
     assert pair.defect_ranks[0] == 1
-    j, _, w = dv.embed_J(pair, tol)
-    assert w.shape[1] == 1 and j.shape == (2, 2)
-    assert dv.embed_J(pair)[2].shape[1] == 2
+    j, r0 = dv.embed_J(pair, _m1(pair), tol)
+    assert r0.shape == (1, 2) and j.shape == (2, 2)
+    assert dv.embed_J(pair, _m1(pair))[1].shape == (2, 2)
+
+
+def _basis_at_zero(m1):
+    """e_r(0) = prod_(j<r) (-a_j) sqrt(1 - |a_r|^2) for the Malmquist-Takenaka
+    basis functions e_r of K_(m1)."""
+    zs = np.array(m1.zero_list(), dtype=complex)
+    lead = np.concatenate([[1.0], np.cumprod(-zs[:-1])])
+    return lead * np.sqrt(1.0 - np.abs(zs) ** 2)
+
+
+def _model_identity_gaps(pair, m1, j, r0):
+    """||J*J - I||, ||J T1* - (S tensor I)* J|| and the distance of
+    sum_r e_r(0) J_r from r0: together they determine V h = r0 (I - z T1*)^(-1) h."""
+    d, n = r0.shape
+    shift = np.kron(dv.model_shift(m1), np.eye(d))
+    at_zero = np.tensordot(_basis_at_zero(m1), j.reshape(-1, d, n), 1)
+    return (opnorm(j.conj().T @ j - np.eye(n)),
+            opnorm(j @ pair.t1.conj().T - shift.conj().T @ j),
+            opnorm(at_zero - r0))
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+def test_the_model_embedding_is_the_coextension(repeated):
+    # embed_J, and the J that coextension_embedding aligns with the recipe's
+    # symbol and with a constructed one (with W r0 in place of r0)
+    for seed in range(20):
+        inst = make_instance(random_recipe(seed, repeated=repeated))
+        pair = inst.pair
+        m1 = _m1(pair)
+        j0, r0 = dv.embed_J(pair, m1)
+        assert max(_model_identity_gaps(pair, m1, j0, r0)) <= 1e-13
+        for psi in (inst.psi, dv.construct_psi(pair)):
+            j, w, res = dv.coextension_embedding(pair, psi, m1)
+            assert max(_model_identity_gaps(pair, m1, j, w @ r0)) <= 1e-13
+            assert res["isometry"] <= 1e-13 and res["intertwine_shift"] <= 1e-13
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+def test_the_constrained_pair_is_coextended_by_the_model_embedding(repeated):
+    # V = q* J with q = kpsi_basis: V*V = I, V T1* = S1* V and V T2* = S2* V
+    for seed in range(20):
+        inst = make_instance(random_recipe(seed, repeated=repeated))
+        pair = inst.pair
+        bundle = dv.constrained_coextension(pair, inst.psi, dv.ann_generators(pair))
+        v = bundle.kpsi_basis.conj().T @ bundle.j
+        assert opnorm(v.conj().T @ v - np.eye(pair.n)) <= 1e-12
+        for t, s in ((pair.t1, bundle.s1), (pair.t2, bundle.s2)):
+            assert opnorm(v @ t.conj().T - s.conj().T @ v) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +151,7 @@ def test_construct_psi_properties_on_random_pairs(repeated):
         psi = dv.construct_psi(pair)
         assert psi.boundary_defect <= tol.tol_unitary
         assert dv.interior_pureness(psi) < 1.0
-        _, _, _, res = dv.coextension_embedding(pair, psi)
+        _, _, res = dv.coextension_embedding(pair, psi, _m1(pair))
         assert res["intertwine_symbol"] <= tol.tol_intertwine
         p = dv.variety_polynomial(psi).p
         assert np.linalg.norm(dv.poly_apply(p, pair), 2) <= tol.tol_ann
@@ -105,7 +161,7 @@ def test_construct_psi_rejects_mismatched_symbol(j2_pair):
     # Psi = z^2 cannot intertwine T2 = J2 through any co-extension
     psi = dv.from_polynomial(np.array([[[0.0]], [[0.0]], [[1.0]]], dtype=complex))
     with pytest.raises(NoInnerSolution):
-        dv.coextension_embedding(j2_pair, psi)
+        dv.coextension_embedding(j2_pair, psi, _m1(j2_pair))
 
 
 @pytest.mark.parametrize("t, symbol, rank, d", [
@@ -113,12 +169,12 @@ def test_construct_psi_rejects_mismatched_symbol(j2_pair):
     (np.zeros((3, 3)), "scalar_shift_psi", 3, 1),
 ], ids=["jordan-rank1-d2", "zero-rank3-d1"])
 def test_coextension_rejects_defect_rank_other_than_d(request, t, symbol, rank, d):
-    # J has one block per power of T1*, of as many rows as the defect rank
+    # J has one block per zero of m1, of as many rows as the defect rank
     # of T1; the symbol's Taylor coefficients are d x d
     pair = dv.validate_pair(t, t, require_pure=True)
     assert pair.defect_ranks[0] == rank
     with pytest.raises(NoInnerSolution, match=f"defect rank {rank} .* d = {d}"):
-        dv.coextension_embedding(pair, request.getfixturevalue(symbol))
+        dv.coextension_embedding(pair, request.getfixturevalue(symbol), _m1(pair))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +268,8 @@ def test_certification_reads_no_taylor_series(monkeypatch, kind):
 
 
 def _loop_embed_J(pair, tol=dv.DEFAULT):
-    """embed_J with one opnorm per power."""
+    """The truncated H^2 series embedding: row blocks r0 T1*^m up to the first
+    m with ||T1^(m+1)||^2 <= tol_trunc, and that m."""
     droot, _, w = defect(pair.t1, tol=tol)
     blocks, power = [w.conj().T @ droot], np.eye(pair.n, dtype=complex)
     for m in range(1, 5001):
@@ -236,9 +293,7 @@ def test_alignment_equation_matches_block_system(seed):
     # null space has dimension > 1
     inst = make_instance(random_recipe(seed, repeated=True))
     pair, psi, d, n = inst.pair, inst.psi, inst.psi.d, inst.pair.n
-    j0, n_trunc, _ = dv.embed_J(pair)
-    j_ref, n_ref = _loop_embed_J(pair)
-    assert n_trunc == n_ref and j0.tobytes() == j_ref.tobytes()
+    j0, n_trunc = _loop_embed_J(pair)
 
     # the block system  W R_m T2* = sum_k Psi_k* W R_(m+k)  for every m, from
     # a long series and blocks extended past it
@@ -264,9 +319,11 @@ def test_alignment_equation_matches_block_system(seed):
     assert round(np.trace(p_phi).real) == round(np.trace(p_block).real) >= 1
     assert np.linalg.norm(p_phi - p_block, 2) < 1e-6
 
-    j, _, w, res = dv.coextension_embedding(pair, psi)
+    m1 = _m1(pair)
+    j, w, res = dv.coextension_embedding(pair, psi, m1)
     aligned = [w @ b for b in blocks]
-    assert np.array_equal(j, np.vstack(aligned[: n_trunc + 1]))
+    j_model = dv.embed_J(pair, m1)[0]
+    assert np.array_equal(j, (w @ j_model.reshape(-1, d, n)).reshape(-1, n))
     assert res["isometry"] == opnorm(j.conj().T @ j - np.eye(n))
     x = aligned[0]
     assert res["intertwine_symbol"] == opnorm(
@@ -336,7 +393,7 @@ def test_alignment_on_unitarily_conjugated_pairs(monkeypatch, k, case):
         return search(basis, d)
 
     monkeypatch.setattr(dilation, "_unitary_in_subspace", recording)
-    _, _, w, res = dv.coextension_embedding(pair, psi)
+    _, w, res = dv.coextension_embedding(pair, psi, _m1(pair))
     assert len(dims) == 1 and dims[0] > 1
     assert opnorm(w.conj().T @ w - np.eye(psi.d)) <= 1e-10
     assert res["intertwine_symbol"] <= dv.DEFAULT.tol_intertwine
@@ -462,12 +519,13 @@ def test_verify_coextension_detects_corruption(companion_psi_2):
 def _dilation_residual(pair, psi, p):
     """|| p(T1, T2) - J* p(M_z, M_Psi) J || on the truncated coefficient model.
 
-    J is re-cut at tol_trunc = 1e-14, so that truncation edge effects stay
-    below the comparison level, and rotated by the alignment unitary of
-    coextension_embedding (the defect basis of embed_J is deterministic).
+    J is the series embedding cut at tol_trunc = 1e-14, so that truncation
+    edge effects stay below the comparison level, rotated by the alignment
+    unitary of coextension_embedding (the defect basis of both is that of
+    ``defect``, which is deterministic).
     """
-    _, _, w_align, _ = dv.coextension_embedding(pair, psi)
-    j, n, _ = dv.embed_J(pair, dv.DEFAULT.override(tol_trunc=1e-14))
+    _, w_align, _ = dv.coextension_embedding(pair, psi, _m1(pair))
+    j, n = _loop_embed_J(pair, dv.DEFAULT.override(tol_trunc=1e-14))
     d = psi.d
     aligned = (w_align @ j.reshape(n + 1, d, -1)).reshape(j.shape)
     mz = np.kron(np.eye(n + 1, k=-1), np.eye(d))

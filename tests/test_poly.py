@@ -65,6 +65,27 @@ def test_blaschke_modulus_properties():
         assert abs(abs(dv.blaschke_eval(b, np.exp(1j * t))) - 1.0) < 1e-10
 
 
+def test_blaschke_grid_matches_pointwise_evaluation():
+    # the array path against a loop of scalar complex arithmetic; numpy's
+    # vectorized products round differently, so the values agree to a few
+    # units of rounding
+    b = dv.BlaschkeProduct([(0.3 + 0.2j, 2), (-0.5j, 1)], constant=1j)
+    zs = np.exp(2j * np.pi * np.arange(64) / 64).reshape(8, 8) * 0.999
+    grid = dv.blaschke_eval(b, zs)
+    assert grid.shape == zs.shape
+
+    def pointwise(z):
+        out = b.constant
+        for a, m in b.zeros:
+            out *= ((a - z) / (1.0 - a.conjugate() * z)) ** m
+        return out
+
+    loop = np.array([pointwise(complex(z)) for z in zs.ravel()]).reshape(zs.shape)
+    assert np.abs(grid - loop).max() <= 8 * np.finfo(float).eps
+    with pytest.raises(PoleHit):
+        dv.blaschke_eval(b, np.array([0.0, 1.0 / np.conj(-0.5j)]))
+
+
 def test_blaschke_pole_hit():
     b = dv.BlaschkeProduct([(0.5, 1)])
     with pytest.raises(PoleHit):

@@ -182,9 +182,7 @@ def vn_report(pair, variety, polys, boundary_n=512, rationals=None, tol=DEFAULT)
 
 
 def _symbol_is_constant(sym):
-    if isinstance(sym, Poly1):
-        return sym.degree == 0
-    if isinstance(sym, BlaschkeProduct):
+    if isinstance(sym, (Poly1, BlaschkeProduct)):
         return sym.degree == 0
     if isinstance(sym, tuple):
         num, den = sym

@@ -9,9 +9,9 @@ Three interchangeable representations are supported:
 Each representation has one evaluation path, ``eval_psi_grid``, which takes
 a whole grid of points, and one matrix functional calculus, ``psi_of_matrix``,
 which gives Psi(S) = sum_k kron(S^k, Psi_k) in closed form; the model
-operators of the co-extension are built from it.  ``taylor_at`` returns
-Taylor coefficients (never derivatives) around an interior point; no
-certification step reads them.
+operators of the co-extension are built from it.  Taylor coefficients are
+its first block column at a Jordan block (``taylor_at``); no certification
+step reads them.
 
 The zero set {det(Psi(z) - wI) = 0} is produced as an honest bivariate
 polynomial by sampling the determinant of the linear pencil
@@ -21,8 +21,6 @@ closed form from Psi(0) and the bound on the boundary unitarity defect the
 symbol proves from its representation when it is built; no fiber or circle
 point is sampled for it.
 """
-
-from math import comb
 
 import numpy as np
 
@@ -34,12 +32,7 @@ from .errors import (
     TruncationNotConverged,
 )
 from .opcore import stack_eigvals
-from .poly import (
-    _factor_taylor,
-    fit_tensor_nodes,
-    interpolation_nodes,
-    normalize_unit,
-)
+from .poly import fit_tensor_nodes, interpolation_nodes, normalize_unit
 from .report import FAIL, INCONCLUSIVE, PASS, CertEntry
 from .tolerances import DEFAULT
 
@@ -108,16 +101,6 @@ class BPFactor:
     def rank(self):
         return int(round(float(np.trace(self.projection).real)))
 
-    def taylor(self, z0, n):
-        """First n Taylor coefficient matrices around z0."""
-        d = self.projection.shape[0]
-        bj = _factor_taylor(self.zero, z0, n)
-        out = np.zeros((n, d, d), dtype=complex)
-        out[0] = self.unitary @ (np.eye(d) - self.projection + bj[0] * self.projection)
-        for k in range(1, n):
-            out[k] = bj[k] * (self.unitary @ self.projection)
-        return out
-
 
 class MatrixInnerFunction:
     """Rational d x d inner function with a constructively verified representation.
@@ -139,9 +122,6 @@ class MatrixInnerFunction:
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixInnerFunction is immutable")
-
-    def __call__(self, z):
-        return eval_psi(self, z)
 
     def __repr__(self):
         return f"MatrixInnerFunction(kind={self.kind!r}, d={self.d})"
@@ -383,55 +363,21 @@ def fibers_grid(psi, zs):
     return np.take_along_axis(vals, order, axis=-1)
 
 
-def series_mul(a, b):
-    """Cauchy product of two (n, d, d) matrix power series, cut at n terms."""
-    return np.array([(a[: k + 1] @ b[k::-1]).sum(axis=0) for k in range(a.shape[0])])
-
-
 def taylor_at(psi, lam, n):
-    """First n Taylor coefficient matrices of Psi around an interior point lam,
-    an (n, d, d) array.  This is the one Taylor path of each representation.
-    """
-    lam = complex(lam)
-    d = psi.d
-    if psi.kind == COLLIGATION:
-        A, B, C, D = (psi.data[k] for k in ("A", "B", "C", "D"))
-        # T_0 = D + lam C R B and T_k = C R^(k+1) A^(k-1) B, R = (I - lam A)^(-1)
-        M = np.eye(A.shape[0]) - lam * A
-        try:
-            X = np.linalg.solve(M, B)
-        except np.linalg.LinAlgError as exc:
-            raise ResolventSingular(f"I - zA singular at z = {lam}") from exc
-        out = np.empty((n, d, d), dtype=complex)
-        out[0] = D + lam * (C @ X)
-        for k in range(1, n):
-            X = np.linalg.solve(M, X if k == 1 else A @ X)
-            out[k] = C @ X
-        return out
-    if psi.kind == BP_PRODUCT:
-        out = np.zeros((n, d, d), dtype=complex)
-        out[0] = psi.data["leading"]
-        for f in psi.data["factors"]:
-            out = series_mul(out, f.taylor(lam, n))
-        return out
-    # re-expand sum_k c_k z^k around lam: T_m = sum_k binom(k, m) lam^(k-m) c_k
-    coeffs = psi.data["coeffs"]
-    deg = coeffs.shape[0] - 1
-    pows = lam ** np.arange(deg + 1)
-    out = np.zeros((n, d, d), dtype=complex)
-    for m in range(n):
-        for k in range(m, deg + 1):
-            out[m] += comb(k, m) * pows[k - m] * coeffs[k]
-    return out
+    """First n Taylor coefficients of Psi around an interior point lam, an
+    (n, d, d) array: the first block column of Psi(lam I + N) for the n x n
+    lower shift N, since f(lam I + N) = sum_m f^(m)(lam)/m! N^m (Higham,
+    Functions of Matrices, 2008, sec. 1.2)."""
+    jordan = complex(lam) * np.eye(n) + np.eye(n, k=-1)
+    return psi_of_matrix(psi, jordan)[:, : psi.d].reshape(n, psi.d, psi.d)
 
 
 def taylor_until(psi, cut):
     """Taylor coefficients at 0 until three consecutive ones fall below cut,
-    reading the series at lengths 8, 16, 32, ...  No certification step
+    reading the series at lengths 8, 16, 32, ...; a polynomial's series is
+    exactly zero past its degree, so it stops there.  No certification step
     calls it; the benchmark's call tracer (perfbench/tracer.py) wraps it by
     name."""
-    if psi.kind == POLYNOMIAL:
-        return taylor_at(psi, 0.0, psi.data["coeffs"].shape[0])
     n = 8
     while n <= 4096:
         coeffs = taylor_at(psi, 0.0, n)
@@ -451,7 +397,8 @@ def psi_of_matrix(psi, s):
     The map is multiplicative, so each representation has a closed form:
     I(x)D + (S(x)C)(I - S(x)A)^(-1)(I(x)B) for colligations, the product of
     (I(x)U)(I(x)(I - P) + b_a(S)(x)P) for Blaschke-Potapov products, and
-    Horner in S(x)I for polynomials.
+    Horner in S(x)I for polynomials.  A singular colligation solve raises
+    ResolventSingular, as in ``eval_psi_grid``.
     """
     s = np.asarray(s, dtype=complex)
     eye = np.eye(s.shape[0])
@@ -459,8 +406,11 @@ def psi_of_matrix(psi, s):
         A, B, C, D = (psi.data[k] for k in ("A", "B", "C", "D"))
         out = np.kron(eye, D)
         if A.shape[0]:
-            x = np.linalg.solve(np.eye(s.shape[0] * A.shape[0]) - np.kron(s, A),
-                                np.kron(eye, B))
+            try:
+                x = np.linalg.solve(np.eye(s.shape[0] * A.shape[0]) - np.kron(s, A),
+                                    np.kron(eye, B))
+            except np.linalg.LinAlgError as exc:
+                raise ResolventSingular("I - S(x)A singular: S meets a pole of Psi") from exc
             out = out + np.kron(s, C) @ x
         return out
     if psi.kind == BP_PRODUCT:

@@ -45,20 +45,8 @@ class Poly1:
     def degree(self):
         return self.coeffs.size - 1
 
-    @property
-    def scale(self):
-        return float(np.max(np.abs(self.coeffs)))
-
     def __call__(self, z):
         return npoly.polyval(z, self.coeffs)
-
-    def __add__(self, other):
-        other = other if isinstance(other, Poly1) else Poly1([other])
-        return Poly1(npoly.polyadd(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        other = other if isinstance(other, Poly1) else Poly1([other])
-        return Poly1(npoly.polysub(self.coeffs, other.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, Poly1):
@@ -122,9 +110,6 @@ class Poly2:
 
     def __add__(self, other):
         return Poly2(coefficient_rows([self, other]).sum(axis=0))
-
-    def __sub__(self, other):
-        return self + Poly2(-other.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, Poly2):
@@ -328,19 +313,6 @@ def blaschke_eval(b, z):
             raise PoleHit(f"pole of factor with zero {a} at z = {z[hit][0]}")
         out = out * ((a - z) / den) ** m
     return out if out.ndim else complex(out)
-
-
-def _factor_taylor(a, z0, n):
-    """Taylor coefficients of (a-z)/(1-conj(a)z) around z0, length n."""
-    den = 1.0 - np.conj(a) * z0
-    if abs(den) < 1e-14:
-        raise PoleHit(f"pole of factor with zero {a} at z = {z0}")
-    out = np.zeros(n, dtype=complex)
-    out[0] = (a - z0) / den
-    # k-th derivative: (|a|^2 - 1) * k! * conj(a)^(k-1) / (1 - conj(a) z)^(k+1)
-    for k in range(1, n):
-        out[k] = (abs(a) ** 2 - 1.0) * np.conj(a) ** (k - 1) / den ** (k + 1)
-    return out
 
 
 def has_simple_roots(b, sep):

@@ -81,12 +81,6 @@ class CertificateReport:
         self.entries.extend(entries)
         return entries
 
-    def get(self, name):
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
     def counts(self):
         out = {PASS: 0, FAIL: 0, INCONCLUSIVE: 0}
         for e in self.entries:
@@ -104,12 +98,7 @@ class CertificateReport:
 
     def exit_code(self):
         # 0 all pass, 1 some fail, 3 inconclusive-only differences
-        c = self.counts()
-        if c[FAIL]:
-            return 1
-        if c[INCONCLUSIVE]:
-            return 3
-        return 0
+        return {PASS: 0, FAIL: 1, INCONCLUSIVE: 3}[self.overall]
 
     def to_dict(self):
         return {

@@ -84,3 +84,15 @@ def random_unitary(rng, n):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def cauchy_coefficients(psi, points=4096):
+    """Taylor coefficients of Psi at 0 as the discrete Cauchy integral of its
+    values on the circle, which shares no code with ``psi_of_matrix``: all
+    deg + 1 of a polynomial, else those with rho^k > 1e-18 for rho the
+    realization radius (at least 0.1).  Aliasing adds at most about
+    rho^points to each."""
+    coeffs = np.fft.fft(dv.eval_psi_grid(psi, dv.inner.circle_grid(points)), axis=0) / points
+    if psi.kind == "polynomial":
+        return coeffs[: psi.data["coeffs"].shape[0]]
+    return coeffs[: int(np.ceil(np.log(1e-18) / np.log(max(psi.realization_radius, 0.1))))]

@@ -11,7 +11,7 @@ from distvar.instances import (
     InstanceSpec, build_theta, make_instance, random_recipe, run_certification,
 )
 from distvar.opcore import defect, opnorm
-from conftest import J2, w2z_poly
+from conftest import J2, cauchy_coefficients, w2z_poly
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +184,6 @@ def test_coextension_rejects_defect_rank_other_than_d(request, t, symbol, rank, 
 KINDS = ["companion", "colligation", "scalar_blaschke_times_identity"]
 
 
-def _series_at_zero(psi, cut=1e-18):
-    """Taylor coefficients of Psi at 0, long enough that the tail is below cut."""
-    n = 64
-    while True:
-        coeffs = dv.taylor_at(psi, 0.0, n)
-        if psi.kind == "polynomial" or np.linalg.norm(coeffs[-1], 2) < cut:
-            return coeffs
-        n *= 2
-
-
 def _hardy_model(theta, coeffs):
     """(T1, T2) of theta from the truncated Hardy coefficients of the
     Malmquist-Takenaka basis of K_theta: T2 = sum_k kron(<z^k e_c, e_r>, Psi_k)."""
@@ -229,7 +219,7 @@ def test_model_pair_matches_hardy_coefficient_model(kind, repeated):
     for seed in range(4):
         spec = random_recipe(seed, repeated=repeated, kinds=(kind,))
         theta, psi = build_theta(spec), make_instance(spec).psi
-        coeffs = _series_at_zero(psi)
+        coeffs = cauchy_coefficients(psi)
         t1, t2 = _hardy_model(theta, coeffs)
         s = dv.model_shift(theta)
         assert np.abs(np.kron(s, np.eye(psi.d)) - t1).max() < 1e-14
@@ -297,7 +287,7 @@ def test_alignment_equation_matches_block_system(seed):
 
     # the block system  W R_m T2* = sum_k Psi_k* W R_(m+k)  for every m, from
     # a long series and blocks extended past it
-    coeffs = _series_at_zero(psi)
+    coeffs = cauchy_coefficients(psi)
     kk = len(coeffs)
     t1s, t2s = pair.t1.conj().T, pair.t2.conj().T
     blocks = [j0[:d]]

@@ -6,7 +6,7 @@ import distvar as dv
 from distvar.certify import VarietySamples
 from distvar.errors import NotPureRealization, NotUnitaryColligation, ResolventSingular
 from distvar.inner import COLLIGATION, MatrixInnerFunction, interior_disc_grid, taylor_until
-from conftest import random_unitary, w2z_poly
+from conftest import cauchy_coefficients, random_unitary, w2z_poly
 
 
 def test_constant_unitary_colligation():
@@ -118,6 +118,31 @@ def test_taylor_until_past_171_terms():
     assert np.isfinite(coeffs).all()
     assert coeffs.shape == (220, 1, 1)
     assert np.abs(coeffs - taylor_until(same, 1e-16)).max() < 1e-14
+
+
+def test_taylor_until_of_a_polynomial_stops_at_its_degree():
+    # the series of a polynomial past its degree is exactly zero
+    for seed in range(10):
+        psi = dv.make_instance(dv.random_recipe(seed, kinds=("companion",))).psi
+        assert np.array_equal(taylor_until(psi, 1e-16), psi.data["coeffs"])
+
+
+KINDS = ["companion", "colligation", "scalar_blaschke_times_identity"]
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+@pytest.mark.parametrize("kind", KINDS)
+def test_taylor_at_matches_the_cauchy_integral(kind, repeated):
+    for seed in range(4):
+        psi = dv.make_instance(dv.random_recipe(seed, repeated=repeated, kinds=(kind,))).psi
+        ref = cauchy_coefficients(psi)
+        assert np.abs(dv.taylor_at(psi, 0.0, len(ref)) - ref).max() < 1e-14
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_taylor_at_of_no_terms_is_empty(kind):
+    psi = dv.make_instance(dv.random_recipe(0, kinds=(kind,))).psi
+    assert dv.taylor_at(psi, 0.3, 0).shape == (0, psi.d, psi.d)
 
 
 # ---------------------------------------------------------------------------
@@ -442,3 +467,5 @@ def test_eval_psi_grid_singular_resolvent():
         dv.eval_psi_grid(psi, [0.1, 0.5])
     with pytest.raises(ResolventSingular):
         dv.taylor_at(psi, 0.5, 3)
+    with pytest.raises(ResolventSingular):
+        dv.psi_of_matrix(psi, [[0.5]])

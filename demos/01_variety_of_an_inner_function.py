@@ -26,7 +26,6 @@ for z in (0.25, 0.0, -0.49):
 variety = dv.variety_polynomial(psi)
 print("\ndefining polynomial coefficients (rows = z-degree, cols = w-degree):")
 print(np.round(variety.p.coeffs.real, 12))
-print("interpolation residual:", variety.fit_residual)
 
 target = dv.Poly2([[0, 0, 1], [-1, 0, 0]])
 print("unit-normalized distance to w^2 - z:", dv.unit_distance(variety.p, target))

@@ -82,7 +82,7 @@ def _write_report(report, out_dir, fmt):
 
 def cmd_variety(args, tol):
     psi = psi_from_json(load_json(args.psi), tol=tol)
-    variety = variety_polynomial(psi, tol=tol)
+    variety = variety_polynomial(psi)
     cert = distinguished_certificate(psi, tol=tol)
     os.makedirs(args.out, exist_ok=True)
     payload = variety_to_json(variety)

@@ -22,10 +22,6 @@ class DistvarError(Exception):
     """Base class for all library errors."""
 
 
-class SingularInterpolation(DistvarError):
-    """Interpolation nodes coincide or the tensor Vandermonde is singular."""
-
-
 class PoleHit(DistvarError):
     """Evaluation point collides with a pole of a rational expression."""
 

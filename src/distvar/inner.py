@@ -15,11 +15,11 @@ step reads them.
 
 The zero set {det(Psi(z) - wI) = 0} is produced as an honest bivariate
 polynomial by sampling the determinant of the linear pencil
-[[I - zA, zB], [-C, D - wI]] (or a denominator-cleared determinant) on a
-tensor grid and interpolating.  Whether it is distinguished is decided in
-closed form from Psi(0) and the bound on the boundary unitarity defect the
-symbol proves from its representation when it is built; no fiber or circle
-point is sampled for it.
+[[I - zA, zB], [-C, D - wI]] (or a denominator-cleared determinant) on the
+unit torus and taking its exact 2-D DFT.  Whether it is distinguished is
+decided in closed form from Psi(0) and the bound on the boundary unitarity
+defect the symbol proves from its representation when it is built; no fiber
+or circle point is sampled for it.
 """
 
 import numpy as np
@@ -247,8 +247,8 @@ def from_scalar_blaschke_identity(b, d, tol=DEFAULT):
     eye = np.eye(d)
     factors = []
     for a, m in b.zeros:
-        for _ in range(m):
-            factors.append(BPFactor(a, eye, eye, tol=tol))
+        # one validated factor per distinct zero, repeated: a BPFactor is immutable
+        factors += [BPFactor(a, eye, eye, tol=tol)] * m
     return from_bp_factors(factors, leading=b.constant * eye, tol=tol)
 
 
@@ -468,17 +468,16 @@ def fiber(psi, z):
 
 
 class VarietyDescription:
-    """Defining polynomial of {det(Psi(z) - wI) = 0} on the closed bidisc."""
+    """Defining polynomial of {det(Psi(z) - wI) = 0} on the closed bidisc, and
+    the bidegree bound (degz, degw) it was interpolated at."""
 
-    __slots__ = ("psi", "p", "degz", "degw", "fit_residual", "fiber_check")
+    __slots__ = ("psi", "p", "degz", "degw")
 
-    def __init__(self, psi, p, degz, degw, fit_residual, fiber_check):
+    def __init__(self, psi, p, degz, degw):
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "degz", int(degz))
         object.__setattr__(self, "degw", int(degw))
-        object.__setattr__(self, "fit_residual", float(fit_residual))
-        object.__setattr__(self, "fiber_check", float(fiber_check))
 
     def __setattr__(self, name, value):
         raise AttributeError("VarietyDescription is immutable")
@@ -488,11 +487,17 @@ class VarietyDescription:
 
 
 def _pencil_values(psi):
-    """Samples of a polynomial with the same zeros as det(Psi(z) - wI) on the
-    closed bidisc, on the tensor nodes of its degree bound.
+    """Values of a polynomial with the same zeros as det(Psi(z) - wI) on the
+    closed bidisc at the nodes ``interpolation_nodes(degz, d)``, as a
+    (degz + 1, d + 1) grid; the whole grid is evaluated at once.
 
-    Returns (degz, z nodes, w nodes, values) with values[i, j] taken at
-    (z_i, w_j); the whole node grid is evaluated at once.
+    The polynomial and its bidegree bound come from the representation: the
+    pencil det [[I - zA, zB], [-C, D - wI]] = det(I - zA) det(Psi(z) - wI) of
+    a colligation (degz = N), det(Psi(z) - wI) times the cleared denominators
+    prod (1 - conj(a) z)^rank of a product (degz = sum of ranks), and
+    det(Psi(z) - wI) of a polynomial (degz = d times its degree).  The
+    cleared factor has no zero on the closed disc when the realization radius
+    is below 1, and SpuriousFactorInDisc is raised when it is not.
     """
     if psi.realization_radius >= 1.0 - 1e-12:
         raise SpuriousFactorInDisc("the cleared denominator vanishes on the closed disc")
@@ -509,45 +514,34 @@ def _pencil_values(psi):
         pencil[..., :N, N:] = zc * B[None, None]
         pencil[..., N:, :N] = -C
         pencil[..., N:, N:] = D - wn[None, :, None, None] * eyed
-        return N, zn, wn, np.linalg.det(pencil)
+        return np.linalg.det(pencil)
     if psi.kind == BP_PRODUCT:
         factors = psi.data["factors"]
-        degz = sum(f.rank for f in factors)
+        ranks = np.array([f.rank for f in factors], dtype=int)
+        degz = int(ranks.sum())
     else:
         degz = (psi.data["coeffs"].shape[0] - 1) * d
     zn, wn = interpolation_nodes(degz, d)
     values = np.linalg.det(eval_psi_grid(psi, zn)[:, None] - wn[:, None, None] * eyed)
     if psi.kind == BP_PRODUCT:
-        # clear the denominators; scalar products, which numpy's vectorized
-        # complex multiply would round differently
-        for i, z in enumerate(zn):
-            q = 1.0 + 0j
-            for f in factors:
-                q *= (1.0 - np.conj(f.zero) * z) ** f.rank
-            values[i] = [q * v for v in values[i]]
-    return degz, zn, wn, values
+        zeros = np.array([f.zero for f in factors], dtype=complex)
+        values *= np.prod((1.0 - np.conj(zeros)[:, None] * zn) ** ranks[:, None],
+                          axis=0)[:, None]
+    return values
 
 
-def variety_polynomial(psi, tol=DEFAULT):
+def variety_polynomial(psi):
     """Bivariate defining polynomial of the variety of Psi, unit-normalized.
 
-    The polynomial is obtained by evaluation-interpolation of the cleared
-    pencil determinant within ``tol.tol_fit``; the cleared factor has no zeros
-    on the closed disc.  Agreement of the zero sets is asserted on the fibers
-    over 100 points each of the circles of radius 0.35 and 0.85.
+    The cleared determinant of ``_pencil_values`` on the unit torus is
+    interpolated by ``fit_tensor_nodes``, an exact 2-D DFT: each coefficient
+    is within the largest error of a sampled determinant of the exact one,
+    plus the transform's rounding, before the normalization divides by the
+    largest coefficient.
     """
-    degz, zn, wn, values = _pencil_values(psi)
-    degw = psi.d
-    p, residual = fit_tensor_nodes(zn, wn, values, tol=tol)
-    p = normalize_unit(p)
-    circle = circle_grid(100)
-    zs = np.concatenate([0.35 * circle, 0.85 * circle])
-    worst = float(np.abs(p(np.repeat(zs, psi.d), fibers_grid(psi, zs).ravel())).max())
-    if worst > 1e-8 * p.scale * 10:
-        raise SpuriousFactorInDisc(
-            f"fiber residual {worst:.3e} inconsistent with the fitted polynomial"
-        )
-    return VarietyDescription(psi, p, degz, degw, residual, worst)
+    values = _pencil_values(psi)
+    p = normalize_unit(fit_tensor_nodes(values))
+    return VarietyDescription(psi, p, values.shape[0] - 1, psi.d)
 
 
 def distinguished_certificate(psi, tol=DEFAULT):

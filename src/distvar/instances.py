@@ -284,7 +284,7 @@ def run_certification(instance, tol=DEFAULT, artifacts=None):
         data={"boundary_defect": psi.boundary_defect, "d": psi.d},
     ))
 
-    variety = variety_polynomial(psi, tol=tol)
+    variety = variety_polynomial(psi)
     if artifacts is not None:
         artifacts["variety"] = variety
     report.add(distinguished_certificate(psi, tol=tol))

@@ -166,8 +166,6 @@ def variety_to_json(variety):
         "p": poly2_to_json(variety.p),
         "degz": variety.degz,
         "degw": variety.degw,
-        "fit_residual": variety.fit_residual,
-        "fiber_check": variety.fiber_check,
     }
 
 

@@ -4,9 +4,9 @@ Every threshold a caller can override lives here and reaches its checks
 only as this table, passed as ``tol``, so that a report records the exact
 table it was produced under.  Every field is read by at least one check on
 the certification path; an override of the table therefore always moves a
-decision.  Other thresholds (node spacings, SVD floors, the eigenvalue merge
-radius and others) are fixed literals in the modules that use them: no
-override moves them.
+decision.  Other thresholds (SVD floors, the eigenvalue merge radius and
+others) are fixed literals in the modules that use them: no override moves
+them.
 """
 
 from dataclasses import dataclass, asdict, replace
@@ -14,8 +14,6 @@ from dataclasses import dataclass, asdict, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    # polynomial interpolation
-    tol_fit: float = 1e-10          # relative interpolation residual
     # inner functions
     tol_unitary: float = 1e-8       # boundary / block unitarity defect
     pure_margin: float = 1e-12      # interior spectral-radius gap for inner functions

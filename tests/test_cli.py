@@ -99,6 +99,7 @@ def test_cmd_variety(tmp_path, companion_psi_2, capsys):
     assert (out / "variety-samples.csv").exists()
     assert (out / "variety.svg").exists()
     payload = load_json(out / "variety.json")
+    assert set(payload) == {"p", "degz", "degw", "distinguished", "psi"}
     p = poly2_from_json(payload["p"])
     assert dv.unit_distance(p, dv.Poly2([[0, 0, 1], [-1, 0, 0]])) < 1e-8
     assert payload["distinguished"]["status"] == "pass"
@@ -391,6 +392,7 @@ def test_cmd_certify_pair_symbol_dimension_mismatch_exits_2(tmp_path, capsys, j2
     ["--disc-samples", "8x32", "variety", "psi.json"],
     ["--boundary-samples", "10", "variety", "psi.json"],
     ["--tol", "tol_unitary=1e-300", "demo"],
+    # the table has no tol_fit field, so this is an unknown tolerance
     ["--tol", "tol_fit=1e-30", "certify", "--batch", "2"],
     # the symbol [z] of this pair has a boundary unitarity defect of about 1e-16
     ["--tol", "tol_unitary=1e-300", "certify", "--pair", "pair.json", "--psi", "shift.json"],

@@ -512,7 +512,10 @@ def _dilation_residual(pair, psi, p):
     J is the series embedding cut at tol_trunc = 1e-14, so that truncation
     edge effects stay below the comparison level, rotated by the alignment
     unitary of coextension_embedding (the defect basis of both is that of
-    ``defect``, which is deterministic).
+    ``defect``, which is deterministic).  M_Psi is built from the Cauchy
+    integral coefficients of ``cauchy_coefficients``, cut to the model's n + 1
+    terms (a series shorter than that is zero past its end), so the reference
+    shares no symbol calculus with ``compress_pair``.
     """
     _, w_align, _ = dv.coextension_embedding(pair, psi, _m1(pair))
     j, n = _loop_embed_J(pair, dv.DEFAULT.override(tol_trunc=1e-14))
@@ -520,7 +523,7 @@ def _dilation_residual(pair, psi, p):
     aligned = (w_align @ j.reshape(n + 1, d, -1)).reshape(j.shape)
     mz = np.kron(np.eye(n + 1, k=-1), np.eye(d))
     mpsi = sum(np.kron(np.eye(n + 1, k=-k), c)
-               for k, c in enumerate(dv.taylor_at(psi, 0.0, n + 1)))
+               for k, c in enumerate(cauchy_coefficients(psi)[: n + 1]))
     model = dv.poly_apply(p, (mz, mpsi))
     return opnorm(dv.poly_apply(p, pair) - aligned.conj().T @ model @ aligned)
 

@@ -5,7 +5,11 @@ from scipy.optimize import linear_sum_assignment
 import distvar as dv
 from distvar.certify import VarietySamples
 from distvar.errors import NotPureRealization, NotUnitaryColligation, ResolventSingular
-from distvar.inner import COLLIGATION, MatrixInnerFunction, interior_disc_grid, taylor_until
+from distvar.inner import (
+    BP_PRODUCT, COLLIGATION, POLYNOMIAL, MatrixInnerFunction, circle_grid, interior_disc_grid,
+    taylor_until,
+)
+from distvar.instances import build_psi
 from conftest import cauchy_coefficients, random_unitary, w2z_poly
 
 
@@ -179,6 +183,50 @@ def test_variety_colligation_consistency():
         for w in dv.fiber(psi, z):
             worst = max(worst, abs(v.p(z, w)))
     assert worst < 1e-8 * v.p.scale
+
+
+def _recipe_symbols():
+    """The symbols of random_recipe 0-39 in both modes, all three kinds among them."""
+    return [build_psi(dv.random_recipe(seed, repeated=repeated))
+            for repeated in (False, True) for seed in range(40)]
+
+
+def test_variety_vanishes_on_the_fibers():
+    # fibers over the circles of radius 0.35 and 0.85 lie on the curve, to 1e-7 relative
+    zs = np.concatenate([0.35 * circle_grid(100), 0.85 * circle_grid(100)])
+    symbols = _recipe_symbols()
+    assert {psi.kind for psi in symbols} == {COLLIGATION, BP_PRODUCT, POLYNOMIAL}
+    for psi in symbols:
+        p = dv.variety_polynomial(psi).p
+        worst = np.abs(p(np.repeat(zs, psi.d), dv.fibers_grid(psi, zs).ravel())).max()
+        assert worst <= 1e-7 * p.scale
+
+
+def _cleared_determinant(psi, z, w):
+    """det(Psi(z) - wI) at the points (z_i, w_j), times the denominator its
+    representation clears, from ``eval_psi_grid`` and not ``_pencil_values``."""
+    det = np.linalg.det(dv.eval_psi_grid(psi, z)[:, None] - w[:, None, None] * np.eye(psi.d))
+    if psi.kind == COLLIGATION:
+        a = psi.data["A"]
+        det *= np.linalg.det(np.eye(a.shape[0]) - z[:, None, None] * a)[:, None]
+    elif psi.kind == BP_PRODUCT:
+        for f in psi.data["factors"]:
+            det *= ((1.0 - np.conj(f.zero) * z) ** f.rank)[:, None]
+    return det
+
+
+def test_no_degree_bound_is_understated():
+    # on a torus grid of twice the bound in each variable, the DFT of a
+    # cleared determinant of larger bidegree leaves coefficients outside the box
+    for psi in _recipe_symbols():
+        v = dv.variety_polynomial(psi)
+        box = (v.degz + 1, psi.d + 1)
+        z, w = circle_grid(2 * box[0]), circle_grid(2 * box[1])
+        c = np.fft.fft2(_cleared_determinant(psi, z, w)) / (z.size * w.size)
+        outside = c.copy()
+        outside[: box[0], : box[1]] = 0.0
+        assert np.abs(outside).max() <= 1e-13 * np.abs(c).max()
+        assert dv.unit_distance(dv.Poly2(c[: box[0], : box[1]]), v.p) <= 1e-13
 
 
 def test_fiber_values(companion_psi_2):

@@ -64,9 +64,15 @@ class VarietySamples:
             z = self.boundary_z.reshape(-1, d)
             w = self.boundary_w.reshape(-1, d)
             dz = float(np.abs(np.roll(z[:, 0], -1) - z[:, 0]).max())
-            # cost[k, i, j] = |w_k[i] - w_{k+1}[j]|, the last row wrapping round
-            cost = np.abs(w[:, :, None] - np.roll(w, -1, axis=0)[:, None, :])
-            dw = float(assignment_max(cost).max())
+            # cost[k, i, j] = |w_k[i] - w_{k+1}[j]|, the last row wrapping
+            # round, built entry-major: one (k,) array per pair (i, j)
+            wt = np.ascontiguousarray(w.T)
+            nxt = np.roll(wt, -1, axis=1)
+            cost = np.empty((d, d, wt.shape[1]))
+            for i in range(d):
+                for j in range(d):
+                    cost[i, j] = np.abs(wt[i] - nxt[j])
+            dw = float(assignment_max(cost.transpose(2, 0, 1)).max())
             self._mesh = dz + dw
         return self._mesh
 

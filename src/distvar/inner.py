@@ -7,11 +7,14 @@ Three interchangeable representations are supported:
   * polynomial:   Psi(z) = sum_k coeffs[k] z^k with matrix coefficients.
 
 Each representation has one evaluation path, ``eval_psi_grid``, which takes
-a whole grid of points, and one matrix functional calculus, ``psi_of_matrix``,
-which gives Psi(S) = sum_k kron(S^k, Psi_k) in closed form; the model
-operators of the co-extension are built from it.  Taylor coefficients are
-its first block column at a Jordan block (``taylor_at``); no certification
-step reads them.
+a whole grid of points and builds each entry of Psi as one array over it:
+Horner, the cofactors of I - zA for a state of dimension at most 3 (a
+batched solve above that) and products of factor entries, so no stacked
+matrix product runs.  Each also has one matrix functional calculus,
+``psi_of_matrix``, which gives Psi(S) = sum_k kron(S^k, Psi_k) in closed
+form; the model operators of the co-extension are built from it.  Taylor
+coefficients are its first block column at a Jordan block (``taylor_at``);
+no certification step reads them.
 
 The zero set {det(Psi(z) - wI) = 0} is produced as an honest bivariate
 polynomial by sampling the determinant of the linear pencil
@@ -55,6 +58,12 @@ def _as_matrix(m, shape=None):
     return a
 
 
+def _norm2(m):
+    """||m||_2 of one matrix; an all-zero m, the residual of an exact
+    identity, takes no SVD."""
+    return np.linalg.norm(m, 2) if m.any() else 0.0
+
+
 def unitarity_defect(u):
     """||U* U - I||_2 of one matrix, or of each matrix of a stack.
 
@@ -67,7 +76,7 @@ def unitarity_defect(u):
     """
     gram = np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1])
     if gram.ndim == 2:
-        return np.linalg.norm(gram, 2)
+        return _norm2(gram)
     square = np.swapaxes(gram.conj(), -1, -2) @ gram
     return np.sqrt(np.abs(stack_eigvals(square)).max(axis=-1))
 
@@ -84,9 +93,9 @@ class BPFactor:
             raise ValueError(f"factor zero {zero} is not in the open disc")
         p = _as_matrix(projection)
         u = _as_matrix(unitary, p.shape)
-        if np.linalg.norm(p - p.conj().T, 2) > tol.tol_unitary:
+        if _norm2(p - p.conj().T) > tol.tol_unitary:
             raise ValueError("projection is not Hermitian")
-        if np.linalg.norm(p @ p - p, 2) > tol.tol_unitary:
+        if _norm2(p @ p - p) > tol.tol_unitary:
             raise ValueError("projection is not idempotent")
         if unitarity_defect(u) > tol.tol_unitary:
             raise ValueError("factor unitary fails the unitarity test")
@@ -286,8 +295,35 @@ def from_polynomial(coeff_matrices, tol=DEFAULT):
     return MatrixInnerFunction(POLYNOMIAL, d, {"coeffs": coeffs}, bdef, 0.0)
 
 
-def _bp_factor_grid(f, zs):
-    """Values U ((I - P) + b_a(z) P) of one factor at each point of ``zs``."""
+def _entry_product(x, y):
+    """x @ y for matrices held as nested lists of entries, each an (n,) array
+    or a scalar."""
+    return [[sum((row[j] * y[j][k] for j in range(1, len(y))), row[0] * y[0][k])
+             for k in range(len(y[0]))] for row in x]
+
+
+def _adjugate_det(m):
+    """Adjugate and determinant of an N x N matrix of entries, N <= 3, by
+    cofactors."""
+    size = len(m)
+    if size == 1:
+        return [[1.0]], m[0][0]
+    if size == 2:
+        adj = [[m[1][1], -m[0][1]], [-m[1][0], m[0][0]]]
+    else:
+        def cofactor(i, j):
+            # taken on the cyclic successors of i and j, it carries its sign
+            i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+            return m[i1][j1] * m[i2][j2] - m[i1][j2] * m[i2][j1]
+
+        adj = [[cofactor(j, i) for j in range(3)] for i in range(3)]
+    return adj, sum((m[0][j] * adj[j][0] for j in range(1, size)), m[0][0] * adj[0][0])
+
+
+def _bp_factor_grid(f, zs, left):
+    """Entries of L U ((I - P) + b_a(z) P) = M0 + b_a(z) M1, with M0 = L U (I - P)
+    and M1 = L U P for a constant L (``left``), over the points of ``zs``: a
+    d x d nested list of (n,) arrays."""
     a = f.zero
     # 1 - conj(a) z in real arithmetic, rounded as the scalar complex product
     # is; numpy's vectorized complex multiply rounds some points differently
@@ -295,56 +331,72 @@ def _bp_factor_grid(f, zs):
     den.real = 1.0 - (a.real * zs.real + a.imag * zs.imag)
     den.imag = 0.0 - (a.real * zs.imag - a.imag * zs.real)
     b = (a - zs) / den
-    d = f.projection.shape[0]
-    return f.unitary @ (np.eye(d) - f.projection + b[:, None, None] * f.projection[None])
-
-
-def _horner_grid(coeffs, zs):
-    """sum_k coeffs[k] z^k at each point of the 1-d array ``zs``, (n, d, d)."""
-    # complex products take operands of equal rank.  numpy runs a product
-    # whose operands all broadcast from one element (a one-point grid times a
-    # 1 x 1 block) in an unvectorized loop, which rounds differently from the
-    # vectorized loop of larger grids; equal ranks keep one-point calls on the
-    # vectorized loop, so every grid size gives the same values
-    zc = zs[:, None, None]
-    out = np.repeat(coeffs[-1][None], zs.size, axis=0)
-    for k in range(coeffs.shape[0] - 2, -1, -1):
-        out = zc * out + coeffs[k]
-    return out
+    lu = left @ f.unitary
+    d = len(lu)
+    m0, m1 = lu @ (np.eye(d) - f.projection), lu @ f.projection
+    return [[m0[j, k] + b * m1[j, k] for k in range(d)] for j in range(d)]
 
 
 def eval_psi_grid(psi, zs):
     """Psi at every point of ``zs`` (closed disc, up to ``DISC_SLACK`` beyond).
 
     Returns an (n, d, d) array for the n points of ``zs``, flattened.  This is
-    the one evaluation path of each representation: Horner on stacked arrays
-    for polynomials, one batched solve for colligations, stacked factor
-    products for Blaschke-Potapov products.
+    the one evaluation path of each representation.  Each entry of Psi is
+    built as one (n,) array, and the result is an (n, d, d) view of the
+    entry-major (d, d, n) storage, the layout ``stack_eigvals`` reads:
+    Horner for polynomials; D + z C adj(I - zA) B / det(I - zA) by cofactors
+    for a colligation of state dimension N <= 3, and one batched solve for
+    larger N; the running product of the factors M0 + b_a(z) M1 for a
+    Blaschke-Potapov product.  A one-point call gives the bits of that
+    point's row of any larger grid.  A zero or non-finite det(I - zA), or a
+    singular solve, raises ResolventSingular.
     """
     zs = np.asarray(zs, dtype=complex).reshape(-1)
     outside = np.abs(zs) > 1.0 + DISC_SLACK
     if outside.any():
         lam = zs[np.argmax(outside)]
         raise ValueError(f"|lambda| = {abs(lam):.6f} is outside the closed disc")
-    n = zs.size
+    d, n = psi.d, zs.size
     if psi.kind == COLLIGATION:
         A, B, C, D = (psi.data[k] for k in ("A", "B", "C", "D"))
-        if A.shape[0] == 0:
-            return np.repeat(D[None], n, axis=0)
-        # equal ranks, as in _horner_grid; B[None] is a stack of one matrix
-        # on every numpy version (numpy 1.x reads a 2-d B as a stack of vectors)
-        zc = zs[:, None, None]
-        try:
-            X = np.linalg.solve(np.eye(A.shape[0]) - zc * A[None], B[None])
-        except np.linalg.LinAlgError as exc:
-            raise ResolventSingular("I - zA singular at a point of the grid") from exc
-        return D + zc * (C @ X)
-    if psi.kind == BP_PRODUCT:
-        out = np.repeat(psi.data["leading"][None], n, axis=0)
-        for f in psi.data["factors"]:
-            out = out @ _bp_factor_grid(f, zs)
-        return out
-    return _horner_grid(psi.data["coeffs"], zs)
+        size = A.shape[0]
+        if size > 3:
+            # equal ranks: numpy multiplies one-element operands of unequal
+            # ranks in an unvectorized loop, which rounds differently; B[None]
+            # is a stack of one matrix on every numpy version (numpy 1.x reads
+            # a 2-d B as a stack of vectors)
+            zc = zs[:, None, None]
+            try:
+                X = np.linalg.solve(np.eye(size) - zc * A[None], B[None])
+            except np.linalg.LinAlgError as exc:
+                raise ResolventSingular("I - zA singular at a point of the grid") from exc
+            return D + zc * (C @ X)
+        entries = D
+        if size:
+            adj, det = _adjugate_det([[float(i == j) - A[i, j] * zs for j in range(size)]
+                                      for i in range(size)])
+            if not (np.isfinite(det).all() and det.all()):
+                raise ResolventSingular("I - zA singular at a point of the grid")
+            ratio = zs / det
+            g = _entry_product(C, _entry_product(adj, B))
+            entries = [[D[i, k] + ratio * g[i][k] for k in range(d)] for i in range(d)]
+    elif psi.kind == BP_PRODUCT:
+        entries = psi.data["leading"]
+        factors = psi.data["factors"]
+        if factors:
+            entries = _bp_factor_grid(factors[0], zs, entries)
+            for f in factors[1:]:
+                entries = _entry_product(entries, _bp_factor_grid(f, zs, np.eye(d)))
+    else:
+        coeffs = psi.data["coeffs"]
+        entries = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            entries = [[entries[i][k] * zs + c[i, k] for k in range(d)] for i in range(d)]
+    out = np.empty((d, d, n), dtype=complex)
+    for i in range(d):
+        for k in range(d):
+            out[i, k] = entries[i][k]
+    return out.transpose(2, 0, 1)
 
 
 def eval_psi(psi, lam):

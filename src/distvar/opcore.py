@@ -186,15 +186,21 @@ def stack_eigvals(m):
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     if d == 1:
         return m[:, :, 0].copy()
-    # entry-major copy: each entry of the stack is one contiguous (n,) array
+    # entry-major: each entry of the stack is one contiguous (n,) array, with
+    # no copy when m is a view of entry-major storage, as ``eval_psi_grid``
+    # returns; it is read, never written
     e = np.ascontiguousarray(m.transpose(1, 2, 0))
-    size = np.abs(e).max(axis=(0, 1))
+    mag = np.abs(e)
+    size = mag.max(axis=(0, 1))
     shift = sum(e[i, i] for i in range(d)) / d
+    diag = [e[i, i] - shift for i in range(d)]
     for i in range(d):
-        e[i, i] -= shift
+        mag[i, i] = np.abs(diag[i])
     # a power of two keeps the scaling exact and the cubic clear of overflow
-    scale = np.ldexp(1.0, np.frexp(np.abs(e).max(axis=(0, 1)))[1])
-    e /= scale
+    scale = np.ldexp(1.0, np.frexp(mag.max(axis=(0, 1)))[1])
+    e = e / scale
+    for i in range(d):
+        e[i, i] = diag[i] / scale
     if d == 2:
         return (shift + scale * np.stack(_pair_eigvals(e[0, 0], e[0, 1], e[1, 0], e[1, 1]))).T
     vals, dropped = _deflated_eigvals(e)
@@ -282,6 +288,20 @@ def dedupe_points(points, tol=DEFAULT):
     return [tuple(complex(v) for v in m) if m.size > 1 else complex(m[0]) for m in means]
 
 
+def _row_minima(ent):
+    """Row minima and first row argmins of each matrix of an entry-major
+    (m, m, k) stack, as two (m, k) arrays, in one entry-wise pass over the
+    short axis.  A minimum is an exact selection, so the minima are those of
+    ``min``; the strict comparison keeps the first of tied columns, as
+    ``argmin`` does."""
+    rowmin, first = ent[:, 0], np.zeros((ent.shape[0], ent.shape[2]), dtype=int)
+    for j in range(1, ent.shape[1]):
+        less = ent[:, j] < rowmin
+        rowmin = np.where(less, ent[:, j], rowmin)
+        first[less] = j
+    return rowmin, first
+
+
 def assignment_max(cost):
     """Largest cost in an optimal (min-sum) assignment, for each matrix of a
     (k, m, m) stack.
@@ -294,23 +314,40 @@ def assignment_max(cost):
     every row minimum (repeated points, whose rows are constant).  Only the
     other matrices, and those with a non-finite cost, go to
     ``linear_sum_assignment``, one call each; ``scipy.optimize`` is imported
-    on the first such call.
+    on the first such call.  For m <= 4 the minima, the argmins and both
+    certificates are read entry-wise off (k,) arrays (``_row_minima``), with
+    no reduction over a short axis.
     """
     cost = np.asarray(cost, dtype=float)
-    rowmin = cost.min(axis=2)
-    cols = np.sort(cost.argmin(axis=2), axis=1)
-    certified = (
-        np.all(cols[:, 1:] != cols[:, :-1], axis=1)
-        | np.all(np.diagonal(cost, axis1=1, axis2=2) == rowmin, axis=1)
-    ) & np.isfinite(cost).all(axis=(1, 2))
-    out = rowmin.max(axis=1)
-    fallback = np.flatnonzero(~certified)
+    k, m = cost.shape[0], cost.shape[-1]
+    if 1 <= m <= 4:
+        # entry-major: ent[i, j] is one contiguous (k,) array, with no copy
+        # when cost is a view of entry-major storage
+        ent = np.ascontiguousarray(cost.transpose(1, 2, 0))
+        finite = np.isfinite(ent).all(axis=(0, 1))
+        rowmin, first = _row_minima(ent)
+        # m argmins in range(m) are distinct when they cover every column
+        seen = np.zeros(k, dtype=int)
+        diagonal = np.ones(k, dtype=bool)
+        for i in range(m):
+            seen |= 1 << first[i]
+            diagonal &= ent[i, i] == rowmin[i]
+        certified = (seen == (1 << m) - 1) | diagonal
+        out = rowmin.max(axis=0)
+    else:
+        finite = np.isfinite(cost).all(axis=(1, 2))
+        rowmin = cost.min(axis=2)
+        cols = np.sort(cost.argmin(axis=2), axis=1)
+        certified = np.all(cols[:, 1:] != cols[:, :-1], axis=1) | np.all(
+            np.diagonal(cost, axis1=1, axis2=2) == rowmin, axis=1)
+        out = rowmin.max(axis=1)
+    fallback = np.flatnonzero(~(certified & finite))
     if fallback.size:
         from scipy.optimize import linear_sum_assignment
 
-        for k in fallback:
-            c = cost[k]
-            out[k] = c[linear_sum_assignment(c)].max()
+        for i in fallback:
+            c = cost[i]
+            out[i] = c[linear_sum_assignment(c)].max()
     return out
 
 

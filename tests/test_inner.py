@@ -11,6 +11,7 @@ from distvar.inner import (
 )
 from distvar.instances import build_psi
 from conftest import cauchy_coefficients, random_unitary, w2z_poly
+from test_workloads import WL
 
 
 def test_constant_unitary_colligation():
@@ -110,6 +111,31 @@ def test_bp_product_jet_matches_finite_differences():
 def test_bp_factor_rejects_a_zero_off_the_open_disc(zero):
     with pytest.raises(ValueError, match="not in the open disc"):
         dv.BPFactor(zero, np.eye(2), np.eye(2))
+
+
+def test_bp_factor_checks_take_no_svd_on_exact_identities(monkeypatch):
+    # an identity factor's three residuals are exactly zero, so their 2-norms
+    # need no SVD; any nonzero residual still takes one, and still decides
+    two_norms = []
+    norm = np.linalg.norm
+
+    def recording(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            two_norms.append(np.shape(x))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", recording)
+    eye = np.eye(3)
+    dv.from_scalar_blaschke_identity(dv.BlaschkeProduct([(0.3, 2), (-0.5j, 1)]), 3)
+    assert two_norms == []
+    v = random_unitary(np.random.default_rng(3), 3)[:, :1]
+    dv.BPFactor(0.3, v @ v.conj().T, eye)
+    assert two_norms
+    skew = np.diag([1.0, 0.0, 0.0]) + 1e-3 * np.eye(3, k=1)
+    for p, u, what in ((skew, eye, "Hermitian"), (2 * eye, eye, "idempotent"),
+                       (eye, 1.01 * eye, "unitarity")):
+        with pytest.raises(ValueError, match=what):
+            dv.BPFactor(0.3, p, u)
 
 
 def test_taylor_until_past_171_terms():
@@ -379,6 +405,15 @@ def _grid_points():
     return np.concatenate([circle, interior_disc_grid(64)])
 
 
+def _assert_near_oracle(psi, zs, values):
+    """Each value within 1e-13 max(1, ||oracle||_2) of ``_oracle_psi``: the
+    grid's entry-wise arithmetic rounds apart from the pointwise matrix
+    formula."""
+    for z, value in zip(zs, values):
+        oracle = _oracle_psi(psi, z)
+        assert np.abs(value - oracle).max() <= 1e-13 * max(1.0, np.linalg.norm(oracle, 2)), z
+
+
 @pytest.mark.parametrize("name", sorted(_grid_symbols()))
 def test_grid_layer_matches_pointwise_formula(name):
     psi = _grid_symbols()[name]
@@ -387,17 +422,77 @@ def test_grid_layer_matches_pointwise_formula(name):
     fibers = dv.fibers_grid(psi, zs)
     assert values.shape == (zs.size, psi.d, psi.d)
     assert fibers.shape == (zs.size, psi.d)
+    _assert_near_oracle(psi, zs, values)
     for k, z in enumerate(zs):
-        assert np.array_equal(values[k], _oracle_psi(psi, z))
         # the grid's fibers come from the stacked eigenvalue kernel, which
         # agrees with LAPACK to rounding: as multisets, within 1e-13
         assert dv.matching_distance(fibers[k].tolist(), _oracle_fiber(psi, z)) <= 1e-13
         assert fibers[k].tolist() == sorted(fibers[k].tolist(), key=lambda v: (v.real, v.imag))
-    # one-point grids and the one-point calls agree with the same formula
-    for z in zs[::9]:
-        assert np.array_equal(dv.eval_psi_grid(psi, [z])[0], _oracle_psi(psi, z))
-        assert np.array_equal(dv.eval_psi(psi, z), _oracle_psi(psi, z))
-        assert dv.fiber(psi, z) == _oracle_fiber(psi, z)
+    # one-point grids and the one-point calls give the bits of the point's
+    # row of a 2048-point grid, on the circle and inside the disc
+    big = np.concatenate([circle_grid(2048)[:2048 - 64], interior_disc_grid(64)])
+    rows = dv.eval_psi_grid(psi, big)
+    for k in list(range(0, big.size, 9)) + list(range(big.size - 64, big.size)):
+        z = big[k]
+        assert np.array_equal(dv.eval_psi_grid(psi, [z])[0], rows[k])
+        assert np.array_equal(dv.eval_psi(psi, z), rows[k])
+        assert dv.fiber(psi, z) == sorted((complex(v) for v in np.linalg.eigvals(rows[k])),
+                                          key=lambda v: (v.real, v.imag))
+
+
+def _stacked_reference(psi, zs):
+    """Psi on a grid by stacked matrix arithmetic: one batched solve of the
+    resolvent for a colligation, stacked products of the factor matrices for
+    a Blaschke-Potapov product, stacked Horner for a polynomial."""
+    zc = zs[:, None, None]
+    if psi.kind == COLLIGATION:
+        A, B, C, D = (psi.data[k] for k in ("A", "B", "C", "D"))
+        if A.shape[0] == 0:
+            return np.repeat(D[None], zs.size, axis=0)
+        return D + zc * (C @ np.linalg.solve(np.eye(A.shape[0]) - zc * A[None], B[None]))
+    if psi.kind == BP_PRODUCT:
+        out = np.repeat(psi.data["leading"][None], zs.size, axis=0)
+        for f in psi.data["factors"]:
+            b = (f.zero - zc) / (1.0 - np.conj(f.zero) * zc)
+            out = out @ (f.unitary @ (np.eye(psi.d) - f.projection + b * f.projection[None]))
+        return out
+    coeffs = psi.data["coeffs"]
+    out = np.repeat(coeffs[-1][None], zs.size, axis=0)
+    for c in coeffs[-2::-1]:
+        out = zc * out + c
+    return out
+
+
+def _sweep_symbols():
+    """The symbols of ``random_recipe`` 0-199 in both modes and those
+    ``construct_psi`` builds for the pair pools at seeds 0 and 101, whose
+    states all have N = 1; Haar colligations with N = 4 and 5 reach the
+    batched solve."""
+    for repeated in (False, True):
+        for seed in range(200):
+            yield build_psi(dv.random_recipe(seed, repeated=repeated))
+    for seed in (0, 101):
+        for item in WL.make_pool(dv, WL.WORKLOADS["pair_construct"], seed):
+            yield dv.construct_psi(item.pair)
+    rng = np.random.default_rng(40)
+    for n in (4, 5):
+        for d in (1, 2, 3):
+            u = random_unitary(rng, n + d)
+            yield dv.from_colligation(u[:n, :n], u[:n, n:], u[n:, :n], u[n:, n:])
+
+
+def test_grid_layer_matches_stacked_reference_on_the_sweep_symbols():
+    zs = np.concatenate([circle_grid(2048), interior_disc_grid(64)])
+    states = set()
+    for psi in _sweep_symbols():
+        ref = _stacked_reference(psi, zs)
+        scale = np.maximum(1.0, np.linalg.norm(ref, 2, axis=(1, 2)))
+        worst = (np.abs(dv.eval_psi_grid(psi, zs) - ref).max(axis=(1, 2)) / scale).max()
+        assert worst <= 1e-13, psi
+        if psi.kind == COLLIGATION:
+            states.add(psi.data["A"].shape[0])
+    # both colligation branches were compared: cofactors and the batched solve
+    assert {1, 2, 3} <= states and max(states) > 3
 
 
 def _sampled_conditions(psi, tol=dv.DEFAULT):
@@ -491,13 +586,18 @@ def test_mesh_makes_no_assignment_solver_call(name, solver_calls):
 
 
 def test_colligation_grid_as_long_as_the_state():
-    # grid size = state size = d: the stacked solve must read B as one matrix,
-    # not as a stack of vectors (numpy 1.x reads a 2-d right-hand side so)
-    psi = _grid_symbols()["colligation"]
-    zs = _grid_points()[[3, 70]]
-    values = dv.eval_psi_grid(psi, zs)
-    for k, z in enumerate(zs):
-        assert np.array_equal(values[k], _oracle_psi(psi, z))
+    # grid size = state size = d, on the cofactor branch (N = 2) and the
+    # batched solve (N = 4): the solve must read B as one matrix, not as a
+    # stack of vectors (numpy 1.x reads a 2-d right-hand side so)
+    for size in (2, 4):
+        u = random_unitary(np.random.default_rng(30 + size), 2 * size)
+        psi = dv.from_colligation(u[:size, :size], u[:size, size:], u[size:, :size],
+                                  u[size:, size:])
+        zs = _grid_points()[[3, 70, 90, 120][:size]]
+        _assert_near_oracle(psi, zs, dv.eval_psi_grid(psi, zs))
+        rows = dv.eval_psi_grid(psi, circle_grid(2048))
+        for k in (0, 5, 1024):
+            assert np.array_equal(dv.eval_psi_grid(psi, circle_grid(2048)[[k]])[0], rows[k])
 
 
 def test_eval_psi_grid_rejects_points_outside_the_disc(companion_psi_2):
@@ -507,13 +607,40 @@ def test_eval_psi_grid_rejects_points_outside_the_disc(companion_psi_2):
     assert dv.eval_psi_grid(companion_psi_2, [1.0 + 1e-10]).shape == (1, 2, 2)
 
 
+def _state_symbol(a):
+    """A colligation symbol with state matrix ``a`` and d = 1, built without
+    the unitarity and stability checks."""
+    a = np.asarray(a, dtype=complex)
+    size = a.shape[0]
+    data = {"A": a, "B": np.ones((size, 1), dtype=complex),
+            "C": np.ones((1, size), dtype=complex), "D": np.eye(1, dtype=complex)}
+    return MatrixInnerFunction(COLLIGATION, 1, data, 0.0, 2.0)
+
+
 def test_eval_psi_grid_singular_resolvent():
-    one = np.eye(1, dtype=complex)
-    psi = MatrixInnerFunction(COLLIGATION, 1, {"A": 2.0 * one, "B": one, "C": one,
-                                               "D": one}, 0.0, 2.0)
+    psi = _state_symbol([[2.0]])
     with pytest.raises(ResolventSingular):
         dv.eval_psi_grid(psi, [0.1, 0.5])
     with pytest.raises(ResolventSingular):
         dv.taylor_at(psi, 0.5, 3)
     with pytest.raises(ResolventSingular):
         dv.psi_of_matrix(psi, [[0.5]])
+    # I - zA exactly singular at z = 0.5 for N = 2 and 3 (cofactors) and for
+    # N = 4 (batched solve): triangular states with an eigenvalue 2
+    states = [[[2.0, 0.7], [0.0, 0.3]],
+              [[0.3, 0.1, 0.2], [0.0, 2.0, 0.5], [0.0, 0.0, 0.1]],
+              np.triu(np.full((4, 4), 0.1)) + np.diag([0.0, 0.0, 1.9, 0.0])]
+    for a in states:
+        psi = _state_symbol(a)
+        assert dv.eval_psi_grid(psi, [0.1, -0.5]).shape == (2, 1, 1)
+        with pytest.raises(ResolventSingular):
+            dv.eval_psi_grid(psi, [0.1, 0.5])
+        with pytest.raises(ResolventSingular):
+            dv.eval_psi(psi, 0.5)
+    # a non-finite state makes a non-finite det(I - zA)
+    for bad in (np.nan, np.inf):
+        for size in (1, 2, 3):
+            a = np.zeros((size, size), dtype=complex)
+            a[0, size - 1] = bad
+            with np.errstate(invalid="ignore"), pytest.raises(ResolventSingular):
+                dv.eval_psi_grid(_state_symbol(a), [0.1, 0.5])

@@ -562,6 +562,50 @@ def test_assignment_max_matches_solver_on_tied_costs(m, solver_calls):
     assert (fallback > 0) == (m > 1)
 
 
+def _reduction_assignment_max(cost):
+    """Reference: row minima and first argmins by reductions over the short
+    axis, the row-minimum certificate, and the solver for the rest; returns
+    the maxima and the number of solver calls."""
+    rowmin = cost.min(axis=2)
+    cols = np.sort(cost.argmin(axis=2), axis=1)
+    certified = (
+        np.all(cols[:, 1:] != cols[:, :-1], axis=1)
+        | np.all(np.diagonal(cost, axis1=1, axis2=2) == rowmin, axis=1)
+    ) & np.isfinite(cost).all(axis=(1, 2))
+    out = rowmin.max(axis=1)
+    out[~certified] = _solver_max(cost[~certified])
+    return out, int(np.count_nonzero(~certified))
+
+
+def _short_axis_stacks(rng, m):
+    """(k, m, m) cost stacks with tied entries, repeated rows and repeated
+    points (constant rows) among them."""
+    k = 500
+    ties = rng.integers(0, 3, size=(k, m, m)).astype(float)
+    rows = rng.uniform(size=(k, 1, m)).repeat(m, axis=1)
+    points = rng.uniform(size=(k, m, 1)).repeat(m, axis=2)
+    mixed = rng.uniform(size=(k, m, m))
+    mixed[::3, -1] = mixed[::3, 0]
+    return [ties, rows, points, mixed, rng.uniform(size=(k, m, m))]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_row_minima_match_the_reductions_on_short_axes(m, solver_calls):
+    rng = np.random.default_rng(70 + m)
+    for cost in _short_axis_stacks(rng, m):
+        entries = np.ascontiguousarray(cost.transpose(1, 2, 0))
+        rowmin, first = dv.opcore._row_minima(entries)
+        assert np.array_equal(rowmin, cost.min(axis=2).T)
+        # ties take the first index, as argmin does
+        assert np.array_equal(first, cost.argmin(axis=2).T)
+        expected, calls = _reduction_assignment_max(cost)
+        before = len(solver_calls)
+        assert np.array_equal(dv.opcore.assignment_max(cost), expected)
+        assert len(solver_calls) - before == calls
+        # a view of entry-major storage, as the mesh passes it, gives the same
+        assert np.array_equal(dv.opcore.assignment_max(entries.transpose(2, 0, 1)), expected)
+
+
 def test_assignment_max_single_matrix(solver_calls):
     certified = np.array([[[0.3, 0.1, 0.9], [0.2, 0.8, 0.7], [0.6, 0.5, 0.4]]])
     got = dv.opcore.assignment_max(certified)
@@ -662,6 +706,13 @@ def test_stack_eigvals_matches_lapack_on_random_stacks(d):
     skewed = np.triu(ginibre) * (1.0 + 30 * np.triu(np.ones((d, d)), 1))
     for m in (ginibre, unitary, normal, skewed):
         _assert_matches_lapack(m, rng)
+        # an (n, d, d) view of entry-major storage, as eval_psi_grid returns,
+        # gives the same values and is left as it was
+        storage = np.ascontiguousarray(m.transpose(1, 2, 0))
+        kept = storage.copy()
+        got = dv.opcore.stack_eigvals(storage.transpose(2, 0, 1))
+        assert np.array_equal(got, dv.opcore.stack_eigvals(m))
+        assert np.array_equal(storage, kept)
     # the kernel scales by powers of two, exactly, so its values scale with
     # the stack, far past the range where |M_ij|^2 overflows or underflows
     for k in (-600, 600) if d <= 3 else ():

@@ -22,7 +22,6 @@ from .errors import AnnTrivial, DegenerateCluster, NotPure
 from .inner import eval_psi_grid
 from .opcore import (
     _jordan_clusters,
-    dedupe_points,
     joint_spectrum_taylor,
     kernel,
     matching_distance,
@@ -52,7 +51,7 @@ class AnnihilatorBasis:
 @dataclass(frozen=True)
 class SupportBounds:
     inner_set: tuple           # Z(Ann)
-    lower_boundary: tuple      # joint spectrum of (S1, S2), deduplicated
+    lower_boundary: tuple      # joint spectrum of (S1, S2), one point per joint space
     variety: object            # VarietyDescription upper bound
 
 
@@ -100,13 +99,13 @@ def z_ann(basis, pair, tol=DEFAULT):
     """Common zeros of the annihilator inside the open bidisc.
 
     Candidates are the joint-spectrum points of the pair; a candidate is kept
-    iff every generator vanishes on it.  The result is deduplicated as a set.
+    iff every generator vanishes on it, and its repeats are collapsed.
     """
     points = joint_spectrum_taylor(pair, tol=tol).points
     lams, mus = np.array(points, dtype=complex).reshape(-1, 2).T
     caps = tol.tol_zset * np.array([max(1.0, g.scale) for g in basis.generators])
     off = (np.abs(values_at(basis.generators, lams, mus)) > caps[:, None]).any(axis=0)
-    return tuple(dedupe_points([pt for pt, o in zip(points, off) if not o], tol=tol))
+    return tuple(dict.fromkeys(pt for pt, o in zip(points, off) if not o))
 
 
 def omega_psi(bundle, tol=DEFAULT):
@@ -122,7 +121,7 @@ def omega_psi(bundle, tol=DEFAULT):
     eye = np.eye(pair.n)
     cut = tol.tol_eig * max(1.0, *pair.norms)
     points, witnesses = [], []
-    for lam, mu in dedupe_points(joint_spectrum_taylor(pair, tol=tol).points, tol=tol):
+    for lam, mu in dict.fromkeys(joint_spectrum_taylor(pair, tol=tol).points):
         shifts = np.hstack([pair.t1 - lam * eye, pair.t2 - mu * eye]).conj().T
         w = kernel(shifts, 0.0, cut, f"adjoint joint eigenspace at ({lam:.6g}, {mu:.6g}):",
                    tol=tol)
@@ -194,13 +193,13 @@ def check_projection(omega, m1, tol=DEFAULT):
     name, anchor = "omega-projection", "omega-first-coordinates-equal-zeros-of-m1"
     try:
         omega, _ = _settled(omega)
-        proj = dedupe_points([lam for lam, _ in omega], tol=tol)
-        zeros = dedupe_points([a for a, _ in m1.zeros], tol=tol)
-        dist = matching_distance(list(proj), list(zeros))
+        proj = list(dict.fromkeys(lam for lam, _ in omega))
+        zeros = [a for a, _ in m1.zeros]
+        dist = matching_distance(proj, zeros)
     except DegenerateCluster as exc:
         return inconclusive(name, anchor, exc)
     return _matching_entry(
-        name, anchor, dist, tol, {"projection": list(proj), "m1_zeros": list(zeros)}
+        name, anchor, dist, tol, {"projection": proj, "m1_zeros": zeros}
     )
 
 
@@ -212,8 +211,7 @@ def support_bounds(zset, bundle, variety, tol=DEFAULT):
     point must also lie on the variety.
     """
     zset = _settled(zset)
-    staylor = joint_spectrum_taylor(bundle.constrained, tol=tol)
-    lower = tuple(dedupe_points(list(staylor.points), tol=tol))
+    lower = tuple(dict.fromkeys(joint_spectrum_taylor(bundle.constrained, tol=tol).points))
     return SupportBounds(inner_set=zset, lower_boundary=lower, variety=variety)
 
 

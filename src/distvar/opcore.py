@@ -1,12 +1,16 @@
 """Commuting contractive matrix pairs: validation, polynomial and Blaschke
 calculus, joint spectra.
 
-Point-set semantics used throughout: eigenvalue clusters are merged
-agglomeratively, cluster means are the reported locations (the mean of a
-split Jordan cluster is accurate to machine order), and set comparisons use
-optimal assignment with an explicit distance cap.  Distinct clusters closer
-than the warning gap route the computation to DegenerateCluster rather than
-silently deciding.
+Point-set semantics used throughout: the eigenvalues of one matrix are
+merged agglomeratively within ``_EIG_MERGE``, and a cluster's mean is its
+location (the mean of a split Jordan cluster is accurate to machine order).
+Every computed point set is read off one traversal, ``_joint_spaces``, with
+one point per joint generalized eigenspace: repeats of a point are
+bit-equal copies, and distinct points lie in distinct clusters that the
+kernels of their powers confirmed, or DegenerateCluster was raised.  So a
+set's distinct points are its repeats collapsed exactly, with no second
+clustering.  Set comparisons use optimal assignment with an explicit
+distance cap.
 
 Numerical kernels and ranks are decided in one place, ``kernel``: a singular
 value counts as zero when it is at most the cut max(floor, rel * s_max), and
@@ -269,23 +273,6 @@ def _cluster_means(points, radius):
     out = [(pts[g].mean(axis=0), len(g)) for g in cluster_points(points, radius)]
     out.sort(key=lambda cm: tuple((v.real, v.imag) for v in cm[0]))
     return out
-
-
-def dedupe_points(points, tol=DEFAULT):
-    """Cluster means of a point multiset, merged within ``tol.cluster_merge``;
-    raises DegenerateCluster when two distinct clusters are closer than
-    ``tol.cluster_warn``."""
-    warn_gap = tol.cluster_warn
-    means = [m for m, _ in _cluster_means(points, tol.cluster_merge)]
-    if means:
-        gaps = _distances(np.array(means), np.array(means))
-        close = np.argwhere(np.triu(gaps < warn_gap, 1))  # row-major: first pair first
-        if close.size:
-            gap = float(gaps[tuple(close[0])])
-            raise DegenerateCluster(
-                f"distinct clusters at distance {gap:.3e} < {warn_gap:.1e}"
-            )
-    return [tuple(complex(v) for v in m) if m.size > 1 else complex(m[0]) for m in means]
 
 
 def _row_minima(ent):
@@ -590,7 +577,10 @@ def joint_spectrum_taylor(pair, tol=DEFAULT):
     """Joint (Taylor) spectrum of a commuting pair, with multiplicity: each
     point (lambda, mu) of ``_joint_spaces`` as often as its space's
     dimension, since a basis that triangularizes T2 on the space
-    triangularizes T1 too, whose only eigenvalue there is lambda."""
+    triangularizes T1 too, whose only eigenvalue there is lambda.  The
+    repeats of a point are bit-equal copies, and distinct points come from
+    distinct spaces, so ``dict.fromkeys`` gives the distinct points in
+    order."""
     points = []
     for lam, mu, v in _joint_spaces(pair, tol):
         points += [(lam, mu)] * v.shape[1]

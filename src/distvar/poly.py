@@ -297,8 +297,6 @@ def blaschke_eval(b, z):
 
 def has_simple_roots(b, sep):
     """True iff all multiplicities are 1 and pairwise zero distances exceed sep."""
-    if sep <= 0:
-        raise ValueError("sep must be positive")
     if any(m != 1 for _, m in b.zeros):
         return False
     pts = [a for a, _ in b.zeros]

@@ -30,8 +30,7 @@ class Tolerances:
     rank_guard: float = 10.0        # inconclusive band around rank thresholds
     # point-set semantics
     match_cap: float = 1e-6         # optimal-assignment distance cap for set equality
-    cluster_warn: float = 1e-4      # closer clusters route to DegenerateCluster
-    cluster_merge: float = 1e-7     # agglomerative merge radius for repeated points
+    cluster_warn: float = 1e-4      # zeros of m1 this close are not simple
     tol_zset: float = 1e-8          # vanishing threshold for zero-set membership
     # certificates
     tol_attain: float = 1e-6        # slack on the "= 1" attainment conditions

@@ -141,7 +141,7 @@ def test_omega_agrees_with_the_point_spectrum_of_the_adjoint_pair(repeated):
         bundle = dv.constrained_coextension(inst.pair, inst.psi, basis)
         s1, s2 = bundle.s1, bundle.s2
         ref = dv.joint_point_spectrum(dv.validate_pair(s1.conj().T, s2.conj().T))
-        ref_points = opcore.dedupe_points([(np.conj(a), np.conj(b)) for a, b in ref.points])
+        ref_points = list(dict.fromkeys((np.conj(a), np.conj(b)) for a, b in ref.points))
         omega, witnesses = dv.omega_psi(bundle)
         assert dv.matching_distance(list(omega), list(ref_points)) <= 1e-12
         ref_counts = _witness_counts(ref_points, ref.witnesses, s1, s2)
@@ -199,25 +199,6 @@ def test_deep_jordan_zero_set_equals_omega(companion_psi_2):
     assert entry.status == "pass"
     root = np.sqrt(0.35)
     assert dv.matching_distance(entry.data["z_ann"], [(0.35, root), (0.35, -root)]) < 1e-12
-
-
-def test_cluster_merge_override_is_applied():
-    # zeros of multiplicity 3 and 1: at the default merge radius every check
-    # passes.  A radius of 0.5 merges the points over both zeros.  Z(Ann)
-    # repeats those over the triple zero three times and Omega once, so the
-    # merged points differ and lie off the variety
-    spec = random_recipe(0, repeated=True)
-
-    def statuses(tolerances):
-        report = run_certification(
-            make_instance(dataclasses.replace(spec, tolerances=tolerances)))
-        assert report.tolerances["cluster_merge"] == tolerances.get(
-            "cluster_merge", dv.DEFAULT.cluster_merge)
-        return {e.name: e.status for e in report.entries}
-
-    assert set(statuses({}).values()) == {"pass"}
-    merged = statuses({"cluster_merge": 0.5})
-    assert merged["zero-set-equals-omega"] == merged["support-collapse"] == "fail"
 
 
 # the repeated-zero recipes whose split Jordan blocks gave a wrong fail when

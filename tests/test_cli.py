@@ -371,6 +371,15 @@ def test_removed_tolerance_is_unknown(tmp_path, capsys):
         assert error == f"invalid --tol: unknown tolerance {name!r}"
 
 
+def test_zero_cluster_warn_certifies(tmp_path, capsys):
+    # a separation of 0 is a valid override: it flags only coincident zeros of m1
+    out = tmp_path / "o"
+    code = main(["--tol", "cluster_warn=0", "--out", str(out), "certify", "--batch", "3"])
+    assert code == 0
+    summary = load_json(out / "summary.json")
+    assert (summary["instances"], summary["pass"]) == (3, 3)
+
+
 def test_cmd_certify_pair_symbol_dimension_mismatch_exits_2(tmp_path, capsys, j2_pair,
                                                             companion_psi_2):
     # the Jordan pair has defect rank 1; the companion symbol has d = 2

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -376,6 +377,66 @@ def test_taylor_spectrum_keeps_zeros_outside_the_merge_radius(companion_psi_2,
     for pair in _close_zero_pairs(1e-2, companion_psi_2, scalar_shift_psi):
         lams = [lam for lam, _ in dv.joint_spectrum_taylor(pair).points]
         assert dv.matching_distance(lams, list(np.linalg.eigvals(pair.t1))) < 1e-12
+
+
+def _separated_or_degenerate(points_of):
+    """``points_of()`` raises DegenerateCluster, or its distinct points lie
+    pairwise more than cluster_warn apart."""
+    try:
+        points = list(points_of())
+    except DegenerateCluster:
+        return
+    for i, a in enumerate(points):
+        for b in points[:i]:
+            assert np.abs(np.subtract(a, b)).max() > dv.DEFAULT.cluster_warn, (a, b)
+
+
+def _assert_point_sets_come_from_the_traversal(pair, bundle, m1):
+    """Repeats of a Taylor-spectrum point are bit-equal, with one distinct
+    point per joint space; Z(Ann), Omega, the support's lower set and the
+    projection check's two sets are separated or degenerate."""
+    for p in (pair, bundle.constrained):
+        try:
+            points = dv.joint_spectrum_taylor(p).points
+        except DegenerateCluster:
+            continue
+        distinct = list(dict.fromkeys(points))
+        assert len(distinct) == len(dv.opcore._joint_spaces(p, dv.DEFAULT))
+        _separated_or_degenerate(lambda: distinct)
+    try:
+        basis = dv.ann_generators(pair)
+    except DegenerateCluster:
+        return
+    _separated_or_degenerate(lambda: dv.z_ann(basis, pair))
+    _separated_or_degenerate(lambda: dv.omega_psi(bundle)[0])
+    _separated_or_degenerate(
+        lambda: dv.support_bounds(dv.z_ann(basis, pair), bundle, None).lower_boundary)
+    entry = dv.check_projection(dv.settle(dv.omega_psi, bundle), m1)
+    if entry.status != "inconclusive":
+        _separated_or_degenerate(lambda: entry.data["projection"])
+        _separated_or_degenerate(lambda: entry.data["m1_zeros"])
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+def test_recipe_point_sets_need_no_reclustering(repeated):
+    for seed in range(40):
+        inst = dv.make_instance(dv.random_recipe(seed, repeated=repeated))
+        basis = dv.ann_generators(inst.pair)
+        bundle = dv.constrained_coextension(inst.pair, inst.psi, basis)
+        _assert_point_sets_come_from_the_traversal(inst.pair, bundle, bundle.m1)
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5])
+def test_close_zero_point_sets_need_no_reclustering(gap, companion_psi_2, scalar_shift_psi):
+    # each pair stands in for its own constrained pair, as omega_psi and
+    # support_bounds read only bundle.constrained
+    for pair in _close_zero_pairs(gap, companion_psi_2, scalar_shift_psi):
+        try:
+            m1 = dv.minimal_blaschke(pair.t1)
+        except DegenerateCluster:
+            continue
+        _assert_point_sets_come_from_the_traversal(
+            pair, SimpleNamespace(constrained=pair), m1)
 
 
 def test_minimal_blaschke_never_merges_two_simple_zeros(companion_psi_2):
@@ -910,17 +971,5 @@ def test_cluster_points_matches_union_find(dim):
             assert dv.opcore.cluster_points(pts, radius) == _reference_clusters(pts, radius)
 
 
-def test_dedupe_points_raises_on_the_first_close_pair():
-    tol = dv.DEFAULT
-    # sorted means 0, 2e-5, 0.5, 0.5 + 3e-5: the first close pair is (0, 2e-5)
-    pts = [0.5 + 3e-5, 0.0, 0.5, 2e-5]
-    with pytest.raises(DegenerateCluster,
-                       match=r"^distinct clusters at distance 2\.000e-05 < 1\.0e-04$"):
-        dv.opcore.dedupe_points(pts, tol=tol)
-    assert dv.opcore.dedupe_points([0.3, 0.1, 0.1 + 1e-9], tol=tol) == [
-        complex(np.mean([0.1, 0.1 + 1e-9])), complex(0.3)]
-
-
 def test_no_points_give_no_clusters():
     assert dv.opcore._cluster_means([], 1e-3) == []
-    assert dv.opcore.dedupe_points([]) == []

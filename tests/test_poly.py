@@ -114,6 +114,10 @@ def test_has_simple_roots():
     assert not dv.has_simple_roots(
         dv.BlaschkeProduct([(0.0, 1), (1e-9, 1)]), 1e-4
     )
+    # a separation of 0 flags only coincident zeros and higher multiplicities
+    assert dv.has_simple_roots(dv.BlaschkeProduct([(0.0, 1), (1e-9, 1)]), 0.0)
+    assert not dv.has_simple_roots(dv.BlaschkeProduct([(0.1, 1), (0.1, 1)]), 0.0)
+    assert not dv.has_simple_roots(dv.BlaschkeProduct([(0.0, 2)]), 0.0)
 
 
 def _blaschke_series(b, z0, n):

@@ -24,6 +24,7 @@ from .opcore import (
     _jordan_clusters,
     joint_spectrum_taylor,
     kernel,
+    kernels,
     matching_distance,
     minimal_blaschke,
     opnorms,
@@ -115,16 +116,18 @@ def omega_psi(bundle, tol=DEFAULT):
     that ``support_bounds`` reads.  The witnesses at (lambda, mu), in the
     model coordinates, are the guarded kernel of [(S1 - lambda)*; (S2 - mu)*]
     cut at tol_eig * max(1, ||S1||, ||S2||); a point without one is not in
-    Omega.
+    Omega.  All points are decided together by ``kernels``, so the first
+    point in order whose guard band is hit raises.
     """
     pair = bundle.constrained
     eye = np.eye(pair.n)
     cut = tol.tol_eig * max(1.0, *pair.norms)
+    candidates = list(dict.fromkeys(joint_spectrum_taylor(pair, tol=tol).points))
+    shifts = [np.hstack([pair.t1 - lam * eye, pair.t2 - mu * eye]).conj().T
+              for lam, mu in candidates]
+    guards = [f"adjoint joint eigenspace at ({lam:.6g}, {mu:.6g}):" for lam, mu in candidates]
     points, witnesses = [], []
-    for lam, mu in dict.fromkeys(joint_spectrum_taylor(pair, tol=tol).points):
-        shifts = np.hstack([pair.t1 - lam * eye, pair.t2 - mu * eye]).conj().T
-        w = kernel(shifts, 0.0, cut, f"adjoint joint eigenspace at ({lam:.6g}, {mu:.6g}):",
-                   tol=tol)
+    for (lam, mu), w in zip(candidates, kernels(shifts, 0.0, cut, guards, tol)):
         if w.shape[1]:
             points.append((lam, mu))
             witnesses += list(w.T)

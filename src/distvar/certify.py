@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConstantSymbol, DenominatorVanishes
 from .inner import circle_grid, distinguished_certificate, fibers_grid
 from .opcore import assignment_max, blaschke_apply, opnorm, opnorms, poly_stack, spectral_radius
-from .poly import BlaschkeProduct, Poly1, values_at
+from .poly import BlaschkeProduct, Poly1, coefficient_rows, family_values, monomial_table
 from .report import FAIL, INCONCLUSIVE, PASS, CertEntry
 from .tolerances import DEFAULT
 
@@ -92,12 +92,28 @@ def sup_on_variety(variety, q, boundary_n=512, samples=None):
 
 
 _TORUS_24 = np.meshgrid(*2 * [np.exp(2j * np.pi * np.arange(24) / 24)])
+# the read-only table z^i w^j on that grid for the largest box asked for so
+# far, grown on demand; a smaller box is a slice of it, which holds the same
+# running powers, so a bound does not depend on the boxes asked for before
+_TORUS_TABLE = [np.empty((0, 0, 24, 24), dtype=complex)]
+
+
+def _torus_table(a, b):
+    """The monomial table z^i w^j (i < a, j < b) on the 24 x 24 torus grid."""
+    table = _TORUS_TABLE[0]
+    if a > table.shape[0] or b > table.shape[1]:
+        a_max, b_max = max(a, table.shape[0]), max(b, table.shape[1])
+        table = monomial_table(*_TORUS_24, a_max, b_max, np.ones((24, 24)), np.multiply)
+        table.setflags(write=False)
+        _TORUS_TABLE[0] = table
+    return table[:a, :b]
 
 
 def gradient_bound(q):
     """Sampled estimate of max |grad q| on the closed bidisc, from a 24 x 24
     torus grid; a finer grid can exceed it, so it is not a proven bound."""
-    return float(np.abs(values_at([q.dz(), q.dw()], *_TORUS_24)).sum(axis=0).max())
+    rows = coefficient_rows([q.dz(), q.dw()])
+    return float(np.abs(family_values(rows, _torus_table(*rows.shape[1:]))).sum(axis=0).max())
 
 
 def slack(q, samples):

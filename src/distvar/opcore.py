@@ -12,12 +12,15 @@ set's distinct points are its repeats collapsed exactly, with no second
 clustering.  Set comparisons use optimal assignment with an explicit
 distance cap.
 
-Numerical kernels and ranks are decided in one place, ``kernel``: a singular
-value counts as zero when it is at most the cut max(floor, rel * s_max), and
-a guarded call raises DegenerateCluster on a singular value inside the band
-(cut / rank_guard, cut * rank_guard) instead of deciding (Golub-Van Loan,
-Matrix Computations, 5.4).  The rank of m is its column count less the
-kernel's dimension.
+Numerical kernels and ranks are decided by one rule, ``_cut_kernel``: a
+singular value counts as zero when it is at most the cut
+max(floor, rel * s_max), and a guarded call raises DegenerateCluster on a
+singular value inside the band (cut / rank_guard, cut * rank_guard) instead
+of deciding (Golub-Van Loan, Matrix Computations, 5.4).  The rank of m is
+its column count less the kernel's dimension.  ``kernel`` applies it to one
+matrix, ``kernels`` to each matrix of a list after one stacked SVD per
+shape, each slice of which equals that matrix's own SVD: a set's points are
+decided together, and the first in order whose guard band is hit raises.
 
 A family of polynomials checked on one pair is evaluated as its coefficient
 rows times the pair's monomial table T1^i T2^j, ``poly_stack``, and its
@@ -28,15 +31,19 @@ most 3 in closed form, with a backward-error certificate per matrix, and
 calls LAPACK only for the matrices the certificate rejects.
 
 Jordan structure is read in one place, ``_jordan_clusters``: the kernels
-of the powers (T - lambda)^k, taken by ``kernel`` under the guarded rank
-rule, grow to the generalized eigenspace of each eigenvalue cluster or the
-cluster is degenerate.  ``minimal_blaschke`` reads the multiplicities off
-it, the synthesis fiber guard (``annvar``) the Jordan blocks of each symbol
-fiber, and ``_joint_spaces`` compresses T2 to each generalized eigenspace
-of T1, which T2 leaves invariant, for the joint generalized eigenspaces that
-every joint spectrum reads: no Schur factorization and no random
-combination.  Omega, the conjugated joint point spectrum of (S1*, S2*), is
-read off the traversal of (S1, S2) (``annvar.omega_psi``).
+of the powers (T - lambda)^k, taken under the guarded rank rule, grow to
+the generalized eigenspace of each eigenvalue cluster or the cluster is
+degenerate.  All clusters of a matrix are decided together, in one stacked
+SVD per power over the clusters still growing; the first degenerate
+cluster in sorted order raises, at its first failing power, as when the
+clusters were taken one at a time.  ``minimal_blaschke`` reads the
+multiplicities off it, the synthesis fiber guard (``annvar``) the Jordan
+blocks of each symbol fiber, and ``_joint_spaces`` compresses T2 to each
+generalized eigenspace of T1, which T2 leaves invariant, for the joint
+generalized eigenspaces that every joint spectrum reads: no Schur
+factorization and no random combination.  Omega, the conjugated joint point
+spectrum of (S1*, S2*), is read off the traversal of (S1, S2)
+(``annvar.omega_psi``).
 
 ``assignment_max`` settles most matchings by a row-minimum certificate;
 ``scipy.optimize``, whose import costs about 0.2 s, is loaded only when a
@@ -215,6 +222,17 @@ def stack_eigvals(m):
     return out
 
 
+def _cut_kernel(s, vh, rel, floor, guard, tol):
+    """The kernel that the singular values ``s`` and right singular vectors
+    ``vh`` of one matrix give under the rule of ``kernel``; the few values
+    are compared as Python floats."""
+    s = s.tolist()
+    cut = max(floor, rel * s[0]) if s else floor
+    if guard and any(cut / tol.rank_guard < v < cut * tol.rank_guard for v in s):
+        raise DegenerateCluster(f"{guard} singular value inside the guard band")
+    return vh[sum(v > cut for v in s):].conj().T
+
+
 def kernel(m, rel, floor, guard=None, tol=DEFAULT):
     """Orthonormal basis, as columns, of the numerical kernel of ``m``.
 
@@ -227,10 +245,23 @@ def kernel(m, rel, floor, guard=None, tol=DEFAULT):
     """
     rows, cols = m.shape
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    cut = max(floor, rel * s[0]) if s.size else floor
-    if guard and np.any((s > cut / tol.rank_guard) & (s < cut * tol.rank_guard)):
-        raise DegenerateCluster(f"{guard} singular value inside the guard band")
-    return vh[int(np.count_nonzero(s > cut)):].conj().T
+    return _cut_kernel(s, vh, rel, floor, guard, tol)
+
+
+def kernels(mats, rel, floor, guards, tol=DEFAULT):
+    """``kernel`` of each matrix of a list, each with its own guard, yielded
+    in order: one stacked SVD per shape, each slice of which equals that
+    matrix's own SVD, then the cut of ``kernel`` per matrix, so the first
+    matrix in order whose guard band is hit raises."""
+    svds = [None] * len(mats)
+    for shape in dict.fromkeys(m.shape for m in mats):
+        at = [i for i, m in enumerate(mats) if m.shape == shape]
+        stack = np.stack([mats[i] for i in at])
+        _, s, vh = np.linalg.svd(stack, full_matrices=shape[0] < shape[1])
+        for i, s_i, vh_i in zip(at, s, vh):
+            svds[i] = s_i, vh_i
+    for (s, vh), guard in zip(svds, guards):
+        yield _cut_kernel(s, vh, rel, floor, guard, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -254,24 +285,32 @@ def cluster_points(points, radius):
     if not len(points):
         return []
     pts = _as_points(points)
-    reach = _distances(pts, pts) <= radius
-    # each boolean squaring doubles the path length the matrix spans; at the
-    # fixed point a row's first True is the least index of its component
-    grown = reach @ reach
-    while not np.array_equal(grown, reach):
-        reach, grown = grown, grown @ grown
-    first = reach.argmax(axis=1)
-    return [np.flatnonzero(first == f).tolist() for f in np.unique(first)]
+    near = (_distances(pts, pts) <= radius).tolist()
+    seen = [False] * len(near)
+    out = []
+    for first in range(len(near)):
+        if seen[first]:
+            continue
+        # breadth first: the list grows while it is read
+        seen[first] = True
+        group = [first]
+        for i in group:
+            for j, close in enumerate(near[i]):
+                if close and not seen[j]:
+                    seen[j] = True
+                    group.append(j)
+        out.append(sorted(group))
+    return out
 
 
-def _cluster_means(points, radius):
-    """(mean, count) of each cluster of ``cluster_points``, sorted by mean;
-    no points give no clusters."""
-    if not len(points):
-        return []
-    pts = _as_points(points)
-    out = [(pts[g].mean(axis=0), len(g)) for g in cluster_points(points, radius)]
-    out.sort(key=lambda cm: tuple((v.real, v.imag) for v in cm[0]))
+def _cluster_means(values, radius):
+    """(mean, count) of each cluster of ``cluster_points`` of complex
+    scalars, the mean a complex, sorted by mean; no values give no clusters,
+    and a singleton's mean is its value."""
+    vals = np.asarray(values, dtype=complex)
+    out = [(complex(vals[g[0]] if len(g) == 1 else vals[g].mean()), len(g))
+           for g in cluster_points(vals, radius)]
+    out.sort(key=lambda cm: (cm[0].real, cm[0].imag))
     return out
 
 
@@ -464,14 +503,17 @@ def poly_apply(p, pair):
 
 
 def blaschke_apply(b, t):
-    """Evaluate a finite Blaschke product on a matrix via its rational form."""
+    """Evaluate a finite Blaschke product on a matrix via its rational form:
+    the factors (I - conj(a) T)^-1 (a I - T) of all its zeros come from one
+    stacked solve, each slice of which equals that factor's own solve."""
     t = np.asarray(t, dtype=complex)
-    n = t.shape[0]
-    out = b.constant * np.eye(n, dtype=complex)
-    for a, m in b.zeros:
-        num = a * np.eye(n) - t
-        den = np.eye(n) - np.conj(a) * t
-        fac = np.linalg.solve(den, num)
+    eye = np.eye(t.shape[0])
+    out = b.constant * eye
+    if not b.zeros:
+        return out
+    facs = np.linalg.solve(np.stack([eye - np.conj(a) * t for a, _ in b.zeros]),
+                           np.stack([a * eye - t for a, _ in b.zeros]))
+    for fac, (_, m) in zip(facs, b.zeros):
         for _ in range(m):
             out = out @ fac
     return out
@@ -496,40 +538,65 @@ def _jordan_clusters(t, scale, tol):
     Clusters merge the eigenvalues within ``_EIG_MERGE``, rejoining a Jordan
     block of size m that rounding split by about (eps ||t||)^(1/m); the
     kernels of the powers (t - lambda)^k decide whether that was right.
-    Each comes from ``kernel``: a singular value is zero when it is at most
-    max(1e-12 * scale * ||t - lambda||^(k-1), tol_rank * s_max), the floor
-    being the roundoff of k products of the shift, and one inside the
-    rank_guard band of that cut raises DegenerateCluster.  The powers rise
-    until the kernel's dimension reaches the cluster's count, and the index
-    is that power.  A kernel that does not grow before then, or one that
-    passes the count, raises DegenerateCluster, so eigenvalues that are
+    Each follows the rule of ``kernel``: a singular value is zero when it
+    is at most max(1e-12 * scale * ||t - lambda||^(k-1), tol_rank * s_max),
+    the floor being the roundoff of k products of the shift, and one inside
+    the rank_guard band of that cut raises DegenerateCluster.  The powers
+    rise until the kernel's dimension reaches the cluster's count, and the
+    index is that power.  A kernel that does not grow before then, or one
+    that passes the count, raises DegenerateCluster, so eigenvalues that are
     distinct to the rank rule are never merged.
+
+    All clusters are decided together: round k takes the k-th powers of the
+    clusters still growing in one stacked SVD, each slice of which equals
+    that power's own SVD.  Of the clusters that fail, the first in sorted
+    order raises, at its first failing power; the clusters after it are
+    dropped, since their outcome cannot matter.
     """
     n = t.shape[0]
     if n == 1:  # the whole space, with no decision to make
         return [(complex(t[0, 0]), 1, np.ones((1, 1), dtype=complex))]
-    out = []
-    for center, count in _cluster_means(np.linalg.eigvals(t), _EIG_MERGE):
-        lam = complex(center[0])
-        shifted = t - lam * np.eye(n)
-        # the shift's norm enters the floor from the second power on
-        shift_norm = max(opnorm(shifted), 1e-300) if count > 1 else 1.0
-        power, dims = np.eye(n, dtype=complex), [0]
-        while dims[-1] < count:
-            power = power @ shifted
-            floor = 1e-12 * scale * shift_norm ** (len(dims) - 1)
-            q = kernel(power, tol.tol_rank, floor,
-                       f"rank of (T - {lam:.6g})^{len(dims)}:", tol=tol)
-            dims.append(q.shape[1])
-            if dims[-1] <= dims[-2]:
-                break
-        if dims[-1] != count:
-            raise DegenerateCluster(
-                f"cluster of {count} eigenvalues at {lam:.6g}: the powers of "
-                f"T - lambda have kernels of dimension {dims[1:]}"
-            )
-        out.append((lam, len(dims) - 1, q))
-    return out
+    clusters = _cluster_means(np.linalg.eigvals(t), _EIG_MERGE)
+    lams = [center for center, _ in clusters]
+    counts = [count for _, count in clusters]
+    # the products with I's entries are exact, so each slice is t - lam I
+    shifted = t - np.array(lams)[:, None, None] * np.eye(n)
+    # the shift's norm enters the floor from the second power on
+    shift_norms = [1.0] * len(lams)
+    many = [i for i, count in enumerate(counts) if count > 1]
+    if many:
+        for i, nm in zip(many, opnorms(shifted[many])):
+            shift_norms[i] = max(float(nm), 1e-300)
+    # power[j] is the current power of cluster live[j]
+    live, power = list(range(len(lams))), np.eye(n, dtype=complex) @ shifted
+    dims, bases, failure = [[0] for _ in lams], [None] * len(lams), None
+    while live:
+        _, s, vh = np.linalg.svd(power, full_matrices=False)
+        growing, keep = [], []
+        try:
+            for j, i in enumerate(live):
+                k = len(dims[i])
+                floor = 1e-12 * scale * shift_norms[i] ** (k - 1)
+                q = _cut_kernel(s[j], vh[j], tol.tol_rank, floor,
+                                f"rank of (T - {lams[i]:.6g})^{k}:", tol)
+                dims[i].append(q.shape[1])
+                bases[i] = q
+                if dims[i][-2] < dims[i][-1] < counts[i]:
+                    growing.append(i)
+                    keep.append(j)
+                elif dims[i][-1] != counts[i]:
+                    raise DegenerateCluster(
+                        f"cluster of {counts[i]} eigenvalues at {lams[i]:.6g}: the powers "
+                        f"of T - lambda have kernels of dimension {dims[i][1:]}"
+                    )
+        except DegenerateCluster as exc:
+            failure = exc
+        if growing:
+            power = power[keep] @ shifted[growing]
+        live = growing
+    if failure:
+        raise failure
+    return [(lam, len(dim) - 1, q) for lam, dim, q in zip(lams, dims, bases)]
 
 
 @lru_cache(maxsize=8)
@@ -594,13 +661,17 @@ def joint_point_spectrum(pair, tol=DEFAULT):
     ``_joint_spaces``, with eigenvalues its (lambda, mu).  The witnesses at
     that point are V times the kernel of [(T1 - lambda) V; (T2 - mu) V], cut
     at tol_eig * max(1, ||T1||, ||T2||) under the rank guard: an orthonormal
-    basis of the joint eigenspace, each witness repeating its point.
+    basis of the joint eigenspace, each witness repeating its point.  The
+    residuals of all spaces are decided together by ``kernels``, so the
+    first space in order whose guard band is hit raises.
     """
     cut = tol.tol_eig * max(1.0, *pair.norms)
+    spaces = _joint_spaces(pair, tol)
+    residuals = [np.vstack([pair.t1 @ v - lam * v, pair.t2 @ v - mu * v]) for lam, mu, v in spaces]
+    guards = [f"joint eigenspace at ({lam:.6g}, {mu:.6g}):" for lam, mu, _ in spaces]
     points, witnesses = [], []
-    for lam, mu, v in _joint_spaces(pair, tol):
-        residual = np.vstack([pair.t1 @ v - lam * v, pair.t2 @ v - mu * v])
-        w = v @ kernel(residual, 0.0, cut, f"joint eigenspace at ({lam:.6g}, {mu:.6g}):", tol=tol)
+    for (lam, mu, v), q in zip(spaces, kernels(residuals, 0.0, cut, guards, tol)):
+        w = v @ q
         points += [(lam, mu)] * w.shape[1]
         witnesses += list(w.T)
     return JointSpectrum(points=tuple(points), witnesses=tuple(witnesses))

@@ -271,11 +271,10 @@ class BlaschkeProduct:
 
     def numerator(self):
         """Polynomial with the same zeros and multiplicities, product of (a - z)."""
-        p = Poly1([self.constant])
-        for a, m in self.zeros:
-            for _ in range(m):
-                p = p * Poly1([a, -1.0])
-        return p
+        c = np.array([self.constant])
+        for a in self.zero_list():
+            c = np.convolve(c, np.array([a, -1.0]))
+        return Poly1(c)
 
     def __repr__(self):
         return f"BlaschkeProduct(zeros={list(self.zeros)}, constant={self.constant})"

@@ -164,6 +164,78 @@ def test_omega_witnesses_are_adjoint_eigenvectors():
     assert abs(abs(witnesses[0][2]) - 1.0) < 1e-14
 
 
+def _reference_point_spectrum(pair, tol=dv.DEFAULT):
+    """joint_point_spectrum with one ``kernel`` call per joint space."""
+    cut = tol.tol_eig * max(1.0, *pair.norms)
+    points, witnesses = [], []
+    for lam, mu, v in opcore._joint_spaces(pair, tol):
+        residual = np.vstack([pair.t1 @ v - lam * v, pair.t2 @ v - mu * v])
+        w = v @ opcore.kernel(residual, 0.0, cut, f"joint eigenspace at ({lam:.6g}, {mu:.6g}):",
+                              tol=tol)
+        points += [(lam, mu)] * w.shape[1]
+        witnesses += list(w.T)
+    return points, witnesses
+
+
+def _reference_omega(pair, tol=dv.DEFAULT):
+    """omega_psi with one ``kernel`` call per point."""
+    eye = np.eye(pair.n)
+    cut = tol.tol_eig * max(1.0, *pair.norms)
+    points, witnesses = [], []
+    for lam, mu in dict.fromkeys(dv.joint_spectrum_taylor(pair, tol=tol).points):
+        shifts = np.hstack([pair.t1 - lam * eye, pair.t2 - mu * eye]).conj().T
+        w = opcore.kernel(shifts, 0.0, cut, f"adjoint joint eigenspace at ({lam:.6g}, {mu:.6g}):",
+                          tol=tol)
+        if w.shape[1]:
+            points.append((lam, mu))
+            witnesses += list(w.T)
+    return points, witnesses
+
+
+def _point_outcome(fn, *args):
+    """Points and the bytes of each witness, or the text raised."""
+    try:
+        points, witnesses = fn(*args)
+    except DegenerateCluster as exc:
+        return str(exc)
+    return list(points), [w.tobytes() for w in witnesses]
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+def test_stacked_point_kernels_match_the_per_point_kernel(repeated):
+    def point_spectrum(pair):
+        spec = dv.joint_point_spectrum(pair)
+        return spec.points, spec.witnesses
+
+    for seed in range(20):
+        inst = make_instance(random_recipe(seed, repeated=repeated))
+        bundle = dv.constrained_coextension(inst.pair, inst.psi, dv.ann_generators(inst.pair))
+        for pair in (inst.pair, bundle.constrained):
+            assert (_point_outcome(point_spectrum, pair)
+                    == _point_outcome(_reference_point_spectrum, pair))
+        assert (_point_outcome(dv.omega_psi, bundle)
+                == _point_outcome(_reference_omega, bundle.constrained))
+
+
+@pytest.mark.parametrize("entries, raised", [((0.0, 2e-9), "(0.4+0j, 0.2+0j)"),
+                                             ((2e-9, 2e-9), "(-0.5+0j, 0.1+0j)")])
+def test_a_guard_hit_raises_the_text_of_the_first_point_it_hits(entries, raised):
+    # two joint spaces, at (-0.5, 0.1) and (0.4, 0.2), each T1 = lambda I + c J2
+    # on it; c = 2e-9 is clear of the Jordan cut (about 1e-7) and inside the
+    # guard band (1e-9, 1e-7) of both point-kernel cuts, tol_eig = 1e-8
+    t1 = np.zeros((4, 4), dtype=complex)
+    t1[:2, :2] = -0.5 * np.eye(2) + entries[0] * J2
+    t1[2:, 2:] = 0.4 * np.eye(2) + entries[1] * J2
+    pair = dv.validate_pair(t1, np.diag([0.1, 0.1, 0.2, 0.2]))
+    for name, fn in (("joint", dv.joint_point_spectrum),
+                     ("adjoint joint", lambda p: dv.omega_psi(SimpleNamespace(constrained=p))),
+                     ("joint", _reference_point_spectrum), ("adjoint joint", _reference_omega)):
+        with pytest.raises(DegenerateCluster) as exc:
+            fn(pair)
+        assert str(exc.value) == (f"{name} eigenspace at {raised}: "
+                                  "singular value inside the guard band")
+
+
 def test_zann_equals_omega(j2_instance, two_point_instance):
     for pair, basis, bundle in (j2_instance, two_point_instance):
         entry = dv.check_zann_equals_omega(_zset(pair, basis), _omega(bundle))

@@ -156,6 +156,29 @@ def test_ando_baseline(w2z_pair):
         assert nrm <= bidisc * (1.0 + 1e-9) + gradient_bound(q) * (2 * np.pi / 128)
 
 
+def test_gradient_bound_reads_the_torus_table_of_its_box(monkeypatch):
+    # a box inside the largest one asked for so far slices its table and
+    # builds none; the bound equals a fresh evaluation of the gradient on the
+    # 24 x 24 torus, bit for bit
+    rng = np.random.default_rng(13)
+    ts = np.exp(2j * np.pi * np.arange(24) / 24)
+    zz, ww = np.meshgrid(ts, ts)
+    builds = []
+    build = dv.certify.monomial_table
+    monkeypatch.setattr(dv.certify, "monomial_table", lambda *a: builds.append(a) or build(*a))
+    largest = dv.certify._TORUS_TABLE[0].shape[:2]
+    for _ in range(16):
+        a, b = (int(k) for k in rng.integers(1, 7, 2))
+        q = dv.Poly2(rng.normal(size=(a, b)) + 1j * rng.normal(size=(a, b)))
+        fresh = float(np.abs(dv.poly.values_at([q.dz(), q.dw()], zz, ww)).sum(axis=0).max())
+        before = len(builds)
+        assert gradient_bound(q) == fresh
+        box = dv.certify._TORUS_TABLE[0].shape[:2]
+        assert box[0] >= a and box[1] >= b
+        assert len(builds) == before + (box != largest)
+        largest = box
+
+
 # ---------------------------------------------------------------------------
 # minimality hypothesis checkers
 

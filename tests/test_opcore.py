@@ -504,6 +504,91 @@ def test_both_joint_spectra_of_the_pair_read_one_traversal(monkeypatch, companio
     assert len(zset) == 4  # two points of w^2 = z over each zero
 
 
+def _reference_jordan_clusters(t, scale, tol):
+    """The one-cluster-at-a-time loop: union-find clusters in sorted order,
+    each cluster's powers taken by ``kernel`` until its kernel stops growing,
+    and the first failure raised at once."""
+    n = t.shape[0]
+    if n == 1:
+        return [(complex(t[0, 0]), 1, np.ones((1, 1), dtype=complex))]
+    pts = np.linalg.eigvals(t).reshape(n, 1)
+    clusters = [(pts[g].mean(axis=0), len(g))
+                for g in _reference_clusters(pts, dv.opcore._EIG_MERGE)]
+    clusters.sort(key=lambda cm: tuple((v.real, v.imag) for v in cm[0]))
+    out = []
+    for center, count in clusters:
+        lam = complex(center[0])
+        shifted = t - lam * np.eye(n)
+        shift_norm = max(dv.opcore.opnorm(shifted), 1e-300) if count > 1 else 1.0
+        power, dims = np.eye(n, dtype=complex), [0]
+        while dims[-1] < count:
+            power = power @ shifted
+            floor = 1e-12 * scale * shift_norm ** (len(dims) - 1)
+            q = dv.opcore.kernel(power, tol.tol_rank, floor,
+                                 f"rank of (T - {lam:.6g})^{len(dims)}:", tol=tol)
+            dims.append(q.shape[1])
+            if dims[-1] <= dims[-2]:
+                break
+        if dims[-1] != count:
+            raise DegenerateCluster(
+                f"cluster of {count} eigenvalues at {lam:.6g}: the powers of "
+                f"T - lambda have kernels of dimension {dims[1:]}"
+            )
+        out.append((lam, len(dims) - 1, q))
+    return out
+
+
+def _jordan_outcome(analyse, t, scale, tol):
+    """The bytes of each (lambda, index, Q), or the text it raised."""
+    try:
+        return [(np.complex128(lam).tobytes(), index, q.shape, q.tobytes())
+                for lam, index, q in analyse(t, scale, tol)]
+    except DegenerateCluster as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+def test_jordan_clusters_match_the_one_cluster_loop(monkeypatch, repeated):
+    # every matrix a certification analyses, symbol fibers included
+    inputs = []
+    analyse = dv.opcore._jordan_clusters
+
+    def recording(t, scale, tol):
+        inputs.append((t.copy(), scale, tol))
+        return analyse(t, scale, tol)
+
+    for mod in (dv.opcore, dv.annvar):
+        monkeypatch.setattr(mod, "_jordan_clusters", recording)
+    dv.opcore._jordan_of.cache_clear()
+    dv.opcore._joint_spaces.cache_clear()
+    for seed in range(40):
+        dv.run_certification(dv.make_instance(dv.random_recipe(seed, repeated=repeated)))
+    outcomes = [(_jordan_outcome(analyse, *args),
+                 _jordan_outcome(_reference_jordan_clusters, *args)) for args in inputs]
+    # several clusters are decided together on some of the matrices
+    assert any(isinstance(got, list) and len(got) > 1 for got, _ in outcomes)
+    for got, ref in outcomes:
+        assert got == ref
+
+
+def test_the_first_failing_cluster_in_sorted_order_raises():
+    # the cluster at -0.5, a split Jordan block with coupling 100, is clear at
+    # power 1 (singular value 1e-9, cut 1e-5) and inside the guard band at
+    # power 2 (1e-7, cut 1e-7); the cluster at 0.5 is inside it at power 1
+    # (1e-5, cut 1e-5), a round before the earlier cluster fails
+    h = np.sqrt(1e-7)
+    t = np.zeros((4, 4), dtype=complex)
+    t[:2, :2] = [[-0.5 + h, 100.0], [0.0, -0.5 - h]]
+    t[2:, 2:] = np.diag([0.5 - 1e-5, 0.5 + 1e-5])
+    for analyse in (dv.opcore._jordan_clusters, _reference_jordan_clusters):
+        with pytest.raises(DegenerateCluster, match=r"^rank of \(T - -0\.5\+0j\)\^2: "):
+            analyse(t, 1.0, dv.DEFAULT)
+    # with an exact Jordan block there, the later cluster's failure shows
+    t[:2, :2] = [[-0.5, 100.0], [0.0, -0.5]]
+    with pytest.raises(DegenerateCluster, match=r"^rank of \(T - 0\.5\+0j\)\^1: "):
+        dv.opcore._jordan_clusters(t, 1.0, dv.DEFAULT)
+
+
 # ---------------------------------------------------------------------------
 # minimal Blaschke products
 

@@ -108,6 +108,19 @@ def test_blaschke_rejects_a_constant_off_the_circle(constant):
         dv.BlaschkeProduct([(0.2, 1)], constant)
 
 
+def test_numerator_is_the_product_of_its_linear_factors():
+    # the factor-by-factor Poly1 product, bit for bit
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        zeros = [(complex(*(0.4 * rng.uniform(-1, 1, 2))), int(rng.integers(1, 4)))
+                 for _ in range(int(rng.integers(0, 4)))]
+        b = dv.BlaschkeProduct(zeros, constant=np.exp(2j * np.pi * rng.uniform()))
+        ref = dv.Poly1([b.constant])
+        for a in b.zero_list():
+            ref = ref * dv.Poly1([a, -1.0])
+        assert b.numerator().coeffs.tobytes() == ref.coeffs.tobytes()
+
+
 def test_has_simple_roots():
     assert dv.has_simple_roots(dv.BlaschkeProduct([(0.0, 1), (0.5, 1)]), 1e-4)
     assert not dv.has_simple_roots(dv.BlaschkeProduct([(0.0, 2)]), 1e-4)

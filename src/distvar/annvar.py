@@ -66,7 +66,7 @@ def _evaluation_kernel(table, tol):
             for vec in kernel(emat, tol.kernel_rel, 1e-12, "evaluation-map", tol=tol).T]
 
 
-def ann_generators(pair, tol=DEFAULT):
+def ann_generators(pair):
     """Annihilator data of a pure pair on its canonical monomial box.
 
     Generators are the kernel basis of the evaluation map on the box spanned
@@ -74,9 +74,10 @@ def ann_generators(pair, tol=DEFAULT):
     polynomials of T1 (in z) and of T2 (in w).  One monomial table of the
     pair, on the box of all generators, serves the map and the residuals.
     """
+    tol = pair.tol
     if not pair.pure:
         raise NotPure("annihilator machinery requires a pure pair")
-    m1 = minimal_blaschke(pair.t1, tol=tol)
+    m1 = minimal_blaschke(pair)
     m2 = minimal_blaschke(pair.t2, tol=tol)
     d1, d2 = m1.degree, m2.degree
     table = pair_table(pair, d1 + 1, d2 + 1)
@@ -96,20 +97,21 @@ def ann_generators(pair, tol=DEFAULT):
     return basis
 
 
-def z_ann(basis, pair, tol=DEFAULT):
+def z_ann(basis, pair):
     """Common zeros of the annihilator inside the open bidisc.
 
     Candidates are the joint-spectrum points of the pair; a candidate is kept
     iff every generator vanishes on it, and its repeats are collapsed.
     """
-    points = joint_spectrum_taylor(pair, tol=tol).points
+    tol = pair.tol
+    points = joint_spectrum_taylor(pair).points
     lams, mus = np.array(points, dtype=complex).reshape(-1, 2).T
     caps = tol.tol_zset * np.array([max(1.0, g.scale) for g in basis.generators])
     off = (np.abs(values_at(basis.generators, lams, mus)) > caps[:, None]).any(axis=0)
     return tuple(dict.fromkeys(pt for pt, o in zip(points, off) if not o))
 
 
-def omega_psi(bundle, tol=DEFAULT):
+def omega_psi(bundle):
     """Conjugate joint point spectrum of (S1*, S2*): the set Omega.
 
     As a set it is the joint spectrum of (S1, S2), read off the traversal
@@ -120,9 +122,10 @@ def omega_psi(bundle, tol=DEFAULT):
     point in order whose guard band is hit raises.
     """
     pair = bundle.constrained
+    tol = pair.tol
     eye = np.eye(pair.n)
     cut = tol.tol_eig * max(1.0, *pair.norms)
-    candidates = list(dict.fromkeys(joint_spectrum_taylor(pair, tol=tol).points))
+    candidates = list(dict.fromkeys(joint_spectrum_taylor(pair).points))
     shifts = [np.hstack([pair.t1 - lam * eye, pair.t2 - mu * eye]).conj().T
               for lam, mu in candidates]
     guards = [f"adjoint joint eigenspace at ({lam:.6g}, {mu:.6g}):" for lam, mu in candidates]
@@ -134,15 +137,15 @@ def omega_psi(bundle, tol=DEFAULT):
     return tuple(points), tuple(witnesses)
 
 
-def settle(fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, or the DegenerateCluster it raised.
+def settle(fn, *args):
+    """``fn(*args)``, or the DegenerateCluster it raised.
 
     The checks below take the sets they compare (the results of z_ann and
     omega_psi) in this form, so that each set is computed once per instance
     and every check that needs a degenerate set reports it as inconclusive.
     """
     try:
-        return fn(*args, **kwargs)
+        return fn(*args)
     except DegenerateCluster as exc:
         return exc
 
@@ -206,7 +209,7 @@ def check_projection(omega, m1, tol=DEFAULT):
     )
 
 
-def support_bounds(zset, bundle, variety, tol=DEFAULT):
+def support_bounds(zset, bundle, variety):
     """Support sandwich data: Z(Ann), the joint spectrum of (S1,S2), and the variety.
 
     For matrices the constrained pair has spectral radii < 1, so its joint
@@ -214,16 +217,17 @@ def support_bounds(zset, bundle, variety, tol=DEFAULT):
     point must also lie on the variety.
     """
     zset = _settled(zset)
-    lower = tuple(dict.fromkeys(joint_spectrum_taylor(bundle.constrained, tol=tol).points))
+    lower = tuple(dict.fromkeys(joint_spectrum_taylor(bundle.constrained).points))
     return SupportBounds(inner_set=zset, lower_boundary=lower, variety=variety)
 
 
-def check_support(zset, bundle, variety, tol=DEFAULT):
+def check_support(zset, bundle, variety):
     """Certificate for the support collapse and variety membership."""
+    tol = bundle.pair.tol
     name = "support-collapse"
     anchor = "constrained-spectrum-equals-zero-set-inside-bidisc"
     try:
-        sb = support_bounds(zset, bundle, variety, tol=tol)
+        sb = support_bounds(zset, bundle, variety)
         dist = matching_distance(list(sb.inner_set), list(sb.lower_boundary))
     except DegenerateCluster as exc:
         return inconclusive(name, anchor, exc)
@@ -289,7 +293,7 @@ def _require_conclusive_fibers(psi, m1, tol):
                 )
 
 
-def synthesis_report(omega, bundle, basis, tol=DEFAULT):
+def synthesis_report(omega, bundle, basis):
     """Four independently evaluated synthesis conditions plus a consistency verdict.
 
     (i)   joint adjoint eigenvector witnesses span the constrained model space,
@@ -301,7 +305,7 @@ def synthesis_report(omega, bundle, basis, tol=DEFAULT):
     symbol fiber whose Jordan analysis is degenerate or has a block of size
     above 1 makes the instance inconclusive.
     """
-    m1 = bundle.m1
+    m1, tol = bundle.m1, bundle.pair.tol
     if m1.degree == 0:
         raise AnnTrivial("synthesis conditions require a nonconstant m1")
     entries = []

@@ -129,14 +129,13 @@ def _bound_verdict(nrm, sup, sl):
     return (INCONCLUSIVE if nrm <= sup + sl else FAIL), sup + sl - nrm
 
 
-def vn_report(pair, variety, polys, boundary_n=512, rationals=None, tol=DEFAULT):
+def vn_report(pair, variety, polys, boundary_n=512, rationals=None):
     """Inequality certificates ||q(T1,T2)|| <= sup_variety |q| + slack.
 
     The defining polynomial gets an annihilation entry; rational symbols
     q = p1/p2 are certified when p2 has no zero on the closure of the variety.
     """
-    samples = VarietySamples(variety, boundary_n)
-    entries = []
+    samples, entries, tol = VarietySamples(variety, boundary_n), [], pair.tol
 
     p, polys = variety.p, list(polys)
     res, *norms = (float(v) for v in opnorms(poly_stack([p, *polys], pair)))
@@ -239,7 +238,7 @@ def _symbol_disc_sup(sym, n=2048):
     return float((np.abs(num(ts)) / dv).max())
 
 
-def min_conditions(pair, variety, phi1, phi2, tol=DEFAULT):
+def min_conditions(pair, variety, phi1, phi2):
     """Hypothesis checks for minimality of the variety closure as a spectral set.
 
     Entry 1: the spectrum of T1 is inside the disc with margin; entry 2: both
@@ -249,7 +248,7 @@ def min_conditions(pair, variety, phi1, phi2, tol=DEFAULT):
     """
     if _symbol_is_constant(phi1) or _symbol_is_constant(phi2):
         raise ConstantSymbol("both symbols must be non-constant")
-    entries = []
+    entries, tol = [], pair.tol
 
     rho = pair.radii[0]
     if rho <= 1.0 - tol.margin_spec:
@@ -298,12 +297,13 @@ def min_conditions(pair, variety, phi1, phi2, tol=DEFAULT):
     return entries
 
 
-def isometry_variant(pair, tol=DEFAULT):
+def isometry_variant(pair):
     """Minimality certificate when T2 is an isometry and ||T1|| = 1.
 
     Matrix isometries are unitary, so the pair is not pure; this certifies
     only the spectral-set minimality claim.
     """
+    tol = pair.tol
     iso = opnorm(pair.t2.conj().T @ pair.t2 - np.eye(pair.n))
     norm1 = pair.norms[0]
     rho = pair.radii[0]

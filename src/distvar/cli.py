@@ -129,7 +129,7 @@ def _instances(args, tol):
         if args.psi:
             psi = psi_from_json(load_json(args.psi), tol=tol)
         else:
-            psi = construct_psi(pair, tol=tol)
+            psi = construct_psi(pair)
         name = os.path.splitext(os.path.basename(args.pair))[0]
         spec = InstanceSpec(
             theta_zeros=(), psi_spec={"kind": "supplied"}, seed=args.seed,
@@ -144,7 +144,7 @@ def cmd_certify(args, tol):
     reports = []
     for inst in _instances(args, tol):
         artifacts = {}
-        reports.append(run_certification(inst, tol=tol, artifacts=artifacts))
+        reports.append(run_certification(inst, artifacts=artifacts))
         # a batch writes reports only; a single instance also its bundle
         if "bundle" in artifacts and not args.batch:
             os.makedirs(args.out, exist_ok=True)
@@ -180,7 +180,7 @@ def cmd_demo(args, tol):
     )
     inst = make_instance(spec, tol)
     artifacts = {}
-    report = run_certification(inst, tol=tol, artifacts=artifacts)
+    report = run_certification(inst, artifacts=artifacts)
     os.makedirs(args.out, exist_ok=True)
     variety = artifacts["variety"]
     payload = variety_to_json(variety)

@@ -31,7 +31,6 @@ from .errors import (
 from .inner import from_colligation, interior_pureness, psi_of_matrix
 from .opcore import (
     CommutingPair,
-    defect,
     joint_point_spectrum,
     kernel,
     matching_distance,
@@ -49,13 +48,14 @@ from .tolerances import DEFAULT
 # minimal isometric co-extension
 
 
-def embed_J(pair, m1, tol=DEFAULT):
+def embed_J(pair, m1):
     """Minimal isometric co-extension V of T1, in the model space of m1.
 
     V h = r0 (I - z T1*)^(-1) h for the defect coordinates r0 = w* D of T1,
-    the defect range ``w`` cut at ``tol.tol_rank``.  V* M_(m1) = m1(T1) V* = 0,
-    so V maps into K_(m1) tensor C^d, and J is V in the Malmquist-Takenaka
-    basis of ``model_shift(m1)``: block r is r0 e_r(T1)*, with
+    the defect range ``w`` of ``pair.defects``, cut at the pair's
+    ``tol_rank``.  V* M_(m1) = m1(T1) V* = 0, so V maps into
+    K_(m1) tensor C^d, and J is V in the Malmquist-Takenaka basis of
+    ``model_shift(m1)``: block r is r0 e_r(T1)*, with
     e_r(T1) = prod_(j<r) (T1 - a_j)(I - conj(a_j) T1)^(-1)
     sqrt(1 - |a_r|^2) (I - conj(a_r) T1)^(-1) over the zeros of
     ``m1.zero_list()``.  Then J*J = I - m1(T1) m1(T1)* and
@@ -63,7 +63,7 @@ def embed_J(pair, m1, tol=DEFAULT):
     """
     if not pair.pure:
         raise NotPure("co-extension requires a pure pair")
-    droot, _, w = defect(pair.t1, tol=tol)
+    droot, _, w = pair.defects[0]
     r0 = w.conj().T @ droot  # d x n
     t1s = pair.t1.conj().T
     eye = np.eye(pair.n)
@@ -130,7 +130,7 @@ def _unitary_in_subspace(basis, d):
     raise NoInnerSolution("no unitary alignment found in the null space")
 
 
-def coextension_embedding(pair, psi, m1, tol=DEFAULT):
+def coextension_embedding(pair, psi, m1):
     """Embed the pair against a given symbol: returns (J, W, residuals).
 
     The defect coordinates r0 of embed_J are only fixed up to a constant
@@ -147,7 +147,7 @@ def coextension_embedding(pair, psi, m1, tol=DEFAULT):
     ||J*J - I||, ||J T1* - (S tensor I)* J|| for S = model_shift(m1), and
     the symbol identity at W r0.
     """
-    j0, r0 = embed_J(pair, m1, tol)
+    j0, r0 = embed_J(pair, m1)
     d = psi.d
     if r0.shape[0] != d:
         raise NoInnerSolution(
@@ -178,6 +178,7 @@ def coextension_embedding(pair, psi, m1, tol=DEFAULT):
         "intertwine_shift": float(opnorm(j @ t1s - shift.conj().T @ j)),
         "intertwine_symbol": float(res_symbol),
     }
+    tol = pair.tol
     if res_symbol > tol.tol_intertwine:
         raise NoInnerSolution(
             f"intertwining residual {res_symbol:.3e} exceeds {tol.tol_intertwine:.1e}"
@@ -189,7 +190,7 @@ def coextension_embedding(pair, psi, m1, tol=DEFAULT):
 # symbol construction
 
 
-def construct_psi(pair, tol=DEFAULT, seed=0):
+def construct_psi(pair, seed=0):
     """Inner symbol intertwining the pair, in closed form from Ando's identity.
 
     With defect coordinates e = w1* D_(T1*) and f = w2* D_(T2*) (those of
@@ -200,11 +201,11 @@ def construct_psi(pair, tol=DEFAULT, seed=0):
     (Agler-McCarthy 2005, Das-Sarkar 2017).  The state dimension is
     rank D_(T2*).  ``seed`` is unused and kept for callers that pass it.
     """
+    tol = pair.tol
     if not pair.pure:
         raise NotPure("symbol construction requires a pure pair")
     t1s, t2s = pair.t1.conj().T, pair.t2.conj().T
-    droot1, d1, w1 = defect(pair.t1, tol=tol)
-    droot2, _, w2 = defect(pair.t2, tol=tol)
+    (droot1, d1, w1), (droot2, _, w2) = pair.defects
     e = w1.conj().T @ droot1
     f = w2.conj().T @ droot2
     x = np.vstack([e, f @ t1s])
@@ -290,7 +291,7 @@ def _norm_at_most(m, cap):
     return f <= cap
 
 
-def constrained_coextension(pair, psi, basis, tol=DEFAULT):
+def constrained_coextension(pair, psi, basis):
     """Constrained isometric co-extension of the pair for the given symbol.
 
     ``basis`` is the AnnihilatorBasis of the pair.  The intersection of the
@@ -301,7 +302,7 @@ def constrained_coextension(pair, psi, basis, tol=DEFAULT):
     form the constrained pair (S1, S2).  J and its residuals come from
     coextension_embedding, which is deterministic.
     """
-    m1, ann_gens = basis.m1, basis.generators
+    m1, ann_gens, tol = basis.m1, basis.generators, pair.tol
     if m1.degree == 0:
         raise AnnTrivial("the univariate annihilator of T1 is trivial")
     model = compress_pair(psi, m1, tol=tol)
@@ -313,7 +314,7 @@ def constrained_coextension(pair, psi, basis, tol=DEFAULT):
         q = np.eye(model.n, dtype=complex)
     else:
         q = kernel(stack, tol.kernel_rel, 0.0, "kernel-cut", tol=tol)
-    j, _, emb_res = coextension_embedding(pair, psi, m1, tol=tol)
+    j, _, emb_res = coextension_embedding(pair, psi, m1)
     # J embeds C^n into the intersection, so a smaller one is a numerical
     # failure of the cut
     if q.shape[1] < pair.n:
@@ -340,7 +341,7 @@ def constrained_coextension(pair, psi, basis, tol=DEFAULT):
     )
 
 
-def verify_coextension(bundle, variety, tol=DEFAULT):
+def verify_coextension(bundle, variety):
     """Contract checks for a bundle against its variety polynomial.
 
     (a) the defining polynomial annihilates both the pair and the constrained
@@ -348,8 +349,7 @@ def verify_coextension(bundle, variety, tol=DEFAULT):
     (c) the minimal Blaschke product of S1 matches m1.  (b) and (c) are
     inconclusive where their spectral analysis raises DegenerateCluster.
     """
-    entries = []
-    p = variety.p
+    entries, p, tol = [], variety.p, bundle.pair.tol
     norm_pair = opnorm(poly_apply(p, bundle.pair))
     norm_s = opnorm(poly_apply(p, bundle.constrained))
     worst = max(norm_pair, norm_s)
@@ -363,7 +363,7 @@ def verify_coextension(bundle, variety, tol=DEFAULT):
 
     name, anchor = "point-spectrum-on-variety", "joint-eigenvalues-lie-on-variety"
     try:
-        spec = joint_point_spectrum(bundle.pair, tol=tol)
+        spec = joint_point_spectrum(bundle.pair)
     except DegenerateCluster as exc:
         entries.append(inconclusive(name, anchor, exc))
     else:
@@ -376,7 +376,7 @@ def verify_coextension(bundle, variety, tol=DEFAULT):
         ))
 
     try:
-        mb = minimal_blaschke(bundle.s1, tol=tol)
+        mb = minimal_blaschke(bundle.constrained)
         dist = matching_distance(
             [(a, float(m)) for a, m in sorted(mb.zeros, key=lambda t: (t[0].real, t[0].imag))],
             [(a, float(m)) for a, m in sorted(bundle.m1.zeros, key=lambda t: (t[0].real, t[0].imag))],

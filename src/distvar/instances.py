@@ -246,22 +246,22 @@ def random_test_polys(rng, count, max_bidegree=(3, 3)):
     return out
 
 
-def run_certification(instance, tol=DEFAULT, artifacts=None):
+def run_certification(instance, artifacts=None):
     """Full pipeline on one instance; returns a consolidated report.
 
     Stages: pair validation, symbol certification, variety polynomial,
     co-extension bundle, annihilator checks, synthesis conditions, and the
-    variety-dominates inequalities for seeded test polynomials.  The spec's
-    tolerance overrides apply on top of ``tol``, and the report records the
-    table every check ran under.  When a dict is passed as ``artifacts`` the
-    computed variety, basis and bundle are stashed in it for export.
+    variety-dominates inequalities for seeded test polynomials.  Every check
+    runs under the table the instance's pair was validated with, which
+    ``make_instance`` built from the spec's overrides, and the report records
+    it.  When a dict is passed as ``artifacts`` the computed variety, basis
+    and bundle are stashed in it for export.
     """
-    spec = instance.spec
-    tol = tol.override(**spec.tolerances)
+    spec, pair, psi = instance.spec, instance.pair, instance.psi
+    tol = pair.tol
     report = CertificateReport(
         instance_id=spec.instance_id, seed=spec.seed, tolerances=tol.as_dict(),
     )
-    pair, psi = instance.pair, instance.psi
 
     report.add(CertEntry(
         name="pair-valid",
@@ -290,8 +290,8 @@ def run_certification(instance, tol=DEFAULT, artifacts=None):
     report.add(distinguished_certificate(psi, tol=tol))
 
     try:
-        basis = ann_generators(pair, tol=tol)
-        bundle = constrained_coextension(pair, psi, basis, tol=tol)
+        basis = ann_generators(pair)
+        bundle = constrained_coextension(pair, psi, basis)
         if artifacts is not None:
             artifacts["basis"] = basis
             artifacts["bundle"] = bundle
@@ -319,15 +319,15 @@ def run_certification(instance, tol=DEFAULT, artifacts=None):
         data={},
     ))
 
-    report.extend(verify_coextension(bundle, variety, tol=tol))
+    report.extend(verify_coextension(bundle, variety))
     # each set is computed once; a check given a degenerate set is inconclusive
-    zset = settle(z_ann, basis, pair, tol=tol)
-    omega = settle(omega_psi, bundle, tol=tol)
+    zset = settle(z_ann, basis, pair)
+    omega = settle(omega_psi, bundle)
     report.add(check_zann_equals_omega(zset, omega, tol=tol))
     report.add(check_projection(omega, basis.m1, tol=tol))
-    report.add(check_support(zset, bundle, variety, tol=tol))
-    report.extend(synthesis_report(omega, bundle, basis, tol=tol))
+    report.add(check_support(zset, bundle, variety))
+    report.extend(synthesis_report(omega, bundle, basis))
 
     vn_polys = random_test_polys(np.random.default_rng(spec.seed + 10 ** 6), 5)
-    report.extend(vn_report(pair, variety, vn_polys, boundary_n=spec.boundary_n, tol=tol))
+    report.extend(vn_report(pair, variety, vn_polys, boundary_n=spec.boundary_n))
     return report

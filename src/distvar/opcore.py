@@ -4,10 +4,11 @@ calculus, joint spectra.
 Point-set semantics used throughout: the eigenvalues of one matrix are
 merged agglomeratively within ``_EIG_MERGE``, and a cluster's mean is its
 location (the mean of a split Jordan cluster is accurate to machine order).
-Every computed point set is read off one traversal, ``_joint_spaces``, with
-one point per joint generalized eigenspace: repeats of a point are
-bit-equal copies, and distinct points lie in distinct clusters that the
-kernels of their powers confirmed, or DegenerateCluster was raised.  So a
+Every computed point set is read off one traversal, the pair's
+``joint_spaces``, with one point per joint generalized eigenspace: repeats
+of a point are bit-equal copies, and distinct points lie in distinct
+clusters that the kernels of their powers confirmed, or DegenerateCluster
+was raised.  So a
 set's distinct points are its repeats collapsed exactly, with no second
 clustering.  Set comparisons use optimal assignment with an explicit
 distance cap.
@@ -38,12 +39,15 @@ SVD per power over the clusters still growing; the first degenerate
 cluster in sorted order raises, at its first failing power, as when the
 clusters were taken one at a time.  ``minimal_blaschke`` reads the
 multiplicities off it, the synthesis fiber guard (``annvar``) the Jordan
-blocks of each symbol fiber, and ``_joint_spaces`` compresses T2 to each
-generalized eigenspace of T1, which T2 leaves invariant, for the joint
-generalized eigenspaces that every joint spectrum reads: no Schur
+blocks of each symbol fiber, and ``CommutingPair.joint_spaces`` compresses T2
+to each generalized eigenspace of T1, which T2 leaves invariant, for the
+joint generalized eigenspaces that every joint spectrum reads: no Schur
 factorization and no random combination.  Omega, the conjugated joint point
 spectrum of (S1*, S2*), is read off the traversal of (S1, S2)
 (``annvar.omega_psi``).
+
+A validated ``CommutingPair`` owns the Jordan analysis of T1, the joint
+spaces and the defects, each computed once under the pair's table ``tol``.
 
 ``assignment_max`` settles most matchings by a row-minimum certificate;
 ``scipy.optimize``, whose import costs about 0.2 s, is loaded only when a
@@ -51,7 +55,7 @@ matching needs its assignment solver.  Nothing else here uses scipy.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -401,8 +405,8 @@ def _frozen(a):
 
 @dataclass(frozen=True, eq=False)
 class CommutingPair:
-    """A validated pair; equality and hash are by identity, since the
-    fields are arrays."""
+    """A validated pair, and the data derived from it under its table ``tol``;
+    equality and hash are by identity, since the fields are arrays."""
 
     t1: np.ndarray
     t2: np.ndarray
@@ -424,10 +428,44 @@ class CommutingPair:
         return max(self.radii) < 1.0
 
     @cached_property
+    def defects(self):
+        """``defect`` of T1 and of T2, with read-only arrays."""
+        defects = (defect(t, tol=self.tol) for t in (self.t1, self.t2))
+        return tuple((_frozen(droot), rank, _frozen(basis)) for droot, rank, basis in defects)
+
+    @cached_property
     def defect_ranks(self):
-        """Ranks of I - T1 T1* and I - T2 T2*, under the validation tolerances;
-        computed on first read."""
-        return (defect(self.t1, tol=self.tol)[1], defect(self.t2, tol=self.tol)[1])
+        """Ranks of I - T1 T1* and I - T2 T2*."""
+        return (self.defects[0][1], self.defects[1][1])
+
+    @cached_property
+    def t1_jordan(self):
+        """``_jordan_clusters`` of T1, with read-only bases: ``minimal_blaschke``
+        and ``joint_spaces`` both read it."""
+        clusters = _jordan_clusters(self.t1, max(1.0, self.norms[0]), self.tol)
+        return tuple((lam, index, _frozen(q)) for lam, index, q in clusters)
+
+    @cached_property
+    def joint_spaces(self):
+        """The joint generalized eigenspaces of the pair, as (lambda, mu, V):
+        V a read-only orthonormal basis, lambda and mu the traces of T1 and T2
+        on it over its dimension.
+
+        T2 leaves each generalized eigenspace Q of T1 invariant, since the pair
+        commutes, and V = Q Qb for each generalized eigenspace Qb of the
+        compression Q* T2 Q; both come from ``_jordan_clusters``, which raises
+        DegenerateCluster where a rank decision is not clear.  No Schur
+        factorization and no random combination is used.  Both joint spectra
+        of the pair read this one traversal.
+        """
+        scale = max(1.0, self.norms[1])
+        out = []
+        for _, _, q in self.t1_jordan:
+            lam = _mean_eigenvalue(self.t1, q)
+            block = q.conj().T @ self.t2 @ q
+            for _, _, qb in _jordan_clusters(block, scale, self.tol):
+                out.append((lam, _mean_eigenvalue(block, qb), _frozen(q @ qb)))
+        return tuple(out)
 
 
 def validate_pair(t1, t2, require_pure=False, tol=DEFAULT):
@@ -599,74 +637,40 @@ def _jordan_clusters(t, scale, tol):
     return [(lam, len(dim) - 1, q) for lam, dim, q in zip(lams, dims, bases)]
 
 
-@lru_cache(maxsize=8)
-def _jordan_of(data, n, scale, tol):
-    """``_jordan_clusters`` of the n x n complex matrix whose bytes are
-    ``data``, kept for the last few matrices: one certification asks for T1
-    in ``minimal_blaschke`` and again in ``_joint_spaces``, and so for S1 of
-    the constrained pair, and each is analysed once.  The bases are
-    read-only."""
-    t = np.frombuffer(data, dtype=complex).reshape(n, n)
-    return tuple((lam, index, _frozen(q)) for lam, index, q in _jordan_clusters(t, scale, tol))
-
-
 def _mean_eigenvalue(m, q):
     """trace(Q* m Q) / dim Q: the mean eigenvalue of m on an invariant
     subspace with orthonormal basis Q."""
     return complex(np.trace(q.conj().T @ m @ q)) / q.shape[1]
 
 
-@lru_cache(maxsize=8)
-def _joint_spaces(pair, tol):
-    """The joint generalized eigenspaces of a commuting pair, as
-    (lambda, mu, V): V a read-only orthonormal basis, lambda and mu the
-    traces of T1 and T2 on it over its dimension.
-
-    T2 leaves each generalized eigenspace Q of T1 invariant, since the pair
-    commutes, and V = Q Qb for each generalized eigenspace Qb of the
-    compression Q* T2 Q; both come from ``_jordan_clusters``, which raises
-    DegenerateCluster where a rank decision is not clear.  No Schur
-    factorization and no random combination is used.  Kept for the last few
-    pairs, so that both joint spectra of a pair read one traversal.
-    """
-    t1, t2 = pair.t1, pair.t2
-    scale = max(1.0, pair.norms[1])
-    out = []
-    for _, _, q in _jordan_of(t1.tobytes(), pair.n, max(1.0, pair.norms[0]), tol):
-        lam = _mean_eigenvalue(t1, q)
-        block = q.conj().T @ t2 @ q
-        for _, _, qb in _jordan_clusters(block, scale, tol):
-            out.append((lam, _mean_eigenvalue(block, qb), _frozen(q @ qb)))
-    return tuple(out)
-
-
-def joint_spectrum_taylor(pair, tol=DEFAULT):
+def joint_spectrum_taylor(pair):
     """Joint (Taylor) spectrum of a commuting pair, with multiplicity: each
-    point (lambda, mu) of ``_joint_spaces`` as often as its space's
+    point (lambda, mu) of ``pair.joint_spaces`` as often as its space's
     dimension, since a basis that triangularizes T2 on the space
     triangularizes T1 too, whose only eigenvalue there is lambda.  The
     repeats of a point are bit-equal copies, and distinct points come from
     distinct spaces, so ``dict.fromkeys`` gives the distinct points in
     order."""
     points = []
-    for lam, mu, v in _joint_spaces(pair, tol):
+    for lam, mu, v in pair.joint_spaces:
         points += [(lam, mu)] * v.shape[1]
     return JointSpectrum(points=tuple(points))
 
 
-def joint_point_spectrum(pair, tol=DEFAULT):
+def joint_point_spectrum(pair):
     """Joint eigenvalues witnessed by common eigenvectors.
 
     Every common eigenvector lies in one joint generalized eigenspace V of
-    ``_joint_spaces``, with eigenvalues its (lambda, mu).  The witnesses at
-    that point are V times the kernel of [(T1 - lambda) V; (T2 - mu) V], cut
-    at tol_eig * max(1, ||T1||, ||T2||) under the rank guard: an orthonormal
-    basis of the joint eigenspace, each witness repeating its point.  The
-    residuals of all spaces are decided together by ``kernels``, so the
-    first space in order whose guard band is hit raises.
+    ``pair.joint_spaces``, with eigenvalues its (lambda, mu).  The witnesses
+    at that point are V times the kernel of [(T1 - lambda) V; (T2 - mu) V],
+    cut at tol_eig * max(1, ||T1||, ||T2||) under the rank guard: an
+    orthonormal basis of the joint eigenspace, each witness repeating its
+    point.  The residuals of all spaces are decided together by ``kernels``,
+    so the first space in order whose guard band is hit raises.
     """
+    tol = pair.tol
     cut = tol.tol_eig * max(1.0, *pair.norms)
-    spaces = _joint_spaces(pair, tol)
+    spaces = pair.joint_spaces
     residuals = [np.vstack([pair.t1 @ v - lam * v, pair.t2 @ v - mu * v]) for lam, mu, v in spaces]
     guards = [f"joint eigenspace at ({lam:.6g}, {mu:.6g}):" for lam, mu, _ in spaces]
     points, witnesses = [], []
@@ -683,15 +687,20 @@ def minimal_blaschke(t, tol=DEFAULT):
     Zeros are the eigenvalue clusters of T; each multiplicity is the largest
     Jordan block size, read off the numerical rank sequence of (T - lambda)^k
     by ``_jordan_clusters``.  Inconsistent rank decisions raise
-    DegenerateCluster.
+    DegenerateCluster.  ``t`` is a matrix, or a validated pair whose T1 is
+    read with the pair's radius, norm, Jordan analysis and table.
     """
-    t = np.asarray(t, dtype=complex)
-    vals = np.linalg.eigvals(t)
-    if vals.size and np.abs(vals).max() >= 1.0:
+    if isinstance(t, CommutingPair):
+        pair, t, tol = t, t.t1, t.tol
+        radius, scale = pair.radii[0], max(1.0, pair.norms[0])
+    else:
+        pair, t = None, np.asarray(t, dtype=complex)
+        vals = np.linalg.eigvals(t)
+        radius, scale = np.abs(vals).max(initial=0.0), max(1.0, opnorm(t))
+    if radius >= 1.0:
         raise NotPure("minimal Blaschke product requires spectral radius < 1")
-    scale = max(1.0, opnorm(t))
-    zeros = [(lam, index) for lam, index, _ in _jordan_of(t.tobytes(), t.shape[0], scale, tol)]
-    b = BlaschkeProduct(zeros)
+    clusters = pair.t1_jordan if pair else _jordan_clusters(t, scale, tol)
+    b = BlaschkeProduct([(lam, index) for lam, index, _ in clusters])
     res = opnorm(blaschke_apply(b, t))
     if res > tol.tol_ann * scale:
         raise DegenerateCluster(

@@ -1,12 +1,13 @@
 """Central tolerance table.
 
 Every threshold a caller can override lives here and reaches its checks
-only as this table, passed as ``tol``, so that a report records the exact
-table it was produced under.  Every field is read by at least one check on
-the certification path; an override of the table therefore always moves a
-decision.  Other thresholds (SVD floors, the eigenvalue merge radius and
-others) are fixed literals in the modules that use them: no override moves
-them.
+only as this table, so that a report records the exact table it was
+produced under: a function given a pair, bundle or instance reads the table
+the pair was validated with, ``pair.tol``, and others take it as ``tol``.
+Every field is read by at least one check on the certification path; an
+override of the table therefore always moves a decision.  Other thresholds
+(SVD floors, the eigenvalue merge radius and others) are fixed literals in
+the modules that use them: no override moves them.
 """
 
 from dataclasses import dataclass, asdict, replace

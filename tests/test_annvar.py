@@ -164,11 +164,12 @@ def test_omega_witnesses_are_adjoint_eigenvectors():
     assert abs(abs(witnesses[0][2]) - 1.0) < 1e-14
 
 
-def _reference_point_spectrum(pair, tol=dv.DEFAULT):
+def _reference_point_spectrum(pair):
     """joint_point_spectrum with one ``kernel`` call per joint space."""
+    tol = pair.tol
     cut = tol.tol_eig * max(1.0, *pair.norms)
     points, witnesses = [], []
-    for lam, mu, v in opcore._joint_spaces(pair, tol):
+    for lam, mu, v in pair.joint_spaces:
         residual = np.vstack([pair.t1 @ v - lam * v, pair.t2 @ v - mu * v])
         w = v @ opcore.kernel(residual, 0.0, cut, f"joint eigenspace at ({lam:.6g}, {mu:.6g}):",
                               tol=tol)
@@ -177,12 +178,12 @@ def _reference_point_spectrum(pair, tol=dv.DEFAULT):
     return points, witnesses
 
 
-def _reference_omega(pair, tol=dv.DEFAULT):
+def _reference_omega(pair):
     """omega_psi with one ``kernel`` call per point."""
-    eye = np.eye(pair.n)
+    tol, eye = pair.tol, np.eye(pair.n)
     cut = tol.tol_eig * max(1.0, *pair.norms)
     points, witnesses = [], []
-    for lam, mu in dict.fromkeys(dv.joint_spectrum_taylor(pair, tol=tol).points):
+    for lam, mu in dict.fromkeys(dv.joint_spectrum_taylor(pair).points):
         shifts = np.hstack([pair.t1 - lam * eye, pair.t2 - mu * eye]).conj().T
         w = opcore.kernel(shifts, 0.0, cut, f"adjoint joint eigenspace at ({lam:.6g}, {mu:.6g}):",
                           tol=tol)
@@ -494,21 +495,20 @@ def test_run_certification_computes_each_set_once(monkeypatch):
                         boundary_n=128)
     inst = make_instance(spec)
     counts.clear()
-    opcore._jordan_of.cache_clear()
-    opcore._joint_spaces.cache_clear()
     artifacts = {}
     run_certification(inst, artifacts=artifacts)
     # m1 and m2 of the pair, then the check that S1 has minimal product m1
     assert counts == {"omega_psi": 1, "z_ann": 1, "minimal_blaschke": 3}
 
-    # Omega reads the traversal of (S1, S2): S1 is analysed once, and neither
+    # each pair analyses its own T1 once (here T1 and S1 are equal matrices,
+    # each analysed once); Omega reads the traversal of (S1, S2), so neither
     # S1* nor a compression of S2* to a generalized eigenspace of S1* is
     def times(m):
         return sum(t.shape == m.shape and np.allclose(t, m, rtol=0, atol=1e-12)
                    for t in analysed)
 
     s1, s2 = artifacts["bundle"].s1, artifacts["bundle"].s2
-    assert times(s1) == 1
+    assert [sum(t is m for t in analysed) for m in (inst.pair.t1, s1)] == [1, 1]
     assert times(s1.conj().T) == 0
     for _, _, q in analyse(s1.conj().T, max(1.0, opcore.opnorm(s1)), dv.DEFAULT):
         assert times(q.conj().T @ s2.conj().T @ q) == 0

@@ -318,7 +318,7 @@ def test_cmd_certify_recipe_all_true_instance(tmp_path, capsys):
 def test_cmd_certify_recipe_uses_sample_flags(tmp_path, monkeypatch, capsys):
     specs = []
 
-    def capture(inst, tol, artifacts):
+    def capture(inst, artifacts):
         specs.append(inst.spec)
         return dv.CertificateReport(instance_id=inst.spec.instance_id,
                                     seed=inst.spec.seed, tolerances={})

@@ -54,9 +54,24 @@ def test_embed_defect_cut_follows_tol_rank():
     tol = dv.DEFAULT.override(tol_rank=1e-3)
     pair = dv.validate_pair(t1, np.zeros((2, 2)), require_pure=True, tol=tol)
     assert pair.defect_ranks[0] == 1
-    j, r0 = dv.embed_J(pair, _m1(pair), tol)
+    j, r0 = dv.embed_J(pair, _m1(pair))
     assert r0.shape == (1, 2) and j.shape == (2, 2)
-    assert dv.embed_J(pair, _m1(pair))[1].shape == (2, 2)
+    # the cut is the pair's: validated under the default table, it keeps both
+    strict = dv.validate_pair(t1, np.zeros((2, 2)), require_pure=True)
+    assert dv.embed_J(strict, _m1(strict))[1].shape == (2, 2)
+
+
+def test_a_certification_runs_under_its_pairs_table(companion_psi_2):
+    # the spec states no override: the report's table is the one the pair was
+    # validated with
+    loose = dv.DEFAULT.override(tol_rank=1e-3)
+    theta = dv.BlaschkeProduct([(0j, 2)])
+    spec = InstanceSpec(theta_zeros=((0j, 2),), psi_spec={"kind": "companion", "d": 2},
+                        boundary_n=64)
+    pair = dv.compress_pair(companion_psi_2, theta, tol=loose)
+    report = run_certification(dv.Instance(spec=spec, theta=theta, psi=companion_psi_2,
+                                           pair=pair))
+    assert report.tolerances == loose.as_dict() != dv.DEFAULT.as_dict()
 
 
 def _basis_at_zero(m1):

@@ -196,6 +196,33 @@ def test_opnorms_equal_opnorm_per_slice():
     assert dv.opcore.opnorm(stack[0]) == float(np.linalg.norm(stack[0], 2))
 
 
+def test_a_pair_derives_its_spectral_data_and_defects_once(monkeypatch, companion_psi_2):
+    calls = []
+    for name in ("_jordan_clusters", "defect"):
+        orig = getattr(dv.opcore, name)
+        monkeypatch.setattr(dv.opcore, name,
+                            lambda *a, _f=orig, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    theta = dv.BlaschkeProduct([(0.1, 3), (-0.4j, 1)])
+    pair = dv.compress_pair(companion_psi_2, theta)
+    for _ in range(2):
+        m1 = dv.minimal_blaschke(pair)
+        dv.joint_spectrum_taylor(pair)
+        dv.joint_point_spectrum(pair)
+        dv.embed_J(pair, m1)
+        dv.construct_psi(pair)
+    # T1, then T2 on each of its two generalized eigenspaces; one defect each
+    assert sorted(calls) == ["_jordan_clusters"] * 3 + ["defect"] * 2
+    arrays = ([q for *_, q in pair.t1_jordan] + [v for *_, v in pair.joint_spaces]
+              + [a for droot, _, basis in pair.defects for a in (droot, basis)])
+    assert len(arrays) == 2 + 4 + 4
+    assert not any(a.flags.writeable for a in arrays)
+    # no cache outlives the pair: a second pair on the same matrices derives
+    # its own
+    calls.clear()
+    dv.minimal_blaschke(dv.compress_pair(companion_psi_2, theta))
+    assert calls == ["_jordan_clusters"]
+
+
 def test_defect_ranks_are_lazy_and_follow_the_validation_tolerances():
     t1 = np.diag([0.5, np.sqrt(1 - 1e-5)]).astype(complex)
     t2 = np.diag([0.3, 0.2]).astype(complex)
@@ -401,7 +428,7 @@ def _assert_point_sets_come_from_the_traversal(pair, bundle, m1):
         except DegenerateCluster:
             continue
         distinct = list(dict.fromkeys(points))
-        assert len(distinct) == len(dv.opcore._joint_spaces(p, dv.DEFAULT))
+        assert len(distinct) == len(p.joint_spaces)
         _separated_or_degenerate(lambda: distinct)
     try:
         basis = dv.ann_generators(pair)
@@ -470,8 +497,7 @@ def test_minimal_blaschke_and_the_taylor_spectrum_analyse_t1_once(monkeypatch,
         return analyse(t, *args)
 
     monkeypatch.setattr(dv.opcore, "_jordan_clusters", recording)
-    dv.opcore._jordan_of.cache_clear()
-    m1 = dv.minimal_blaschke(pair.t1)
+    m1 = dv.minimal_blaschke(pair)
     spec = dv.joint_spectrum_taylor(pair)
     # T1 once; then the compressions of T2 to its two generalized eigenspaces
     assert shapes[0] == pair.t1.shape
@@ -488,7 +514,7 @@ def test_both_joint_spectra_of_the_pair_read_one_traversal(monkeypatch, companio
     basis = dv.ann_generators(pair)
     bundle = dv.constrained_coextension(pair, companion_psi_2, basis)
     variety = dv.variety_polynomial(companion_psi_2)
-    dv.minimal_blaschke(bundle.s1)  # so that verify_coextension finds S1 analysed
+    dv.minimal_blaschke(bundle.constrained)  # so that verify_coextension finds S1 analysed
     shapes = []
     analyse = dv.opcore._jordan_clusters
 
@@ -497,7 +523,6 @@ def test_both_joint_spectra_of_the_pair_read_one_traversal(monkeypatch, companio
         return analyse(t, *args)
 
     monkeypatch.setattr(dv.opcore, "_jordan_clusters", recording)
-    dv.opcore._joint_spaces.cache_clear()
     dv.verify_coextension(bundle, variety)
     zset = dv.z_ann(basis, pair)
     assert sorted(shapes) == [(2, 2), (6, 6)]
@@ -559,8 +584,6 @@ def test_jordan_clusters_match_the_one_cluster_loop(monkeypatch, repeated):
 
     for mod in (dv.opcore, dv.annvar):
         monkeypatch.setattr(mod, "_jordan_clusters", recording)
-    dv.opcore._jordan_of.cache_clear()
-    dv.opcore._joint_spaces.cache_clear()
     for seed in range(40):
         dv.run_certification(dv.make_instance(dv.random_recipe(seed, repeated=repeated)))
     outcomes = [(_jordan_outcome(analyse, *args),
